@@ -16,6 +16,7 @@ from szpirolab.intarith import (
 )
 from szpirolab.weierstrass import (
     AffinePoint,
+    CertificateError,
     INFINITY,
     Isomorphism,
     ModelInvariants,
@@ -28,9 +29,11 @@ from szpirolab.weierstrass import (
     transform,
 )
 from szpirolab.reduction import (
+    CurveAnalysis,
     LocalReductionData,
     MinimalModelResult,
     NonMinimalError,
+    analyze,
     conductor,
     minimal_model,
     semistability_report,

@@ -23,7 +23,7 @@ from szpirolab.families import (
 )
 from szpirolab.intarith import radical
 from szpirolab.poly import Poly, X
-from szpirolab.reduction import MinimalModelResult, conductor, minimal_model
+from szpirolab.reduction import analyze, height_of_minimal, minimal_model
 from szpirolab.weierstrass import (
     SingularModelError,
     WeierstrassModel,
@@ -77,14 +77,18 @@ def szpiro_exponent(name: str) -> SzpiroExponent:
     return SzpiroExponent.from_fraction(FAMILIES[name].l)
 
 
-def height_of_minimal(mm: MinimalModelResult) -> int:
-    inv = mm.invariants
-    return max(abs(inv.c4**3), inv.c6**2)
-
-
 def naive_height(model: WeierstrassModel) -> int:
     """max(|c4^3|, c6^2) of the global minimal model."""
     return height_of_minimal(minimal_model(model))
+
+
+def _analyze_for_ratio(model: WeierstrassModel):
+    if compute_invariants(model).delta == 0:
+        raise SingularModelError("Szpiro ratio undefined for singular model")
+    ca = analyze(model)
+    if ca.conductor <= 1:
+        raise ValueError("conductor 1 cannot occur over Q; ratio undefined")
+    return ca
 
 
 def szpiro_ratio(model: WeierstrassModel) -> float:
@@ -93,25 +97,14 @@ def szpiro_ratio(model: WeierstrassModel) -> float:
     The logs of exact integers are accurate to machine precision; for exact
     decisions against a rational threshold use exceeds() instead.
     """
-    inv = compute_invariants(model)
-    if inv.delta == 0:
-        raise SingularModelError("Szpiro ratio undefined for singular model")
-    N = conductor(model)
-    if N <= 1:
-        raise ValueError("conductor 1 cannot occur over Q; ratio undefined")
-    return math.log(naive_height(model)) / math.log(N)
+    ca = _analyze_for_ratio(model)
+    return math.log(ca.height) / math.log(ca.conductor)
 
 
 def exceeds(model: WeierstrassModel, bound: SzpiroExponent) -> bool:
     """Exact test of szpiro_ratio(model) > p/q, as height^q > N^p."""
-    inv = compute_invariants(model)
-    if inv.delta == 0:
-        raise SingularModelError("Szpiro ratio undefined for singular model")
-    mm = minimal_model(model)
-    N = conductor(model)
-    if N <= 1:
-        raise ValueError("conductor 1 cannot occur over Q; ratio undefined")
-    return height_of_minimal(mm) ** bound.q > N**bound.p
+    ca = _analyze_for_ratio(model)
+    return ca.height**bound.q > ca.conductor**bound.p
 
 
 def abc_quality(a: int, b: int, c: int) -> float:
@@ -408,10 +401,12 @@ def homogeneity_check(instance: FamilyInstance) -> bool:
     )
 
 
-def verify_height_bound(instance: FamilyInstance) -> bool:
+def verify_height_bound(instance: FamilyInstance, u: int | None = None) -> bool:
     """Exact check |delta_{T,u}|^l < u^-12 max(|alpha^3|, beta^2).
 
-    For C3_0 the analogous bound is (27 a^2)^2 < c6^2 = (216 a^2)^2.
+    u is the instance's recovered scaling when the caller already holds it;
+    otherwise it is recovered here.  For C3_0 the analogous bound is
+    (27 a^2)^2 < c6^2 = (216 a^2)^2.
     """
     name = instance.family.name
     if name == "C3_0":
@@ -419,7 +414,8 @@ def verify_height_bound(instance: FamilyInstance) -> bool:
         return (27 * a * a) ** 2 < (216 * a * a) ** 2
     from szpirolab.families import delta_eval
 
-    u = recover_uT(instance)
+    if u is None:
+        u = recover_uT(instance)
     dv = delta_eval(instance, u)
     fi = family_invariants(instance)
     big = max(abs(fi.alpha) ** 3, fi.beta**2)

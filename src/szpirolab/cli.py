@@ -97,9 +97,9 @@ def cmd_curve(args) -> int:
         print("error: singular model (discriminant zero)", file=sys.stderr)
         return CHECK_FAILED
     integral, scale = _integralize(model)
-    mm = reduction.minimal_model(integral)
-    total_u = Fraction(mm.scaling_u) * (1 / scale)
     if args.action == "minimal":
+        mm = reduction.minimal_model(integral)
+        total_u = Fraction(mm.scaling_u) * (1 / scale)
         _emit({
             "model": _model_json(model),
             "minimal": _model_json(mm.minimal),
@@ -107,10 +107,8 @@ def cmd_curve(args) -> int:
             "delta_min": _s(mm.delta_min),
         })
         return 0
-    locals_ = reduction.local_reduction(integral)
-    N = 1
-    for d in locals_:
-        N *= d.p**d.fp
+    ca = reduction.analyze(integral)
+    N = ca.conductor
     if args.action == "conductor":
         _emit({
             "model": _model_json(model),
@@ -118,12 +116,12 @@ def cmd_curve(args) -> int:
             "local": [
                 {"p": _s(d.p), "fp": d.fp, "kodaira": d.kodaira,
                  "semistable": d.semistable, "vp_delta": d.vp_delta}
-                for d in locals_
+                for d in ca.local
             ],
         })
         return 0
     # ratio
-    height = bounds.height_of_minimal(mm)
+    height = ca.height
     if N <= 1:
         print("error: conductor 1; ratio undefined", file=sys.stderr)
         return CHECK_FAILED

@@ -23,7 +23,7 @@ from szpirolab.intarith import (
     is_squarefree,
     p_adic_valuation,
 )
-from szpirolab.reduction import MinimalModelResult, minimal_model, tate_local
+from szpirolab.reduction import MinimalModelResult, analyze, minimal_model
 from szpirolab.weierstrass import WeierstrassModel, compute_invariants
 
 __all__ = [
@@ -563,14 +563,11 @@ def verify_conductor_bound(instance: FamilyInstance) -> ConductorBoundReport:
     (they would contradict the published conductor bound), never raised.
     """
     findings: list[str] = []
-    model = build_model(instance)
-    mm = minimal_model(model)
+    ca = analyze(build_model(instance))
+    mm, N = ca.mm, ca.conductor
 
     if instance.family.name == "C3_0":
         a = instance.params[0]
-        N = 1
-        for p, _ in factorize(mm.delta_min):
-            N *= p ** tate_local(mm.minimal, p).fp
         mu = 27 * a * a
         if N > mu:
             findings.append(f"conductor {N} exceeds bound {mu} for {instance}")
@@ -588,10 +585,8 @@ def verify_conductor_bound(instance: FamilyInstance) -> ConductorBoundReport:
     delta_val = delta_eval(instance, u)
 
     per_prime = []
-    N = 1
-    for p, _ in factorize(mm.delta_min):
-        fp = tate_local(mm.minimal, p).fp
-        N *= p**fp
+    for d in ca.local:
+        p, fp = d.p, d.fp
         if delta_val % p != 0:
             findings.append(
                 f"prime {p} divides the minimal discriminant of {instance} "

@@ -6,17 +6,22 @@ integrality conditions admit an integral model, and rebuild the reduced
 model from the minimal pair.  Tate's algorithm runs per prime with the
 standard translations; the conductor exponent comes out of Ogg's formula
 f_p = v_p(delta_min) - (components - 1).
+
+analyze() is the one pass per curve that callers share: the minimal
+model, the factorization of delta_min, the local data at every bad prime,
+the conductor and the naive height.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from szpirolab.intarith import factorize, p_adic_valuation
+from szpirolab.intarith import Factorization, factorize, p_adic_valuation
 from szpirolab.weierstrass import (
+    CertificateError,
     Isomorphism,
+    ModelInvariants,
     SingularModelError,
     WeierstrassModel,
     compute_invariants,
@@ -24,10 +29,13 @@ from szpirolab.weierstrass import (
 )
 
 __all__ = [
+    "CurveAnalysis",
     "LocalReductionData",
     "MinimalModelResult",
     "NonMinimalError",
+    "analyze",
     "conductor",
+    "height_of_minimal",
     "local_reduction",
     "minimal_model",
     "semistability_report",
@@ -44,11 +52,11 @@ class MinimalModelResult:
     minimal: WeierstrassModel
     scaling_u: int
     iso: Isomorphism
-    delta_min: int
+    invariants: ModelInvariants  # of the minimal model
 
     @property
-    def invariants(self):
-        return compute_invariants(self.minimal)
+    def delta_min(self) -> int:
+        return self.invariants.delta
 
 
 @dataclass(frozen=True)
@@ -75,8 +83,9 @@ def _kraus_ok_at_3(c6: int) -> bool:
     return c6 == 0 or p_adic_valuation(c6, 3) != 2
 
 
-def _model_from_c4c6(c4: int, c6: int) -> WeierstrassModel:
-    """Connell's recipe: reduced integral model with the given invariants."""
+def _model_from_c4c6(c4: int, c6: int) -> tuple[WeierstrassModel, ModelInvariants]:
+    """Connell's recipe: reduced integral model with the given invariants,
+    returned with its invariants."""
     b2 = (-c6) % 12
     if b2 > 6:
         b2 -= 12
@@ -99,8 +108,32 @@ def _model_from_c4c6(c4: int, c6: int) -> WeierstrassModel:
         raise ValueError(f"no integral model with c4={c4}, c6={c6}")
     m = WeierstrassModel(a1, a2, a3, a4, a6)
     inv = compute_invariants(m)
-    assert (inv.c4, inv.c6) == (c4, c6)
-    return m
+    if (inv.c4, inv.c6) != (c4, c6):
+        raise CertificateError(
+            f"model {m} has (c4, c6) = ({inv.c4}, {inv.c6}), not ({c4}, {c6})"
+        )
+    return m, inv
+
+
+def _integral_div(value: int, divisor: int) -> int:
+    q, rem = divmod(value, divisor)
+    if rem:
+        raise CertificateError(f"{value} / {divisor} is not integral")
+    return q
+
+
+def _isomorphism_to(
+    m: WeierstrassModel, minimal: WeierstrassModel, u: int
+) -> Isomorphism:
+    """The (u, r, s, t) mapping m onto minimal, solved from a1, a2, a3.
+
+    It is integral (Silverman, AEC VII.1.3): a remainder raises.
+    """
+    a1, a2, a3 = m.a1, m.a2, m.a3
+    s = _integral_div(u * minimal.a1 - a1, 2)
+    r = _integral_div(u * u * minimal.a2 - a2 + s * a1 + s * s, 3)
+    t = _integral_div(u**3 * minimal.a3 - a3 - r * a1, 2)
+    return Isomorphism(u, r, s, t)
 
 
 def minimal_model(m: WeierstrassModel) -> MinimalModelResult:
@@ -142,19 +175,15 @@ def minimal_model(m: WeierstrassModel) -> MinimalModelResult:
                 k -= 1
         u *= p**k
 
-    c4m, c6m = c4 // u**4, c6 // u**6
-    minimal = _model_from_c4c6(c4m, c6m)
-    delta_min = compute_invariants(minimal).delta
-    assert delta == u**12 * delta_min
-
-    # Recover (r, s, t) linking the input model to the minimal one.
-    a1, a2, a3 = m.a1, m.a2, m.a3
-    s = Fraction(u * minimal.a1 - a1, 2)
-    r = Fraction(u * u * minimal.a2 - a2 + s * a1 + s * s, 3)
-    t = Fraction(u**3 * minimal.a3 - a3 - r * a1, 2)
-    iso = Isomorphism(u, r, s, t)
-    assert transform(m, iso) == minimal
-    return MinimalModelResult(minimal, u, iso, delta_min)
+    minimal, minv = _model_from_c4c6(c4 // u**4, c6 // u**6)
+    if delta != u**12 * minv.delta:
+        raise CertificateError(
+            f"delta = {delta} is not u^12 * delta_min = {u}^12 * {minv.delta}"
+        )
+    iso = _isomorphism_to(m, minimal, u)
+    if transform(m, iso) != minimal:
+        raise CertificateError(f"{iso} does not map {m} onto {minimal}")
+    return MinimalModelResult(minimal, u, iso, minv)
 
 
 def _centered(x: int, modulus: int) -> int:
@@ -317,28 +346,55 @@ def tate_local(m: WeierstrassModel, p: int) -> LocalReductionData:
     raise NonMinimalError(f"model {m} is not minimal at {p}")
 
 
+def height_of_minimal(mm: MinimalModelResult) -> int:
+    """The naive height max(|c4^3|, c6^2) of the minimal model."""
+    inv = mm.invariants
+    return max(abs(inv.c4**3), inv.c6**2)
+
+
+@dataclass(frozen=True)
+class CurveAnalysis:
+    """Everything the checks need about one curve, computed once."""
+
+    mm: MinimalModelResult
+    factorization: Factorization  # of delta_min
+    local: tuple[LocalReductionData, ...]  # one per prime of delta_min
+    conductor: int
+    height: int  # max(|c4^3|, c6^2) of the minimal model
+
+
+def analyze(m: WeierstrassModel) -> CurveAnalysis:
+    """Minimal model, bad primes, local data, conductor and height of m.
+
+    At a prime p dividing delta_min but not c4 the reduction is
+    multiplicative, I_n with n = v_p(delta_min) and f_p = 1, so Tate's
+    algorithm runs only at the primes dividing c4 as well.
+    """
+    mm = minimal_model(m)
+    c4 = mm.invariants.c4
+    fac = factorize(mm.delta_min)
+    local = []
+    N = 1
+    for p, e in fac:
+        if c4 % p:
+            data = LocalReductionData(p, e, 1, f"I{e}", True)
+        else:
+            data = tate_local(mm.minimal, p)
+        local.append(data)
+        N *= p**data.fp
+    return CurveAnalysis(mm, fac, tuple(local), N, height_of_minimal(mm))
+
+
 def local_reduction(m: WeierstrassModel) -> list[LocalReductionData]:
     """Tate data at every bad prime of the global minimal model of m."""
-    mm = minimal_model(m)
-    out = []
-    for p, _ in factorize(mm.delta_min):
-        out.append(tate_local(mm.minimal, p))
-    return out
+    return list(analyze(m).local)
 
 
 def conductor(m: WeierstrassModel) -> int:
     """The conductor: product of p^fp over primes dividing delta_min."""
-    N = 1
-    for data in local_reduction(m):
-        N *= data.p**data.fp
-    return N
+    return analyze(m).conductor
 
 
 def semistability_report(m: WeierstrassModel) -> list[tuple[int, bool]]:
-    """(p, semistable at p) for each bad prime, via p | gcd(c4, delta_min)."""
-    mm = minimal_model(m)
-    c4 = compute_invariants(mm.minimal).c4
-    out = []
-    for p, _ in factorize(mm.delta_min):
-        out.append((p, c4 % p != 0))
-    return out
+    """(p, semistable at p) for each bad prime of the minimal model."""
+    return [(d.p, d.semistable) for d in analyze(m).local]

@@ -14,13 +14,8 @@ from fractions import Fraction
 
 from szpirolab.bounds import height_of_minimal, szpiro_exponent
 from szpirolab.families import model_coefficients
-from szpirolab.intarith import (
-    FactorBudgetError,
-    factorize,
-    is_squarefree,
-    radical,
-)
-from szpirolab.reduction import minimal_model, tate_local
+from szpirolab.intarith import FactorBudgetError, is_squarefree, radical
+from szpirolab.reduction import analyze, minimal_model
 from szpirolab.weierstrass import WeierstrassModel, compute_invariants
 
 __all__ = [
@@ -272,7 +267,8 @@ def verify_sharp_consistency(T: str, n: int) -> ConsistencyReport:
     spec = SHARP_FAMILIES[T]
     findings: list[str] = []
     model = build_FT(T, n)
-    mm = minimal_model(model)
+    ca = analyze(model)
+    mm = ca.mm
     delta = compute_invariants(model).delta
 
     w_expected = spec.w(n)
@@ -283,31 +279,28 @@ def verify_sharp_consistency(T: str, n: int) -> ConsistencyReport:
         )
 
     H_expected, f_expected = sharp_polynomials(T, n)
-    height = height_of_minimal(mm)
+    height = ca.height
     if height != H_expected:
         findings.append(
             f"naive height {height} != table value {H_expected} for F_{T}({n})"
         )
 
-    if radical(mm.delta_min) != radical(f_expected):
+    rad_min = ca.factorization.radical()
+    if rad_min != radical(f_expected):
         findings.append(
             f"rad(delta_min) != rad(f(n)) for F_{T}({n}): "
-            f"{radical(mm.delta_min)} vs {radical(f_expected)}"
+            f"{rad_min} vs {radical(f_expected)}"
         )
 
-    c4_min = mm.invariants.c4
-    bad = [p for p, _ in factorize(mm.delta_min) if c4_min % p == 0]
+    bad = [d.p for d in ca.local if not d.semistable]
     if bad:
         findings.append(f"F_{T}({n}) has additive reduction at {bad}")
 
-    if is_squarefree(f_expected):
-        N = 1
-        for p, _ in factorize(mm.delta_min):
-            N *= p ** tate_local(mm.minimal, p).fp
-        if N != abs(f_expected):
-            findings.append(
-                f"conductor {N} != |f(n)| = {abs(f_expected)} for squarefree f, F_{T}({n})"
-            )
+    if is_squarefree(f_expected) and ca.conductor != abs(f_expected):
+        findings.append(
+            f"conductor {ca.conductor} != |f(n)| = {abs(f_expected)} "
+            f"for squarefree f, F_{T}({n})"
+        )
 
     return ConsistencyReport(T, n, w_expected, tuple(findings))
 

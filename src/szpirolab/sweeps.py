@@ -25,8 +25,8 @@ from szpirolab.families import (
     recover_uT,
     validate_params,
 )
-from szpirolab.intarith import factorize, is_squarefree
-from szpirolab.reduction import minimal_model, tate_local
+from szpirolab.intarith import is_squarefree
+from szpirolab.reduction import analyze
 from szpirolab.weierstrass import (
     AffinePoint,
     full_two_torsion,
@@ -120,9 +120,8 @@ def check_instance(instance: FamilyInstance, checks=ALL_CHECKS) -> InstanceRepor
     name = instance.family.name
     fam = instance.family
     model = build_model(instance)
-    mm = minimal_model(model)
-    minv = mm.invariants
-    height = max(abs(minv.c4**3), minv.c6**2)
+    ca = analyze(model)
+    mm, N, height = ca.mm, ca.conductor, ca.height
 
     if name == "C3_0":
         u = mm.scaling_u
@@ -143,21 +142,13 @@ def check_instance(instance: FamilyInstance, checks=ALL_CHECKS) -> InstanceRepor
             except (ValueError, PaperContractViolation) as exc:
                 findings.append(f"{instance}: {exc}")
 
-    N = 1
-    for p, _ in factorize(mm.delta_min):
-        if minv.c4 % p != 0:
-            fp = 1
-        else:
-            data = tate_local(mm.minimal, p)
-            fp = data.fp
-            if fp <= 1:
-                findings.append(
-                    f"{instance}: additive prime {p} got exponent {fp}"
-                )
+    for d in ca.local:
+        p, fp = d.p, d.fp
+        if not d.semistable and fp <= 1:
+            findings.append(f"{instance}: additive prime {p} got exponent {fp}")
         cap = _FP_CAPS.get(p, 2)
         if fp > cap:
             findings.append(f"{instance}: f_{p} = {fp} exceeds cap {cap}")
-        N *= p**fp
         if bound and bound % p ** fp != 0:
             vd = 0
             b = bound
@@ -177,7 +168,7 @@ def check_instance(instance: FamilyInstance, checks=ALL_CHECKS) -> InstanceRepor
             f"{instance}: height^{exp.q} <= N^{exp.p} (ratio bound violated)"
         )
 
-    if "height" in checks and name != "C3_0" and not verify_height_bound(instance):
+    if "height" in checks and name != "C3_0" and not verify_height_bound(instance, u):
         findings.append(f"{instance}: |delta|^l >= u^-12 max(|alpha^3|, beta^2)")
 
     if "torsion" in checks:
@@ -235,15 +226,6 @@ def iter_param_tuples(name: str, bound: int):
                 if math.gcd(a, b) != 1:
                     continue
                 yield (a, b)
-
-
-def instances_in_box(name: str, bound: int):
-    """All valid instances with parameters in the box."""
-    for params in iter_param_tuples(name, bound):
-        try:
-            yield validate_params(name, *params)
-        except ValidationError:
-            continue
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from szpirolab.intarith import iroot
-
 __all__ = [
     "AffinePoint",
+    "CertificateError",
     "INFINITY",
     "Isomorphism",
     "ModelInvariants",
@@ -34,6 +33,13 @@ __all__ = [
 
 class SingularModelError(ValueError):
     """Operation requires a nonsingular model (discriminant != 0)."""
+
+
+class CertificateError(ArithmeticError):
+    """An exact identity that a computed result rests on failed to hold.
+
+    Raised explicitly (never by assert), so the check survives python -O.
+    """
 
 
 def _norm(x):
@@ -61,11 +67,6 @@ class WeierstrassModel:
         return f"[{self.a1},{self.a2},{self.a3},{self.a4},{self.a6}]"
 
 
-def model(a1, a2, a3, a4, a6) -> WeierstrassModel:
-    """Build a model, normalizing integral Fractions to int."""
-    return WeierstrassModel(*(_norm(a) for a in (a1, a2, a3, a4, a6)))
-
-
 @dataclass(frozen=True)
 class ModelInvariants:
     b2: object
@@ -90,10 +91,6 @@ def compute_invariants(m: WeierstrassModel) -> ModelInvariants:
     assert c4**3 - c6**2 == 1728 * delta
     assert b2 * b6 - b4 * b4 == 4 * b8
     return ModelInvariants(b2, b4, b6, b8, c4, c6, delta)
-
-
-def discriminant(m: WeierstrassModel):
-    return compute_invariants(m).delta
 
 
 def j_invariant(m: WeierstrassModel) -> Fraction:
@@ -138,14 +135,16 @@ class Isomorphism:
         )
 
 
-IDENTITY_ISO = Isomorphism(1, 0, 0, 0)
-
-
 def _exact_div(value, den_power):
+    """value / den_power; int by int stays in integers unless it leaves a
+    remainder, and then (or for rational input) the result is a Fraction
+    normalized back to int when integral."""
     if den_power == 1:
         return value
-    q = Fraction(value) / Fraction(den_power)
-    return _norm(q)
+    if isinstance(value, int) and isinstance(den_power, int):
+        q, rem = divmod(value, den_power)
+        return Fraction(value, den_power) if rem else q
+    return _norm(Fraction(value) / Fraction(den_power))
 
 
 def transform(m: WeierstrassModel, iso: Isomorphism) -> WeierstrassModel:
@@ -182,16 +181,11 @@ class AffinePoint:
 # The point at infinity (group identity).
 INFINITY = None
 
-CurvePoint = "AffinePoint | None"
-
 
 def is_on_curve(m: WeierstrassModel, point) -> bool:
-    """Exact equation check; the point at infinity is always on the curve."""
-    if point is INFINITY:
-        return True
-    a1, a2, a3, a4, a6 = m.coefficients()
-    x, y = point.x, point.y
-    return y * y + a1 * x * y + a3 * y == x**3 + a2 * x * x + a4 * x + a6
+    """Exact equation check, in integers once denominators are cleared; the
+    point at infinity is always on the curve."""
+    return _projective_on_curve(*_integral_projective(m, point))
 
 
 def negate_point(m: WeierstrassModel, point):
@@ -222,23 +216,93 @@ def add_points(m: WeierstrassModel, p, q):
     return AffinePoint(x3, y3)
 
 
+# Integer projective arithmetic: (X:Y:Z) stands for (X/Z, Y/Z), Z = 0 is
+# the identity, and every sum is reduced by gcd(X, Y, Z) with Z > 0.
+
+_PROJECTIVE_IDENTITY = (0, 1, 0)
+
+
+def _integral_projective(m: WeierstrassModel, point):
+    """Integer coefficients and an integer projective point isomorphic to
+    (m, point): with L the common denominator of the coefficients, the
+    substitution x = x'/L^2, y = y'/L^3 gives a'_i = L^i a_i."""
+    coeffs = m.coefficients()
+    L = math.lcm(*(c.denominator for c in coeffs))
+    a = tuple(
+        c.numerator * (L**i // c.denominator) for c, i in zip(coeffs, (1, 2, 3, 4, 6))
+    )
+    if point is INFINITY:
+        return a, _PROJECTIVE_IDENTITY
+    x, y = point.x, point.y
+    return a, _projective_normal(
+        x.numerator * L * L * y.denominator,
+        y.numerator * L**3 * x.denominator,
+        x.denominator * y.denominator,
+    )
+
+
+def _projective_normal(X: int, Y: int, Z: int):
+    if Z == 0:
+        return _PROJECTIVE_IDENTITY
+    g = math.gcd(X, Y, Z)
+    if Z < 0:
+        g = -g
+    return X // g, Y // g, Z // g
+
+
+def _projective_on_curve(a, P) -> bool:
+    a1, a2, a3, a4, a6 = a
+    X, Y, Z = P
+    lhs = Y * (Y + a1 * X + a3 * Z) * Z
+    return lhs == X**3 + (a2 * X * X + (a4 * X + a6 * Z) * Z) * Z
+
+
+def _projective_add(a, P, Q):
+    """Chord-and-tangent addition of integer projective points on the
+    integral model a = (a1, a2, a3, a4, a6)."""
+    X1, Y1, Z1 = P
+    X2, Y2, Z2 = Q
+    if Z1 == 0:
+        return Q
+    if Z2 == 0:
+        return P
+    a1, a2, a3, a4, _ = a
+    # The slope is lambda = N / D.
+    D = X2 * Z1 - X1 * Z2
+    if D == 0:
+        if Y1 * Z2 + (Y2 + a1 * X2 + a3 * Z2) * Z1 == 0:
+            return _PROJECTIVE_IDENTITY
+        N = 3 * X1 * X1 + (2 * a2 * X1 + a4 * Z1 - a1 * Y1) * Z1
+        D = (2 * Y1 + a1 * X1 + a3 * Z1) * Z1
+    else:
+        N = Y2 * Z1 - Y1 * Z2
+    Z12 = Z1 * Z2
+    D2 = D * D
+    # x3 = X3n / (D^2 Z1 Z2); y3 = -(lambda + a1) x3 - (y1 - lambda x1) - a3.
+    X3n = (N * N + a1 * N * D - a2 * D2) * Z12 - (X1 * Z2 + X2 * Z1) * D2
+    Y3 = -(N + a1 * D) * X3n + D2 * Z2 * (N * X1 - D * Y1) - a3 * D2 * D * Z12
+    return _projective_normal(X3n * D, Y3, D2 * D * Z12)
+
+
 def point_order(m: WeierstrassModel, point, cap: int = 16) -> int | None:
     """Exact order of a point if <= cap, else None.
 
-    The cap of 16 leaves slack above the largest rational torsion order (12)
-    while keeping runaway loops impossible.
+    The multiples are computed in integer projective coordinates on an
+    integral model isomorphic to m, so a rational model or point enters
+    only through its common denominators.  The cap of 16 leaves slack
+    above the largest rational torsion order (12) while keeping runaway
+    loops impossible.
     """
     if compute_invariants(m).delta == 0:
         raise SingularModelError("point order undefined on a singular model")
-    if not is_on_curve(m, point):
+    a, P = _integral_projective(m, point)
+    if not _projective_on_curve(a, P):
         raise ValueError(f"point {point} is not on the curve")
-    if point is INFINITY:
-        return 1
-    acc = point  # invariant: acc == k * point at the top of iteration k
+    acc = P  # invariant: acc == k * P at the top of iteration k
     for k in range(1, cap + 1):
-        if acc is INFINITY:
+        if acc[2] == 0:
             return k
-        acc = add_points(m, acc, point)
+        acc = _projective_add(a, acc, P)
     return None
 
 
@@ -291,18 +355,6 @@ def _rational_roots_cubic(c3: int, c2: int, c1: int, c0: int) -> list[Fraction]:
     ]
 
 
-def _rational_roots_quadratic(c2: int, c1: int, c0: int) -> list[Fraction]:
-    if c2 == 0:
-        return [] if c1 == 0 else [Fraction(-c0, c1)]
-    disc = c1 * c1 - 4 * c2 * c0
-    if disc < 0:
-        return []
-    root = iroot(disc, 2)
-    if root is None:
-        return []
-    return sorted({Fraction(-c1 + root, 2 * c2), Fraction(-c1 - root, 2 * c2)})
-
-
 def full_two_torsion(m: WeierstrassModel) -> list:
     """All rational points of order dividing 2, the identity included.
 
@@ -321,6 +373,7 @@ def full_two_torsion(m: WeierstrassModel) -> list:
     for x in _rational_roots_cubic(*coeffs):
         y = _norm(Fraction(-(m.a1 * x + m.a3), 2))
         pt = AffinePoint(x, y)
-        assert is_on_curve(m, pt)
+        if not is_on_curve(m, pt):
+            raise CertificateError(f"2-torsion candidate {pt} is not on {m}")
         points.append(pt)
     return points

@@ -1,6 +1,10 @@
 """CLI surface: exit-code contract, JSON shapes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -203,3 +207,33 @@ class TestSharp:
         with pytest.raises(SystemExit) as exc:
             main(["sharp", "--T", "C2", "--nmax", "5"])
         assert exc.value.code == 2
+
+
+class TestOptimizedParity:
+    """No result may rest on an assert: python -O strips them, so the same
+    commands must print the same output and exit with the same codes."""
+
+    COMMANDS = (
+        ["family", "verify", "--T", "C2xC6", "--max", "6", "--jobs", "1"],
+        ["curve", "minimal", "--model", "1/2,0,0,3/4,5"],
+    )
+
+    def test_same_output_under_python_O(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        env.pop("SZPIROLAB_JOBS", None)
+        for argv in self.COMMANDS:
+            plain, optimized = (
+                subprocess.run(
+                    [sys.executable, *flags, "-m", "szpirolab.cli", *argv],
+                    capture_output=True, text=True, env=env, timeout=300,
+                )
+                for flags in ([], ["-O"])
+            )
+            assert plain.stdout and plain.returncode in (0, 1), plain.stderr
+            assert (optimized.stdout, optimized.returncode) == (
+                plain.stdout, plain.returncode,
+            ), argv

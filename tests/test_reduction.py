@@ -1,14 +1,18 @@
 """Minimal models, Tate's algorithm, conductors, semistability."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
+from szpirolab import reduction
+from szpirolab.bounds import SzpiroExponent, exceeds
 from szpirolab.intarith import factorize, is_squarefree
 from szpirolab.reduction import (
     NonMinimalError,
     _model_from_c4c6,
+    analyze,
     conductor,
     local_reduction,
     minimal_model,
@@ -16,6 +20,7 @@ from szpirolab.reduction import (
     tate_local,
 )
 from szpirolab.weierstrass import (
+    CertificateError,
     Isomorphism,
     SingularModelError,
     WeierstrassModel,
@@ -269,3 +274,108 @@ class TestSemistability:
             flags = dict(semistability_report(m))
             for data in local_reduction(m):
                 assert flags[data.p] == (data.fp == 1)
+
+
+def _random_curves(rng, count, bound=12):
+    out = []
+    while len(out) < count:
+        m = WeierstrassModel(*(rng.randrange(-bound, bound + 1) for _ in range(5)))
+        if compute_invariants(m).delta != 0:
+            out.append(m)
+    return out
+
+
+def _random_integral_iso(rng):
+    return Isomorphism(
+        rng.randrange(1, 7), *(rng.randrange(-9, 10) for _ in range(3))
+    )
+
+
+class TestAnalyze:
+    def test_11a1(self):
+        ca = analyze(CURVE_11A1)
+        assert ca.mm == minimal_model(CURVE_11A1)
+        assert ca.factorization.pairs == ((11, 5),)
+        assert [(d.p, d.kodaira, d.fp) for d in ca.local] == [(11, "I5", 1)]
+        assert ca.conductor == 11
+        assert ca.height == max(496**3, 20008**2)
+
+    def test_local_data_matches_tate_everywhere(self):
+        # The I_n shortcut at p not dividing c4 must agree with Tate's
+        # algorithm run at every prime.
+        for m in _random_curves(random.Random(90210), 80):
+            ca = analyze(m)
+            assert ca.factorization == factorize(ca.mm.delta_min)
+            assert list(ca.local) == [
+                tate_local(ca.mm.minimal, p) for p, _ in ca.factorization
+            ]
+            N = 1
+            for d in ca.local:
+                N *= d.p**d.fp
+            assert ca.conductor == N
+
+    def test_invariant_under_integral_isomorphisms(self):
+        # A random integral isomorphism (u, r, s, t), applied backwards to a
+        # random curve, gives another integral model of the same curve:
+        # nothing about the curve may change, and the recovered
+        # isomorphism must be integral.
+        rng = random.Random(271828)
+        for m in _random_curves(rng, 60):
+            base = analyze(m)
+            iso = _random_integral_iso(rng)
+            big = transform(m, iso.inverse())
+            assert big.is_integral()
+            ca = analyze(big)
+            assert ca.mm.minimal == base.mm.minimal
+            assert ca.mm.delta_min == base.mm.delta_min
+            assert ca.conductor == base.conductor
+            assert [d.kodaira for d in ca.local] == [d.kodaira for d in base.local]
+            assert ca.mm.scaling_u == iso.u * base.mm.scaling_u
+            rec = ca.mm.iso
+            assert all(type(c) is int for c in (rec.u, rec.r, rec.s, rec.t))
+            assert transform(big, rec) == ca.mm.minimal
+            for l in (SzpiroExponent(1, 1), SzpiroExponent(3, 2), SzpiroExponent(4, 1)):
+                assert exceeds(big, l) == exceeds(m, l)
+
+
+class TestExplicitChecks:
+    """The checks behind minimal models raise CertificateError, which is
+    not an AssertionError and survives python -O."""
+
+    def test_not_an_assertion(self):
+        assert not issubclass(CertificateError, AssertionError)
+
+    def test_c4c6_mismatch(self, monkeypatch):
+        real = reduction.compute_invariants
+
+        def off_by_24(m):
+            return dataclasses.replace(real(m), c4=real(m).c4 + 24)
+
+        monkeypatch.setattr(reduction, "compute_invariants", off_by_24)
+        with pytest.raises(CertificateError, match="c4"):
+            reduction._model_from_c4c6(496, 20008)
+
+    def test_wrong_minimal_model(self, monkeypatch):
+        real = reduction._model_from_c4c6
+        wrong = WeierstrassModel(0, 0, 1, -1, 0)  # 37a, not 11a1
+
+        monkeypatch.setattr(
+            reduction, "_model_from_c4c6", lambda c4, c6: (wrong, real(48, -216)[1])
+        )
+        with pytest.raises(CertificateError, match="u\\^12"):
+            minimal_model(CURVE_11A1)
+
+    def test_wrong_isomorphism(self, monkeypatch):
+        real = reduction._isomorphism_to
+
+        def shifted(m, minimal, u):
+            iso = real(m, minimal, u)
+            return Isomorphism(iso.u, iso.r + 1, iso.s, iso.t)
+
+        monkeypatch.setattr(reduction, "_isomorphism_to", shifted)
+        with pytest.raises(CertificateError, match="does not map"):
+            minimal_model(blow_up(CURVE_11A1, 2))
+
+    def test_nonintegral_isomorphism(self):
+        with pytest.raises(CertificateError, match="not integral"):
+            reduction._integral_div(7, 2)

@@ -1,10 +1,12 @@
 """Sweep engine: enumeration, per-instance reports, config plumbing."""
 
 import math
+import sys
 
 import pytest
 
-from szpirolab.families import validate_params
+from szpirolab.bounds import SzpiroExponent, exceeds
+from szpirolab.families import FAMILIES, ValidationError, validate_params
 from szpirolab.sweeps import (
     ALL_CHECKS,
     SweepConfig,
@@ -14,6 +16,15 @@ from szpirolab.sweeps import (
     run_config,
     run_sweep,
 )
+from szpirolab.weierstrass import WeierstrassModel
+
+
+def _first_instance(name):
+    for params in iter_param_tuples(name, 3):
+        try:
+            return validate_params(name, *params)
+        except ValidationError:
+            continue
 
 
 class TestEnumeration:
@@ -102,3 +113,35 @@ class TestDefaultJobs:
         assert default_jobs() == 7
         monkeypatch.setenv("SZPIROLAB_JOBS", "junk")
         assert default_jobs() >= 1
+
+
+@pytest.fixture
+def minimal_model_calls(monkeypatch):
+    """Counts reduction.minimal_model calls through every szpirolab module
+    that binds it."""
+    from szpirolab import reduction
+
+    real = reduction.minimal_model
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    for modname, module in list(sys.modules.items()):
+        if modname.startswith("szpirolab") and vars(module).get("minimal_model") is real:
+            monkeypatch.setattr(module, "minimal_model", counted)
+    return calls
+
+
+class TestSingleMinimalModel:
+    def test_one_build_per_check_instance(self, minimal_model_calls):
+        for name in FAMILIES:
+            inst = _first_instance(name)
+            minimal_model_calls.clear()
+            check_instance(inst)
+            assert len(minimal_model_calls) == 1, name
+
+    def test_one_build_per_exceeds(self, minimal_model_calls):
+        exceeds(WeierstrassModel(0, -1, -1, 0, 0), SzpiroExponent(3, 1))
+        assert len(minimal_model_calls) == 1

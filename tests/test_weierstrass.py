@@ -8,12 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from szpirolab import weierstrass
+from szpirolab.families import FAMILIES, ValidationError, build_model, validate_params
+from szpirolab.sweeps import iter_param_tuples
 from szpirolab.weierstrass import (
     INFINITY,
     AffinePoint,
+    CertificateError,
     Isomorphism,
     SingularModelError,
     WeierstrassModel,
+    _exact_div,
+    _integral_projective,
+    _projective_add,
     add_points,
     compute_invariants,
     full_two_torsion,
@@ -254,3 +261,96 @@ class TestTwoTorsion:
         m = WeierstrassModel(0, Fraction(7, 4), 0, Fraction(-1, 2), 0)
         xs = {p.x for p in full_two_torsion(m) if p is not INFINITY}
         assert Fraction(1, 4) in xs and Fraction(0) in xs and Fraction(-2) in xs
+
+
+def fraction_order(m, P, cap=16):
+    """The reference: the Fraction add_points loop point_order replaced."""
+    acc = P  # acc == k * P at the top of iteration k
+    for k in range(1, cap + 1):
+        if acc is INFINITY:
+            return k
+        acc = add_points(m, acc, P)
+    return None
+
+
+def map_point(P, iso):
+    """The image of P under x = u^2 x' + r, y = u^3 y' + u^2 s x' + t."""
+    u, r, s, t = (Fraction(c) for c in (iso.u, iso.r, iso.s, iso.t))
+    x = (P.x - r) / u**2
+    return AffinePoint(x, (P.y - u * u * s * x - t) / u**3)
+
+
+class TestIntegerPointOrder:
+    """point_order runs in integer projective coordinates; the Fraction
+    group law add_points is its reference."""
+
+    def test_family_instances_small_box(self):
+        checked = 0
+        for name, fam in FAMILIES.items():
+            for params in iter_param_tuples(name, 3):
+                try:
+                    m = build_model(validate_params(name, *params))
+                except ValidationError:
+                    continue
+                order = point_order(m, ORIGIN)
+                assert order == fraction_order(m, ORIGIN) == fam.point_order
+                checked += 1
+        assert checked > 300
+
+    def test_random_curves_through_origin(self):
+        rng = random.Random(1729)
+        orders = set()
+        checked = 0
+        while checked < 300:
+            coeffs = [rng.randrange(-6, 7) for _ in range(4)] + [0]
+            m = WeierstrassModel(*coeffs)
+            if compute_invariants(m).delta == 0:
+                continue
+            order = point_order(m, ORIGIN)
+            assert order == fraction_order(m, ORIGIN), coeffs
+            orders.add(order)
+            checked += 1
+        assert None in orders and len(orders) >= 5
+
+    def test_rational_model_and_point(self):
+        iso = Isomorphism(Fraction(2, 3), Fraction(1, 2), -1, Fraction(3, 4))
+        m = transform(C5_11, iso)
+        P = map_point(ORIGIN, iso)
+        assert not m.is_integral() and P.x.denominator > 1
+        assert is_on_curve(m, P)
+        assert point_order(m, P) == fraction_order(m, P) == 5
+        # a non-torsion point on a rational model of 37a
+        m = transform(WeierstrassModel(0, 0, 1, -1, 0), iso)
+        P = map_point(ORIGIN, iso)
+        assert point_order(m, P) is fraction_order(m, P) is None
+
+    def test_multiples_match_affine_group_law(self):
+        for m in (C5_11, WeierstrassModel(0, 0, 1, -1, 0), CURVE_11A1):
+            a, P = _integral_projective(m, ORIGIN)
+            acc, ref = P, ORIGIN
+            for _ in range(10):
+                acc, ref = _projective_add(a, acc, P), add_points(m, ref, ORIGIN)
+                if ref is INFINITY:
+                    assert acc[2] == 0
+                else:
+                    X, Y, Z = acc
+                    assert AffinePoint(Fraction(X, Z), Fraction(Y, Z)) == ref
+
+
+class TestExactDiv:
+    def test_int_division_stays_int(self):
+        assert _exact_div(12, 4) == 3 and type(_exact_div(12, 4)) is int
+        assert _exact_div(-12, -4) == 3 and type(_exact_div(-12, -4)) is int
+        assert _exact_div(7, -2) == Fraction(-7, 2)
+        assert _exact_div(Fraction(9, 2), Fraction(3, 2)) == 3
+        assert type(_exact_div(Fraction(9, 2), Fraction(3, 2))) is int
+        assert _exact_div(Fraction(1, 2), 3) == Fraction(1, 6)
+
+
+class TestTwoTorsionCheck:
+    def test_off_curve_root_raises(self, monkeypatch):
+        monkeypatch.setattr(
+            weierstrass, "_rational_roots_cubic", lambda *c: [Fraction(5)]
+        )
+        with pytest.raises(CertificateError, match="not on"):
+            full_two_torsion(WeierstrassModel(0, 0, 0, -1, 0))
