@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from szpirolab.families import (
     FAMILIES,
@@ -25,6 +26,7 @@ from szpirolab.intarith import radical
 from szpirolab.poly import Poly, X
 from szpirolab.reduction import analyze, height_of_minimal, minimal_model
 from szpirolab.weierstrass import (
+    CertificateError,
     SingularModelError,
     WeierstrassModel,
     compute_invariants,
@@ -226,24 +228,75 @@ def _float_power(base: Fraction, p: int, q: int) -> float:
         return math.inf
 
 
+def _integral(poly, what: str, name: str) -> Poly:
+    """poly (or a constant) as a Poly with int coefficients; a non-integral
+    coefficient raises instead of being truncated."""
+    coeffs = poly.coeffs if isinstance(poly, Poly) else (poly,)
+    out = []
+    for c in coeffs:
+        c = Fraction(c)
+        if c.denominator != 1:
+            raise CertificateError(
+                f"{what} of {name} along its phi pattern has the non-integral "
+                f"coefficient {c}"
+            )
+        out.append(c.numerator)
+    return Poly(out)
+
+
+@lru_cache(maxsize=1024)
+def _phi_polys(name: str, den: int) -> tuple[Poly, Poly, Poly]:
+    """alpha(X), beta(X) and delta_base(X) of a family along its pattern,
+    homogenized at den: coefficient i is multiplied by den^(deg - i), so
+    evaluating the result at k gives den^deg * poly(k/den) in integers.
+
+    The polynomials are derived once per family by pushing X through the
+    model and invariant formulas; compute_invariants then checks
+    c4^3 - c6^2 = 1728*delta as an identity of polynomials, which implies
+    it at every x.
+    """
+    if den != 1:
+        return tuple(
+            Poly([c * den ** (poly.degree - i) for i, c in enumerate(poly.coeffs)])
+            for poly in _phi_polys(name, 1)
+        )
+    full = _pattern_args(name, X)
+    alpha, beta = _alpha_beta_at(name, full)
+    return (
+        _integral(alpha, "alpha", name),
+        _integral(beta, "beta", name),
+        _integral(delta_base(name, full), "delta_base", name),
+    )
+
+
 def phi_eval(spec: PhiSpec, x) -> PhiValue:
     """Exact sign (and float size) of phi at the rational x.
 
     phi(x) = prefactor * max(|alpha(x)|^3, beta(x)^2) - |delta_u(x)|^l,
-    decided by comparing q-th powers over Q.
+    decided by comparing q-th powers.  With x = k/den in lowest terms,
+    big = prefactor * M / den^E and |delta_u| = |scale * D| / den^deg(delta)
+    for the integers M and D of the homogenized polynomials, so the
+    comparison is one between integers.
     """
     x = Fraction(x)
-    name = spec.family.name
-    full = _pattern_args(name, x)
-    alpha, beta = _alpha_beta_at(name, full)
-    delta_u = spec.family.delta_scales[spec.u_key] * Fraction(delta_base(name, full))
-    big = spec.prefactor * max(abs(Fraction(alpha)) ** 3, Fraction(beta) ** 2)
+    k, den = x.numerator, x.denominator
+    alpha, beta, dbase = _phi_polys(spec.family.name, den)
+    da, db = alpha.degree, beta.degree
+    e = max(3 * da, 2 * db)
+    m = max(abs(alpha(k)) ** 3 * den ** (e - 3 * da), beta(k) ** 2 * den ** (e - 2 * db))
+    pre = spec.prefactor
+    scale = spec.family.delta_scales[spec.u_key]
+    big_num, big_den = pre.numerator * m, pre.denominator * den**e
+    del_num = abs(scale.numerator * dbase(k))
+    del_den = scale.denominator * den**dbase.degree
     p, q = spec.exponent.p, spec.exponent.q
-    lhs_pow = big**q
-    rhs_pow = abs(delta_u) ** p
-    sign = (lhs_pow > rhs_pow) - (lhs_pow < rhs_pow)
-    exact = big - rhs_pow if q == 1 else None
-    approx = _safe_float(big) - _float_power(abs(delta_u), p, q)
+    lhs = big_num**q * del_den**p
+    rhs = del_num**p * big_den**q
+    sign = (lhs > rhs) - (lhs < rhs)
+    exact = Fraction(lhs - rhs, big_den * del_den**p) if q == 1 else None
+    approx = _safe_float(Fraction(big_num, big_den)) - _float_power(
+        Fraction(del_num, del_den), p, q
+    )
     return PhiValue(x, sign, approx, exact)
 
 
@@ -376,7 +429,11 @@ def _homogeneity_data(instance: FamilyInstance):
         base = Fraction(a)
         dbase = Fraction(a)
     m_over_l = Fraction(m) / l
-    assert m_over_l.denominator == 1
+    if m_over_l.denominator != 1:
+        raise CertificateError(
+            f"{name}: weight m = {m} is not an integer multiple of l = {l}, "
+            "so delta has no integral homogeneity scale"
+        )
     return x, base ** (m // 3), base ** (m // 2), dbase ** int(m_over_l)
 
 
@@ -447,13 +504,7 @@ def leading_dominance(spec: PhiSpec) -> DominanceReport:
     comparison.  Grid range plus this check is the documented
     nonnegativity verification scheme.
     """
-    name = spec.family.name
-    full = _pattern_args(name, X)
-    alpha, beta = _alpha_beta_at(name, full)
-    alpha = alpha if isinstance(alpha, Poly) else Poly([alpha])
-    beta = beta if isinstance(beta, Poly) else Poly([beta])
-    delta_u = spec.family.delta_scales[spec.u_key] * delta_base(name, full)
-
+    alpha, beta, dbase = _phi_polys(spec.family.name, 1)
     deg_max = max(3 * alpha.degree, 2 * beta.degree)
     leads = []
     if 3 * alpha.degree == deg_max:
@@ -463,8 +514,8 @@ def leading_dominance(spec: PhiSpec) -> DominanceReport:
     lead_max = spec.prefactor * max(leads)
 
     p, q = spec.exponent.p, spec.exponent.q
-    deg_bound = Fraction(p, q) * delta_u.degree
-    lead_bound = abs(Fraction(delta_u.leading))
+    deg_bound = Fraction(p, q) * dbase.degree
+    lead_bound = abs(spec.family.delta_scales[spec.u_key] * Fraction(dbase.leading))
     if deg_max > deg_bound:
         dominant = True
     elif deg_max < deg_bound:

@@ -15,6 +15,7 @@ from fractions import Fraction
 from szpirolab.bounds import height_of_minimal, szpiro_exponent
 from szpirolab.families import model_coefficients
 from szpirolab.intarith import FactorBudgetError, is_squarefree, radical
+from szpirolab.poly import Poly
 from szpirolab.reduction import analyze, minimal_model
 from szpirolab.weierstrass import WeierstrassModel, compute_invariants
 
@@ -31,21 +32,6 @@ __all__ = [
     "sieve_ST",
     "verify_sharp_consistency",
 ]
-
-
-def _poly(coeffs):
-    """Evaluate-by-Horner closure over low-to-high integer coefficients."""
-    rev = tuple(reversed(coeffs))
-
-    def ev(n):
-        acc = 0
-        for c in rev:
-            acc = acc * n + c
-        return acc
-
-    ev.coeffs = tuple(coeffs)
-    ev.degree = len(coeffs) - 1
-    return ev
 
 
 @dataclass(frozen=True)
@@ -68,17 +54,17 @@ class SharpFamilySpec:
     def height_value(self, n: int) -> int:
         out = 1
         for coeffs, e in self.height_factors:
-            out *= abs(_poly(coeffs)(n)) ** e
+            out *= abs(Poly(coeffs)(n)) ** e
         return out
 
     def f_value(self, n: int) -> int:
         out = 1
         for coeffs in self.f_factors:
-            out *= _poly(coeffs)(n)
+            out *= Poly(coeffs)(n)
         return out
 
     def f_factor_values(self, n: int) -> list[int]:
-        return [_poly(coeffs)(n) for coeffs in self.f_factors]
+        return [Poly(coeffs)(n) for coeffs in self.f_factors]
 
     @property
     def height_degree(self) -> int:
@@ -216,9 +202,9 @@ def build_FT(T: str, n: int) -> WeierstrassModel:
     if T == "C1":
         m = WeierstrassModel(0, 0, 1, 3 * n + 1, 0)
     else:
-        args = [_poly(spec.A)(n), _poly(spec.B)(n)]
+        args = [Poly(spec.A)(n), Poly(spec.B)(n)]
         if spec.D is not None:
-            args.append(_poly(spec.D)(n))
+            args.append(Poly(spec.D)(n))
         m = WeierstrassModel(*model_coefficients(T, tuple(args)))
     if compute_invariants(m).delta == 0:
         raise ValueError(f"F_{T}({n}) is degenerate (discriminant zero)")

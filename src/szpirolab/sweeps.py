@@ -122,6 +122,7 @@ def check_instance(instance: FamilyInstance, checks=ALL_CHECKS) -> InstanceRepor
     model = build_model(instance)
     ca = analyze(model)
     mm, N, height = ca.mm, ca.conductor, ca.height
+    has_branch = name != "C3_0"  # whether delta_{T,u} exists for the u found
 
     if name == "C3_0":
         u = mm.scaling_u
@@ -134,7 +135,7 @@ def check_instance(instance: FamilyInstance, checks=ALL_CHECKS) -> InstanceRepor
             u = recover_uT(instance, mm)
         except PaperContractViolation as exc:
             findings.append(str(exc))
-            u = mm.scaling_u
+            u, has_branch = mm.scaling_u, False
         bound = 0
         if "bounds" in checks:
             try:
@@ -168,7 +169,8 @@ def check_instance(instance: FamilyInstance, checks=ALL_CHECKS) -> InstanceRepor
             f"{instance}: height^{exp.q} <= N^{exp.p} (ratio bound violated)"
         )
 
-    if "height" in checks and name != "C3_0" and not verify_height_bound(instance, u):
+    # a u outside the set has no delta_{T,u}; its finding is recorded above
+    if "height" in checks and has_branch and not verify_height_bound(instance, u):
         findings.append(f"{instance}: |delta|^l >= u^-12 max(|alpha^3|, beta^2)")
 
     if "torsion" in checks:

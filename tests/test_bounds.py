@@ -1,12 +1,16 @@
 """Heights, ratios, the quality of abc triples, and the phi machinery."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from szpirolab import bounds
 from szpirolab.bounds import (
+    PhiSpec,
+    PhiValue,
     SzpiroExponent,
     abc_quality,
     all_phi_specs,
@@ -21,9 +25,15 @@ from szpirolab.bounds import (
     szpiro_ratio,
     verify_height_bound,
 )
-from szpirolab.families import ValidationError, build_model, validate_params
+from szpirolab.families import (
+    FAMILIES,
+    ValidationError,
+    build_model,
+    delta_base,
+    validate_params,
+)
 from szpirolab.sharpness import build_FT
-from szpirolab.weierstrass import SingularModelError, WeierstrassModel
+from szpirolab.weierstrass import CertificateError, SingularModelError, WeierstrassModel
 
 C5_11 = WeierstrassModel(0, -1, -1, 0, 0)
 CURVE_11A1 = WeierstrassModel(0, -1, 1, -10, -20)
@@ -207,6 +217,84 @@ class TestPhi:
             assert rep.max_side_degree >= rep.bound_side_degree
 
 
+def _fraction_phi_eval(spec, x):
+    """Reference: phi at x from a Fraction model and its invariants, with no
+    polynomial cache and no cleared denominators."""
+    x = Fraction(x)
+    name = spec.family.name
+    full = bounds._pattern_args(name, x)
+    alpha, beta = bounds._alpha_beta_at(name, full)
+    delta_u = spec.family.delta_scales[spec.u_key] * Fraction(delta_base(name, full))
+    big = spec.prefactor * max(abs(Fraction(alpha)) ** 3, Fraction(beta) ** 2)
+    p, q = spec.exponent.p, spec.exponent.q
+    lhs_pow = big**q
+    rhs_pow = abs(delta_u) ** p
+    sign = (lhs_pow > rhs_pow) - (lhs_pow < rhs_pow)
+    exact = big - rhs_pow if q == 1 else None
+    approx = bounds._safe_float(big) - bounds._float_power(abs(delta_u), p, q)
+    return PhiValue(x, sign, approx, exact)
+
+
+_ORACLE_POINTS = (
+    0,
+    -1,
+    Fraction(-3, 2),
+    Fraction(4, 16),
+    Fraction(-6, 16),
+    Fraction(12, 16),
+    "10/16",
+    3,
+    Fraction(5, 7),
+    Fraction(-22, 7),
+    Fraction(1, 1024),
+    Fraction(-1023, 1024),
+    999_999,
+    -(10**6),
+    Fraction(10**6 + 1, 7),
+    Fraction(-(10**6) + 3, 1024),
+)
+
+
+class TestIntegerPhiEval:
+    """phi_eval in cleared-denominator integers against the Fraction model."""
+
+    def _assert_same(self, spec, x):
+        got, want = phi_eval(spec, x), _fraction_phi_eval(spec, x)
+        assert got.x == want.x, (spec.label, x)
+        assert got.sign == want.sign, (spec.label, x)
+        assert got.exact == want.exact, (spec.label, x)
+        assert repr(got.approx) == repr(want.approx), (spec.label, x)
+
+    def test_matches_fraction_reference_on_every_branch(self):
+        for spec in all_phi_specs():
+            for x in _ORACLE_POINTS:
+                self._assert_same(spec, x)
+
+    def test_hand_built_spec(self):
+        # prefactor, exponent and delta scale are read from the spec itself
+        rescaled = dataclasses.replace(FAMILIES["C5"], delta_scales={1: Fraction(3, 5)})
+        branches = ((FAMILIES["C5"], 1), (rescaled, 1), (FAMILIES["C2"], 4), (FAMILIES["C4"], "2c"))
+        exps = ((Fraction(3, 7), SzpiroExponent(7, 2)), (Fraction(-2), SzpiroExponent(2, 1)))
+        for fam, key in branches:
+            for pre, exp in exps:
+                spec = PhiSpec(fam, key, pre, exp)
+                for x in (0, Fraction(-5, 3), Fraction(7, 16), 40):
+                    self._assert_same(spec, x)
+
+    def test_non_integral_coefficient_raises(self, monkeypatch):
+        bounds._phi_polys.cache_clear()
+        monkeypatch.setattr(
+            bounds, "delta_base", lambda name, args: Fraction(1, 2) * delta_base(name, args)
+        )
+        try:
+            with pytest.raises(CertificateError, match="non-integral"):
+                phi_eval(phi_spec("C5", 1), Fraction(1, 3))
+            with pytest.raises(CertificateError, match="non-integral"):
+                leading_dominance(phi_spec("C5", 1))
+        finally:
+            bounds._phi_polys.cache_clear()
+
+
 class TestHomogeneity:
     def test_spec_examples(self):
         assert homogeneity_check(validate_params("C5", 2, 3))
@@ -227,6 +315,13 @@ class TestHomogeneity:
     def test_c3_0_has_none(self):
         with pytest.raises(ValueError):
             homogeneity_check(validate_params("C3_0", 1))
+
+    def test_non_integral_scale_raises(self):
+        # explicit, so the check holds under python -O as well
+        inst = validate_params("C5", 2, 3)
+        bad = dataclasses.replace(inst, family=dataclasses.replace(inst.family, m=13))
+        with pytest.raises(CertificateError, match="integer multiple"):
+            homogeneity_check(bad)
 
     def test_zero_leading_parameter_rejected(self):
         inst = validate_params("C2", 0, 1, 2)

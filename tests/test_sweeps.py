@@ -1,5 +1,6 @@
 """Sweep engine: enumeration, per-instance reports, config plumbing."""
 
+import dataclasses
 import math
 import sys
 
@@ -68,6 +69,17 @@ class TestCheckInstance:
         assert not rep.ok
         assert any("v_2(N)" in f for f in rep.findings)
         assert any("> bound" in f or "conductor" in f for f in rep.findings)
+
+    def test_u_outside_set_reported_not_raised(self, monkeypatch):
+        # With u = 1 barred, delta_{C5,u} has no branch for the recovered u;
+        # the height check must step aside and leave the u-set finding.
+        fam = dataclasses.replace(FAMILIES["C5"], allowed_u=(2,))
+        monkeypatch.setitem(FAMILIES, "C5", fam)
+        inst = validate_params("C5", 1, 1)
+        rep = check_instance(inst)
+        assert rep.u == 1 and not rep.ok
+        assert any("outside the allowed set" in f for f in rep.findings)
+        assert rep.findings == check_instance(inst, checks=("bounds", "torsion")).findings
 
 
 class TestRunSweep:
