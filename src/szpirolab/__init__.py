@@ -43,16 +43,13 @@ from szpirolab.families import (
     FAMILIES,
     FamilyId,
     FamilyInstance,
-    FamilyInvariants,
     PaperContractViolation,
     ValidationError,
     build_model,
     decompose_a,
     delta_eval,
-    family_invariants,
     recover_uT,
     validate_params,
-    verify_conductor_bound,
 )
 from szpirolab.bounds import (
     PhiSpec,

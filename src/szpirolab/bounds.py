@@ -18,9 +18,7 @@ from szpirolab.families import (
     FamilyId,
     FamilyInstance,
     delta_base,
-    family_invariants,
     model_coefficients,
-    recover_uT,
 )
 from szpirolab.intarith import radical
 from szpirolab.poly import Poly, X
@@ -458,27 +456,14 @@ def homogeneity_check(instance: FamilyInstance) -> bool:
     )
 
 
-def verify_height_bound(instance: FamilyInstance, u: int | None = None) -> bool:
-    """Exact check |delta_{T,u}|^l < u^-12 max(|alpha^3|, beta^2).
+def verify_height_bound(delta: int, height: int, exp: SzpiroExponent) -> bool:
+    """Exact check |delta_{T,u}|^l < u^-12 max(|alpha^3|, beta^2), l = p/q.
 
-    u is the instance's recovered scaling when the caller already holds it;
-    otherwise it is recovered here.  For C3_0 the analogous bound is
-    (27 a^2)^2 < c6^2 = (216 a^2)^2.
+    The minimal model is the family model scaled by u, so the right-hand
+    side is the minimal model's height; the check is |delta|^p < height^q.
+    For C3_0, delta is 27 a^2.
     """
-    name = instance.family.name
-    if name == "C3_0":
-        a = instance.params[0]
-        return (27 * a * a) ** 2 < (216 * a * a) ** 2
-    from szpirolab.families import delta_eval
-
-    if u is None:
-        u = recover_uT(instance)
-    dv = delta_eval(instance, u)
-    fi = family_invariants(instance)
-    big = max(abs(fi.alpha) ** 3, fi.beta**2)
-    exp = szpiro_exponent(name)
-    # |delta|^(p/q) < big / u^12  <=>  |delta|^p * u^(12 q) < big^q
-    return abs(dv) ** exp.p * u ** (12 * exp.q) < big**exp.q
+    return abs(delta) ** exp.p < height**exp.q
 
 
 # ---------------------------------------------------------------------------

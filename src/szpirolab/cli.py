@@ -134,6 +134,17 @@ def cmd_curve(args) -> int:
     return 0
 
 
+def _grid_range(text: str) -> Fraction:
+    """--range: a nonnegative rational half-width of the phi grid."""
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be >= 0")
+    return value
+
+
 def _family_params(args) -> list[int]:
     fam = families.FAMILIES[args.T]
     params = [args.a]
@@ -240,13 +251,13 @@ def cmd_phi(args) -> int:
             return USAGE_ERROR
         for key in keys:
             spec = bounds.phi_spec(name, key)
-            res = bounds.phi_scan(spec, args.den, Fraction(args.range), jobs=args.jobs)
+            res = bounds.phi_scan(spec, args.den, args.range, jobs=args.jobs)
             dom = bounds.leading_dominance(spec)
             _emit({
                 "family": name,
                 "u": _s(key) if isinstance(key, int) else key,
                 "denominator": args.den,
-                "range": _s(Fraction(args.range)),
+                "range": _s(args.range),
                 "points": res.points,
                 "violations": [_s(x) for x in res.violations],
                 "zeros": [_s(x) for x in res.zeros],
@@ -351,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=[n for n in family_names if n != "C3_0"] + ["all"])
     p_phi.add_argument("--u", default="all")
     p_phi.add_argument("--den", type=int, default=64)
-    p_phi.add_argument("--range", default="20")
+    p_phi.add_argument("--range", type=_grid_range, default="20")
     p_phi.add_argument("--jobs", type=int, default=sweeps.default_jobs())
     p_phi.set_defaults(func=cmd_phi)
 
@@ -373,9 +384,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "nmax", None) is not None and args.command == "sharp":
+    if args.command == "sharp":
         if args.nmax < 10:
             parser.error("--nmax must be >= 10")
+        if args.samples is not None and args.samples < 2:
+            parser.error("--samples must be >= 2")
+    if args.command == "phi" and args.den < 1:
+        parser.error("--den must be >= 1")
     try:
         return args.func(args)
     except SingularModelError as exc:

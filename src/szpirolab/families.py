@@ -17,31 +17,23 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from szpirolab.intarith import (
-    factorize,
-    is_cubefree,
-    is_squarefree,
-    p_adic_valuation,
-)
-from szpirolab.reduction import MinimalModelResult, analyze, minimal_model
+from szpirolab.intarith import factorize, is_cubefree, is_squarefree
+from szpirolab.reduction import MinimalModelResult, minimal_model
 from szpirolab.weierstrass import WeierstrassModel, compute_invariants
 
 __all__ = [
     "FAMILIES",
     "FamilyId",
     "FamilyInstance",
-    "FamilyInvariants",
     "PaperContractViolation",
     "ValidationError",
     "build_model",
     "decompose_a",
     "delta_eval",
-    "family_invariants",
     "model_coefficients",
     "delta_base",
     "recover_uT",
     "validate_params",
-    "verify_conductor_bound",
 ]
 
 
@@ -410,15 +402,6 @@ class FamilyInstance:
         return f"{self.family.name}{self.params}"
 
 
-@dataclass(frozen=True)
-class FamilyInvariants:
-    """c4, c6, delta of the family model, before any minimalization."""
-
-    alpha: int
-    beta: int
-    gamma: int
-
-
 def validate_params(name: str, *params: int) -> FamilyInstance:
     """Check the family's parameter conditions and normalize the instance.
 
@@ -482,11 +465,6 @@ def build_model(instance: FamilyInstance) -> WeierstrassModel:
     )
 
 
-def family_invariants(instance: FamilyInstance) -> FamilyInvariants:
-    inv = compute_invariants(build_model(instance))
-    return FamilyInvariants(inv.c4, inv.c6, inv.delta)
-
-
 def _u_key(instance: FamilyInstance, u: int):
     """Map a concrete scaling u to its slot in the family's allowed set,
     or None if u is not admissible."""
@@ -540,70 +518,3 @@ def delta_eval(instance: FamilyInstance, u: int) -> int:
             f"delta_({instance.family.name},{u}) at {instance} is not integral: {scaled}"
         )
     return int(scaled)
-
-
-@dataclass(frozen=True)
-class ConductorBoundReport:
-    instance: FamilyInstance
-    u: int
-    conductor: int
-    bound: int  # |delta_{T,u}|, or 27a^2 for C3_0
-    per_prime: tuple[tuple[int, int, int], ...]  # (p, v_p(N), v_p(bound))
-    findings: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.findings
-
-
-def verify_conductor_bound(instance: FamilyInstance) -> ConductorBoundReport:
-    """Check v_p(N) <= v_p(delta_{T,u}) for all bad primes and N <= |delta|.
-
-    For C3_0 the check is N <= 27 a^2.  Violations are returned as findings
-    (they would contradict the published conductor bound), never raised.
-    """
-    findings: list[str] = []
-    ca = analyze(build_model(instance))
-    mm, N = ca.mm, ca.conductor
-
-    if instance.family.name == "C3_0":
-        a = instance.params[0]
-        mu = 27 * a * a
-        if N > mu:
-            findings.append(f"conductor {N} exceeds bound {mu} for {instance}")
-        return ConductorBoundReport(
-            instance, mm.scaling_u, N, mu, (), tuple(findings)
-        )
-
-    try:
-        u = recover_uT(instance, mm)
-    except PaperContractViolation as exc:
-        findings.append(str(exc))
-        return ConductorBoundReport(
-            instance, mm.scaling_u, 0, 0, (), tuple(findings)
-        )
-    delta_val = delta_eval(instance, u)
-
-    per_prime = []
-    for d in ca.local:
-        p, fp = d.p, d.fp
-        if delta_val % p != 0:
-            findings.append(
-                f"prime {p} divides the minimal discriminant of {instance} "
-                f"but not delta = {delta_val}"
-            )
-            per_prime.append((p, fp, 0))
-            continue
-        vd = p_adic_valuation(delta_val, p)
-        per_prime.append((p, fp, vd))
-        if fp > vd:
-            findings.append(
-                f"v_{p}(N) = {fp} > v_{p}(delta) = {vd} for {instance}"
-            )
-    if N > abs(delta_val):
-        findings.append(
-            f"conductor {N} exceeds |delta| = {abs(delta_val)} for {instance}"
-        )
-    return ConductorBoundReport(
-        instance, u, N, abs(delta_val), tuple(per_prime), tuple(findings)
-    )

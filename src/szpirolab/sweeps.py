@@ -71,8 +71,6 @@ class SweepConfig:
     c30_bound: int = 100
     checks: tuple[str, ...] = ALL_CHECKS
     jobs: int = 1
-    output_format: str = "json-lines"  # or "csv"
-    output_path: str | None = None
 
     def __post_init__(self):
         if self.bound < 1 or self.c30_bound < 1:
@@ -82,8 +80,6 @@ class SweepConfig:
         unknown = set(self.checks) - set(ALL_CHECKS)
         if unknown:
             raise ValueError(f"unknown checks: {sorted(unknown)}")
-        if self.output_format not in ("json-lines", "csv"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
 
     def family_names(self) -> list[str]:
         from szpirolab.families import FAMILIES
@@ -112,7 +108,8 @@ def check_instance(instance: FamilyInstance, checks=ALL_CHECKS) -> InstanceRepor
 
     "bounds": admissible u set, per-prime and global conductor bounds, the
     exact ratio inequality height^q > N^p, and the conductor exponent caps.
-    "height": the strict height-vs-bound inequality.
+    "height": the strict inequality |delta_{T,u}|^l < max(|c4|^3, c6^2) of
+    the minimal model.
     "torsion": the expected order of (0, 0), plus full rational 2-torsion
     where the torsion structure demands it.
     """
@@ -122,26 +119,29 @@ def check_instance(instance: FamilyInstance, checks=ALL_CHECKS) -> InstanceRepor
     model = build_model(instance)
     ca = analyze(model)
     mm, N, height = ca.mm, ca.conductor, ca.height
-    has_branch = name != "C3_0"  # whether delta_{T,u} exists for the u found
 
+    # delta stays None where delta_{T,u} is not needed or has no value; in
+    # the latter case a finding already reports the instance
+    delta = None
     if name == "C3_0":
         u = mm.scaling_u
         a = instance.params[0]
-        bound = 27 * a * a if "bounds" in checks else 0
+        delta = 27 * a * a
         if u != 1:
             findings.append(f"{instance}: expected already-minimal model, got u={u}")
     else:
+        on_table = True
         try:
             u = recover_uT(instance, mm)
         except PaperContractViolation as exc:
             findings.append(str(exc))
-            u, has_branch = mm.scaling_u, False
-        bound = 0
-        if "bounds" in checks:
+            u, on_table = mm.scaling_u, False
+        if "bounds" in checks or ("height" in checks and on_table):
             try:
-                bound = abs(delta_eval(instance, u))
+                delta = abs(delta_eval(instance, u))
             except (ValueError, PaperContractViolation) as exc:
                 findings.append(f"{instance}: {exc}")
+    bound = delta if "bounds" in checks and delta is not None else 0
 
     for d in ca.local:
         p, fp = d.p, d.fp
@@ -169,8 +169,11 @@ def check_instance(instance: FamilyInstance, checks=ALL_CHECKS) -> InstanceRepor
             f"{instance}: height^{exp.q} <= N^{exp.p} (ratio bound violated)"
         )
 
-    # a u outside the set has no delta_{T,u}; its finding is recorded above
-    if "height" in checks and has_branch and not verify_height_bound(instance, u):
+    if (
+        "height" in checks
+        and delta is not None
+        and not verify_height_bound(delta, height, exp)
+    ):
         findings.append(f"{instance}: |delta|^l >= u^-12 max(|alpha^3|, beta^2)")
 
     if "torsion" in checks:

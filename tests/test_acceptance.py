@@ -215,10 +215,10 @@ class TestCriterion3:
                 assert "v_2(N) = 1 > v_2(delta) = 0" in f or "conductor" in f
         assert bad_params, "expected the known violating class to be nonempty"
         for a, b in sorted(bad_params)[:20]:
-            rep = families.verify_conductor_bound(
-                families.validate_params("C2xC6", a, b)
+            rep = sweeps.check_instance(
+                families.validate_params("C2xC6", a, b), checks=("bounds",)
             )
-            assert rep.conductor <= 2 * rep.bound
+            assert rep.conductor <= 2 * rep.delta_bound
         record_verdict(
             f"[acceptance] criterion 3 companion: PASS - the {len(bad_params)} "
             "violating instances are exactly the (a odd, b even) class, "

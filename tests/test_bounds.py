@@ -30,10 +30,19 @@ from szpirolab.families import (
     ValidationError,
     build_model,
     delta_base,
+    delta_eval,
+    recover_uT,
     validate_params,
 )
+from szpirolab.reduction import analyze
 from szpirolab.sharpness import build_FT
-from szpirolab.weierstrass import CertificateError, SingularModelError, WeierstrassModel
+from szpirolab.sweeps import check_instance, iter_param_tuples
+from szpirolab.weierstrass import (
+    CertificateError,
+    SingularModelError,
+    WeierstrassModel,
+    compute_invariants,
+)
 
 C5_11 = WeierstrassModel(0, -1, -1, 0, 0)
 CURVE_11A1 = WeierstrassModel(0, -1, 1, -10, -20)
@@ -329,13 +338,69 @@ class TestHomogeneity:
             homogeneity_check(inst)
 
 
+_HEIGHT_FINDING = "|delta|^l >= u^-12 max(|alpha^3|, beta^2)"
+
+
+def _height_holds(inst) -> bool:
+    """check_instance's height verdict, which must equal verify_height_bound
+    on the bound and the height its report holds."""
+    rep = check_instance(inst, checks=("bounds", "height"))
+    exp = szpiro_exponent(inst.family.name)
+    direct = verify_height_bound(rep.delta_bound, rep.height, exp)
+    assert direct == (not any(_HEIGHT_FINDING in f for f in rep.findings))
+    return direct
+
+
+def _family_model_height_holds(inst) -> bool:
+    """Test-only reference: the published inequality from the family
+    model's own invariants, |delta_{T,u}|^l < u^-12 max(|alpha|^3, beta^2),
+    with delta and u recomputed; for C3_0, (27 a^2)^2 < (216 a^2)^2."""
+    name = inst.family.name
+    if name == "C3_0":
+        a = inst.params[0]
+        return (27 * a * a) ** 2 < (216 * a * a) ** 2
+    u = recover_uT(inst)
+    dv = delta_eval(inst, u)
+    inv = compute_invariants(build_model(inst))
+    big = max(abs(inv.c4) ** 3, inv.c6**2)
+    exp = szpiro_exponent(name)
+    return abs(dv) ** exp.p * u ** (12 * exp.q) < big**exp.q
+
+
 class TestHeightBound:
     def test_samples(self):
-        assert verify_height_bound(validate_params("C5", 1, 1))
-        assert verify_height_bound(validate_params("C2", 1, 2, 3))
-        assert verify_height_bound(validate_params("C3", 24, 1))
-        assert verify_height_bound(validate_params("C3_0", 7))
+        assert _height_holds(validate_params("C5", 1, 1))
+        assert _height_holds(validate_params("C2", 1, 2, 3))
+        assert _height_holds(validate_params("C3", 24, 1))
+        assert _height_holds(validate_params("C3_0", 7))
 
     def test_c2xc6_defect_class_still_holds(self):
         # The conductor bound breaks for this class; the height bound does not.
-        assert verify_height_bound(validate_params("C2xC6", 1, 2))
+        assert _height_holds(validate_params("C2xC6", 1, 2))
+
+    def test_strict_inequality(self):
+        exp = SzpiroExponent(3, 2)
+        assert verify_height_bound(-3, 6, exp)  # 27 < 36
+        assert not verify_height_bound(6, 14, exp)  # 216 >= 196
+        assert not verify_height_bound(-4, 4, SzpiroExponent(1, 1))
+
+    def test_matches_family_model_formula(self):
+        # The minimal model is the family model scaled by u, so the family
+        # model's height is u^12 times the minimal one, and the two ways of
+        # deciding the bound agree on every instance of the box.
+        checked = 0
+        for name in FAMILIES:
+            for params in iter_param_tuples(name, 60 if name == "C3_0" else 6):
+                try:
+                    inst = validate_params(name, *params)
+                except ValidationError:
+                    continue
+                model = build_model(inst)
+                inv = compute_invariants(model)
+                ca = analyze(model)
+                assert max(abs(inv.c4) ** 3, inv.c6**2) == (
+                    ca.mm.scaling_u**12 * ca.height
+                ), inst
+                assert _height_holds(inst) == _family_model_height_holds(inst), inst
+                checked += 1
+        assert checked > 1000

@@ -209,6 +209,24 @@ class TestSharp:
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["phi", "--T", "C5", "--den", "0"], "--den must be >= 1"),
+        (["phi", "--T", "C5", "--range", "abc"], "not a rational number"),
+        (["phi", "--T", "C5", "--range", "-1"], "must be >= 0"),
+        (["sharp", "--T", "C2", "--nmax", "100", "--samples", "1"],
+         "--samples must be >= 2"),
+    ],
+)
+def test_usage_error_exit_2(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert message in captured.err and captured.out == ""
+
+
 class TestOptimizedParity:
     """No result may rest on an assert: python -O strips them, so the same
     commands must print the same output and exit with the same codes."""

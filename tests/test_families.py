@@ -13,14 +13,18 @@ from szpirolab.families import (
     build_model,
     decompose_a,
     delta_eval,
-    family_invariants,
     recover_uT,
     validate_params,
-    verify_conductor_bound,
 )
-from szpirolab.intarith import factorize, is_squarefree
-from szpirolab.reduction import minimal_model
-from szpirolab.weierstrass import AffinePoint, WeierstrassModel, point_order
+from szpirolab.intarith import factorize, is_squarefree, p_adic_valuation
+from szpirolab.reduction import analyze, minimal_model
+from szpirolab.sweeps import check_instance
+from szpirolab.weierstrass import (
+    AffinePoint,
+    WeierstrassModel,
+    compute_invariants,
+    point_order,
+)
 
 ORIGIN = AffinePoint(Fraction(0), Fraction(0))
 
@@ -129,17 +133,17 @@ class TestModels:
         )
 
     def test_invariant_examples(self):
-        fi = family_invariants(validate_params("C3", 1, 1))
-        assert fi.gamma == -26 and (fi.alpha, fi.beta) == (-23, -181)
-        fi = family_invariants(validate_params("C5", 1, 1))
-        assert (fi.alpha, fi.beta, fi.gamma) == (16, -152, -11)
+        inv = compute_invariants(build_model(validate_params("C3", 1, 1)))
+        assert inv.delta == -26 and (inv.c4, inv.c6) == (-23, -181)
+        inv = compute_invariants(build_model(validate_params("C5", 1, 1)))
+        assert (inv.c4, inv.c6, inv.delta) == (16, -152, -11)
 
     def test_invariant_identity_random(self):
         rng = random.Random(7)
         for name in FAMILIES:
             for inst in random_instances(name, rng, 8):
-                fi = family_invariants(inst)
-                assert fi.alpha**3 - fi.beta**2 == 1728 * fi.gamma
+                inv = compute_invariants(build_model(inst))
+                assert inv.c4**3 - inv.c6**2 == 1728 * inv.delta
 
     def test_point_orders_random(self):
         rng = random.Random(8)
@@ -209,14 +213,19 @@ class TestDeltaEval:
 
 
 class TestConductorBound:
+    """The conductor bound as check_instance decides it."""
+
     def test_c5_equality(self):
-        rep = verify_conductor_bound(validate_params("C5", 1, 1))
-        assert rep.ok and rep.conductor == 11 and rep.bound == 11
-        assert rep.per_prime == ((11, 1, 1),)
+        inst = validate_params("C5", 1, 1)
+        rep = check_instance(inst, checks=("bounds",))
+        assert rep.ok and rep.conductor == 11 and rep.delta_bound == 11
+        (local,) = analyze(build_model(inst)).local
+        assert (local.p, local.fp) == (11, 1)
+        assert p_adic_valuation(rep.delta_bound, 11) == 1
 
     def test_c3_0(self):
-        rep = verify_conductor_bound(validate_params("C3_0", 1))
-        assert rep.ok and rep.conductor == 27 and rep.bound == 27
+        rep = check_instance(validate_params("C3_0", 1), checks=("bounds",))
+        assert rep.ok and rep.conductor == 27 and rep.delta_bound == 27
 
     def test_minimal_discriminant_primes_divide_delta(self):
         rng = random.Random(16)
@@ -233,12 +242,14 @@ class TestConductorBound:
     def test_known_counterexample_reported_not_raised(self):
         # The published per-prime bound fails at p = 2 for this parameter
         # class; the checker must return findings rather than hide them.
-        rep = verify_conductor_bound(validate_params("C2xC6", 1, 2))
+        rep = check_instance(validate_params("C2xC6", 1, 2), checks=("bounds",))
         assert not rep.ok
-        assert rep.conductor == 210 and rep.bound == 105
-        assert any("prime 2 divides" in f for f in rep.findings)
-        assert any("exceeds" in f for f in rep.findings)
+        assert rep.conductor == 210 and rep.delta_bound == 105
+        assert rep.findings == (
+            "C2xC6(1, 2): v_2(N) = 1 > v_2(delta) = 0",
+            "C2xC6(1, 2): conductor 210 > bound 105",
+        )
 
     def test_c2xc6_odd_b_clean(self):
-        rep = verify_conductor_bound(validate_params("C2xC6", 1, 7))
+        rep = check_instance(validate_params("C2xC6", 1, 7), checks=("bounds",))
         assert rep.ok, rep.findings

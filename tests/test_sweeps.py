@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -81,6 +82,18 @@ class TestCheckInstance:
         assert any("outside the allowed set" in f for f in rep.findings)
         assert rep.findings == check_instance(inst, checks=("bounds", "torsion")).findings
 
+    def test_nonintegral_delta_reported_not_raised(self, monkeypatch):
+        # With delta_{C5,1} scaled by 1/7 the bound polynomial is not
+        # integral; the height check must step aside and leave the finding.
+        fam = dataclasses.replace(FAMILIES["C5"], delta_scales={1: Fraction(1, 7)})
+        monkeypatch.setitem(FAMILIES, "C5", fam)
+        inst = validate_params("C5", 1, 1)
+        rep = check_instance(inst)
+        assert rep.u == 1 and not rep.ok
+        assert any("not integral" in f for f in rep.findings)
+        assert rep.findings == check_instance(inst, checks=("bounds", "torsion")).findings
+        assert check_instance(inst, checks=("height",)).findings == rep.findings
+
 
 class TestRunSweep:
     def test_counts_and_order_stable_across_jobs(self):
@@ -115,8 +128,6 @@ class TestSweepConfig:
             SweepConfig(jobs=0)
         with pytest.raises(ValueError, match="unknown checks"):
             SweepConfig(checks=("bounds", "phi"))
-        with pytest.raises(ValueError, match="output format"):
-            SweepConfig(output_format="xml")
 
 
 class TestDefaultJobs:
