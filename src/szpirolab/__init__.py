@@ -23,6 +23,7 @@ from szpirolab.weierstrass import (
     SingularModelError,
     WeierstrassModel,
     compute_invariants,
+    integral_model,
     is_on_curve,
     j_invariant,
     point_order,
@@ -36,7 +37,6 @@ from szpirolab.reduction import (
     analyze,
     conductor,
     minimal_model,
-    semistability_report,
     tate_local,
 )
 from szpirolab.families import (
@@ -54,10 +54,8 @@ from szpirolab.families import (
 from szpirolab.bounds import (
     PhiSpec,
     SzpiroExponent,
-    abc_quality,
     exceeds,
     homogeneity_check,
-    naive_height,
     phi_eval,
     phi_scan,
     szpiro_exponent,
@@ -71,7 +69,6 @@ from szpirolab.sharpness import (
     convergence_scan,
     degree_limit_check,
     sharp_polynomials,
-    sieve_ST,
     verify_sharp_consistency,
 )
 from szpirolab.sweeps import (

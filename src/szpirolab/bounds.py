@@ -20,9 +20,8 @@ from szpirolab.families import (
     delta_base,
     model_coefficients,
 )
-from szpirolab.intarith import radical
 from szpirolab.poly import Poly, X
-from szpirolab.reduction import analyze, height_of_minimal, minimal_model
+from szpirolab.reduction import analyze
 from szpirolab.weierstrass import (
     CertificateError,
     SingularModelError,
@@ -35,13 +34,10 @@ __all__ = [
     "PhiSpec",
     "PhiValue",
     "SzpiroExponent",
-    "abc_quality",
     "all_phi_specs",
     "exceeds",
-    "height_of_minimal",
     "homogeneity_check",
     "leading_dominance",
-    "naive_height",
     "phi_eval",
     "phi_scan",
     "phi_spec",
@@ -77,11 +73,6 @@ def szpiro_exponent(name: str) -> SzpiroExponent:
     return SzpiroExponent.from_fraction(FAMILIES[name].l)
 
 
-def naive_height(model: WeierstrassModel) -> int:
-    """max(|c4^3|, c6^2) of the global minimal model."""
-    return height_of_minimal(minimal_model(model))
-
-
 def _analyze_for_ratio(model: WeierstrassModel):
     if compute_invariants(model).delta == 0:
         raise SingularModelError("Szpiro ratio undefined for singular model")
@@ -105,18 +96,6 @@ def exceeds(model: WeierstrassModel, bound: SzpiroExponent) -> bool:
     """Exact test of szpiro_ratio(model) > p/q, as height^q > N^p."""
     ca = _analyze_for_ratio(model)
     return ca.height**bound.q > ca.conductor**bound.p
-
-
-def abc_quality(a: int, b: int, c: int) -> float:
-    """log c / log rad(abc) for a coprime triple a + b = c."""
-    if not (a > 0 and b > 0 and c > 0):
-        raise ValueError("abc triple must be positive")
-    if a + b != c:
-        raise ValueError("abc triple requires a + b = c")
-    if math.gcd(a, b) != 1:
-        raise ValueError("abc triple requires gcd(a, b) = 1")
-    rad = radical(a) * radical(b) * radical(c)
-    return math.log(c) / math.log(rad)
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +321,8 @@ def phi_scan(
     if denominator < 1:
         raise ValueError("denominator must be >= 1")
     x_range = Fraction(x_range)
+    if x_range < 0:
+        raise ValueError("x_range must be >= 0")
     k_max = int(x_range * denominator)
     k_lo, k_hi = -k_max, k_max + 1
     total = k_hi - k_lo

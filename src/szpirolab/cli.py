@@ -19,12 +19,11 @@ from fractions import Fraction
 from szpirolab import bounds, families, reduction, sharpness, sweeps
 from szpirolab.intarith import FactorBudgetError
 from szpirolab.weierstrass import (
-    Isomorphism,
     SingularModelError,
     WeierstrassModel,
     compute_invariants,
+    integral_model,
     j_invariant,
-    transform,
 )
 
 USAGE_ERROR = 2
@@ -40,19 +39,6 @@ def _parse_model(text: str) -> WeierstrassModel:
         frac = Fraction(part.strip())
         coeffs.append(int(frac) if frac.denominator == 1 else frac)
     return WeierstrassModel(*coeffs)
-
-
-def _integralize(m: WeierstrassModel) -> tuple[WeierstrassModel, Fraction]:
-    """Scale a rational model to an integral one; returns (model, scale)
-    with scale the u of the applied isomorphism (1 for integral input)."""
-    if m.is_integral():
-        return m, Fraction(1)
-    lcm = 1
-    for a in m.coefficients():
-        den = Fraction(a).denominator
-        lcm = lcm * den // math.gcd(lcm, den)
-    u = Fraction(1, lcm)
-    return transform(m, Isomorphism(u)), u
 
 
 def _s(x) -> str | int | float:
@@ -96,14 +82,13 @@ def cmd_curve(args) -> int:
     if inv.delta == 0:
         print("error: singular model (discriminant zero)", file=sys.stderr)
         return CHECK_FAILED
-    integral, scale = _integralize(model)
+    integral, L = integral_model(model)
     if args.action == "minimal":
         mm = reduction.minimal_model(integral)
-        total_u = Fraction(mm.scaling_u) * (1 / scale)
         _emit({
             "model": _model_json(model),
             "minimal": _model_json(mm.minimal),
-            "u": _s(total_u if total_u.denominator != 1 else int(total_u)),
+            "u": _s(mm.scaling_u * L),
             "delta_min": _s(mm.delta_min),
         })
         return 0

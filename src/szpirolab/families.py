@@ -384,10 +384,6 @@ class FamilyInstance:
     decomposition: tuple[int, ...] | None = None
 
     @property
-    def model_args(self) -> tuple[int, ...]:
-        return self.params
-
-    @property
     def delta_args(self) -> tuple[int, ...]:
         name = self.family.name
         if name == "C3":
@@ -451,18 +447,13 @@ def validate_params(name: str, *params: int) -> FamilyInstance:
             decomposition = decompose_a(name, a)
 
     instance = FamilyInstance(fam, tuple(params), decomposition)
-    gamma = compute_invariants(
-        WeierstrassModel(*model_coefficients(name, instance.model_args))
-    ).delta
-    if gamma == 0:
+    if compute_invariants(build_model(instance)).delta == 0:
         raise ValidationError("parameters give a singular curve (discriminant zero)")
     return instance
 
 
 def build_model(instance: FamilyInstance) -> WeierstrassModel:
-    return WeierstrassModel(
-        *model_coefficients(instance.family.name, instance.model_args)
-    )
+    return WeierstrassModel(*model_coefficients(instance.family.name, instance.params))
 
 
 def _u_key(instance: FamilyInstance, u: int):

@@ -15,7 +15,6 @@ __all__ = [
     "Factorization",
     "FactorBudgetError",
     "factorize",
-    "iroot",
     "is_cubefree",
     "is_probable_prime",
     "is_squarefree",
@@ -79,19 +78,6 @@ class Factorization:
 
     def is_squarefree(self) -> bool:
         return all(e == 1 for _, e in self.pairs)
-
-    def exponent(self, p: int) -> int:
-        for q, e in self.pairs:
-            if q == p:
-                return e
-        return 0
-
-    def divisors(self) -> list[int]:
-        """All positive divisors, ascending."""
-        divs = [1]
-        for p, e in self.pairs:
-            divs = [d * p**k for d in divs for k in range(e + 1)]
-        return sorted(divs)
 
 
 @lru_cache(maxsize=8)
@@ -166,12 +152,6 @@ def _iroot_floor(n: int, k: int) -> int:
     while (r + 1) ** k <= n:
         r += 1
     return r
-
-
-def iroot(n: int, k: int) -> int | None:
-    """Exact integer k-th root of n >= 0, or None if n is not a k-th power."""
-    r = _iroot_floor(n, k)
-    return r if r**k == n else None
 
 
 def _perfect_power(n: int) -> tuple[int, int] | None:

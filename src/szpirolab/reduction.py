@@ -36,9 +36,7 @@ __all__ = [
     "analyze",
     "conductor",
     "height_of_minimal",
-    "local_reduction",
     "minimal_model",
-    "semistability_report",
     "tate_local",
 ]
 
@@ -193,12 +191,15 @@ def _centered(x: int, modulus: int) -> int:
     return r
 
 
-def _inverse_mod(a: int, modulus: int) -> int:
-    return pow(a, -1, modulus)
-
-
 def _translate(m: WeierstrassModel, r: int = 0, s: int = 0, t: int = 0):
     return transform(m, Isomorphism(1, r, s, t))
+
+
+def _certify_step(ok: bool, p: int, work: WeierstrassModel, claim: str) -> None:
+    """A translation in Tate's algorithm must reach the divisibility the
+    next step reads; raised explicitly so the check survives python -O."""
+    if not ok:
+        raise CertificateError(f"Tate's algorithm at p = {p}: {work} fails {claim}")
 
 
 def _cubic_has_distinct_roots(a: int, b: int, c: int, p: int) -> bool:
@@ -235,11 +236,14 @@ def tate_local(m: WeierstrassModel, p: int) -> LocalReductionData:
         r = (-inv.b6) % 3
         t = (a1 * r + a3) % 3
     else:
-        r = _centered(-inv.b2 * _inverse_mod(12, p) % p, p)
-        t = _centered(-(a1 * r + a3) * _inverse_mod(2, p) % p, p)
+        r = _centered(-inv.b2 * pow(12, -1, p) % p, p)
+        t = _centered(-(a1 * r + a3) * pow(2, -1, p) % p, p)
     work = _translate(m, r=r, t=t)
     a1, a2, a3, a4, a6 = work.coefficients()
-    assert a3 % p == 0 and a4 % p == 0 and a6 % p == 0
+    _certify_step(
+        a3 % p == 0 and a4 % p == 0 and a6 % p == 0,
+        p, work, "p | a3, a4, a6",
+    )
 
     def val(x, bound):
         # v_p(x) capped at bound, with v_p(0) treated as the cap.
@@ -262,12 +266,15 @@ def tate_local(m: WeierstrassModel, p: int) -> LocalReductionData:
         s = a2 % 2
         t = 2 * ((a6 // 4) % 2)
     else:
-        s = _centered(-a1 * _inverse_mod(2, p) % p, p)
-        t = _centered(-a3 * _inverse_mod(2, p * p) % (p * p), p * p)
+        s = _centered(-a1 * pow(2, -1, p) % p, p)
+        t = _centered(-a3 * pow(2, -1, p * p) % (p * p), p * p)
     work = _translate(work, s=s, t=t)
     a1, a2, a3, a4, a6 = work.coefficients()
-    assert a1 % p == 0 and a2 % p == 0
-    assert a3 % p**2 == 0 and a4 % p**2 == 0 and a6 % p**3 == 0
+    _certify_step(a1 % p == 0 and a2 % p == 0, p, work, "p | a1, a2")
+    _certify_step(
+        a3 % p**2 == 0 and a4 % p**2 == 0 and a6 % p**3 == 0,
+        p, work, "p^2 | a3, a4 and p^3 | a6",
+    )
 
     # Distinguish I0*, I_m*, and the deeper types via the cubic
     # P(T) = T^3 + a2/p T^2 + a4/p^2 T + a6/p^3 over F_p.
@@ -280,10 +287,10 @@ def tate_local(m: WeierstrassModel, p: int) -> LocalReductionData:
         if p == 2:
             root = B % 2
         else:
-            root = (A * B - 9 * C) * _inverse_mod(2 * (3 * B - A * A) % p, p) % p
+            root = (A * B - 9 * C) * pow(2 * (3 * B - A * A) % p, -1, p) % p
         work = _translate(work, r=p * _centered(root, p))
         a1, a2, a3, a4, a6 = work.coefficients()
-        assert a2 % p != 0 or a2 // p % p != 0  # v(a2) == 1
+        _certify_step(a2 % p != 0 or a2 // p % p != 0, p, work, "v_p(a2) <= 1")
         ix, iy = 3, 3
         mx, my = p * p, p * p
         while True:
@@ -294,7 +301,7 @@ def tate_local(m: WeierstrassModel, p: int) -> LocalReductionData:
             if p == 2:
                 root = a6t % 2
             else:
-                root = -a3t * _inverse_mod(2, p) % p
+                root = -a3t * pow(2, -1, p) % p
             work = _translate(work, t=my * _centered(root, p))
             a1, a2, a3, a4, a6 = work.coefficients()
             iy += 1
@@ -305,9 +312,9 @@ def tate_local(m: WeierstrassModel, p: int) -> LocalReductionData:
             if (a4t * a4t - 4 * a2t * a6t) % p != 0:
                 break
             if p == 2:
-                root = a6t * _inverse_mod(a2t, 2) % 2
+                root = a6t * pow(a2t, -1, 2) % 2
             else:
-                root = -a4t * _inverse_mod(2 * a2t % p, p) % p
+                root = -a4t * pow(2 * a2t % p, -1, p) % p
             work = _translate(work, r=mx * _centered(root, p))
             a1, a2, a3, a4, a6 = work.coefficients()
             ix += 1
@@ -321,10 +328,13 @@ def tate_local(m: WeierstrassModel, p: int) -> LocalReductionData:
     elif p == 3:
         root = (-C) % 3
     else:
-        root = -A * _inverse_mod(3, p) % p
+        root = -A * pow(3, -1, p) % p
     work = _translate(work, r=p * _centered(root, p))
     a1, a2, a3, a4, a6 = work.coefficients()
-    assert a2 % p**2 == 0 and a4 % p**3 == 0 and a6 % p**4 == 0
+    _certify_step(
+        a2 % p**2 == 0 and a4 % p**3 == 0 and a6 % p**4 == 0,
+        p, work, "p^2 | a2, p^3 | a4 and p^4 | a6",
+    )
 
     # Quadratic Y^2 + (a3/p^2) Y - a6/p^4 over F_p.
     a3t = a3 // p**2
@@ -334,10 +344,10 @@ def tate_local(m: WeierstrassModel, p: int) -> LocalReductionData:
     if p == 2:
         root = a6t % 2
     else:
-        root = -a3t * _inverse_mod(2, p) % p
+        root = -a3t * pow(2, -1, p) % p
     work = _translate(work, t=p * p * _centered(root, p))
     a1, a2, a3, a4, a6 = work.coefficients()
-    assert a3 % p**3 == 0 and a6 % p**5 == 0
+    _certify_step(a3 % p**3 == 0 and a6 % p**5 == 0, p, work, "p^3 | a3 and p^5 | a6")
 
     if a4 % p**4 != 0:
         return LocalReductionData(p, n, n - 7, "III*", False)
@@ -385,16 +395,7 @@ def analyze(m: WeierstrassModel) -> CurveAnalysis:
     return CurveAnalysis(mm, fac, tuple(local), N, height_of_minimal(mm))
 
 
-def local_reduction(m: WeierstrassModel) -> list[LocalReductionData]:
-    """Tate data at every bad prime of the global minimal model of m."""
-    return list(analyze(m).local)
-
-
 def conductor(m: WeierstrassModel) -> int:
     """The conductor: product of p^fp over primes dividing delta_min."""
     return analyze(m).conductor
 
-
-def semistability_report(m: WeierstrassModel) -> list[tuple[int, bool]]:
-    """(p, semistable at p) for each bad prime of the minimal model."""
-    return [(d.p, d.semistable) for d in analyze(m).local]

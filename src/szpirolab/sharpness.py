@@ -12,11 +12,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from szpirolab.bounds import height_of_minimal, szpiro_exponent
+from szpirolab.bounds import szpiro_exponent
 from szpirolab.families import model_coefficients
 from szpirolab.intarith import FactorBudgetError, is_squarefree, radical
 from szpirolab.poly import Poly
-from szpirolab.reduction import analyze, minimal_model
+from szpirolab.reduction import analyze, height_of_minimal, minimal_model
 from szpirolab.weierstrass import WeierstrassModel, compute_invariants
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "degree_limit_check",
     "fit_intercept",
     "sharp_polynomials",
-    "sieve_ST",
     "verify_sharp_consistency",
 ]
 
@@ -252,14 +251,12 @@ def verify_sharp_consistency(T: str, n: int) -> ConsistencyReport:
         raise ValueError("consistency checks require |n| > 1")
     spec = SHARP_FAMILIES[T]
     findings: list[str] = []
-    model = build_FT(T, n)
-    ca = analyze(model)
-    mm = ca.mm
-    delta = compute_invariants(model).delta
+    ca = analyze(build_FT(T, n))
 
+    # minimal_model certifies delta = u^12 * delta_min, so the ratio is u^12.
     w_expected = spec.w(n)
-    ratio = delta // mm.delta_min
-    if delta != mm.delta_min * w_expected**12 or ratio != w_expected**12:
+    ratio = ca.mm.scaling_u**12
+    if ratio != w_expected**12:
         findings.append(
             f"discriminant ratio {ratio} is not w^12 = {w_expected}^12 for F_{T}({n})"
         )
@@ -306,18 +303,6 @@ def _f_is_squarefree(spec: SharpFamilySpec, n: int) -> bool:
             if math.gcd(values[i], values[j]) != 1:
                 return False
     return all(abs(v) == 1 or is_squarefree(v) for v in values)
-
-
-def sieve_ST(T: str, n_lo: int, n_hi: int) -> list[int]:
-    """All n in [n_lo, n_hi] with |n| > 1 and f_T(n) squarefree."""
-    if n_lo > n_hi:
-        raise ValueError("empty range")
-    spec = SHARP_FAMILIES[T]
-    return [
-        n
-        for n in range(n_lo, n_hi + 1)
-        if abs(n) > 1 and _f_is_squarefree(spec, n)
-    ]
 
 
 @dataclass(frozen=True)
@@ -403,6 +388,8 @@ def convergence_scan(
     """
     if n_max < 10:
         raise ValueError("n_max must be >= 10")
+    if samples is not None and samples < 2:
+        raise ValueError("samples must be >= 2")
     spec = SHARP_FAMILIES[T]
     exp = szpiro_exponent(T)
     records: list[SharpnessRecord] = []

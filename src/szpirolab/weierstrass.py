@@ -23,9 +23,9 @@ __all__ = [
     "add_points",
     "compute_invariants",
     "full_two_torsion",
+    "integral_model",
     "is_on_curve",
     "j_invariant",
-    "negate_point",
     "point_order",
     "transform",
 ]
@@ -113,17 +113,6 @@ class Isomorphism:
         if self.u == 0:
             raise ValueError("isomorphism scale u must be nonzero")
 
-    def compose(self, other: "Isomorphism") -> "Isomorphism":
-        """The map performing self first, then other."""
-        u1, r1, s1, t1 = self.u, self.r, self.s, self.t
-        u2, r2, s2, t2 = other.u, other.r, other.s, other.t
-        return Isomorphism(
-            _norm(u1 * u2),
-            _norm(u1 * u1 * r2 + r1),
-            _norm(u1 * s2 + s1),
-            _norm(u1**3 * t2 + u1 * u1 * s1 * r2 + t1),
-        )
-
     def inverse(self) -> "Isomorphism":
         u, r, s, t = self.u, self.r, self.s, self.t
         uq = Fraction(u)
@@ -165,6 +154,23 @@ def transform(m: WeierstrassModel, iso: Isomorphism) -> WeierstrassModel:
     )
 
 
+def integral_model(m: WeierstrassModel) -> tuple[WeierstrassModel, int]:
+    """(model, L): an integral model isomorphic to m and its scale.
+
+    With L the common denominator of the coefficients, the substitution
+    x = x'/L^2, y = y'/L^3 (u = 1/L) gives a'_i = L^i a_i; an integral m
+    comes back unchanged with L = 1.
+    """
+    if m.is_integral():
+        return m, 1
+    coeffs = m.coefficients()
+    L = math.lcm(*(c.denominator for c in coeffs))
+    scaled = (
+        c.numerator * (L**i // c.denominator) for c, i in zip(coeffs, (1, 2, 3, 4, 6))
+    )
+    return WeierstrassModel(*scaled), L
+
+
 # ---------------------------------------------------------------------------
 # Rational points and the group law
 
@@ -186,13 +192,6 @@ def is_on_curve(m: WeierstrassModel, point) -> bool:
     """Exact equation check, in integers once denominators are cleared; the
     point at infinity is always on the curve."""
     return _projective_on_curve(*_integral_projective(m, point))
-
-
-def negate_point(m: WeierstrassModel, point):
-    if point is INFINITY:
-        return INFINITY
-    x, y = point.x, point.y
-    return AffinePoint(x, _norm(Fraction(-y - m.a1 * x - m.a3)))
 
 
 def add_points(m: WeierstrassModel, p, q):
@@ -224,13 +223,9 @@ _PROJECTIVE_IDENTITY = (0, 1, 0)
 
 def _integral_projective(m: WeierstrassModel, point):
     """Integer coefficients and an integer projective point isomorphic to
-    (m, point): with L the common denominator of the coefficients, the
-    substitution x = x'/L^2, y = y'/L^3 gives a'_i = L^i a_i."""
-    coeffs = m.coefficients()
-    L = math.lcm(*(c.denominator for c in coeffs))
-    a = tuple(
-        c.numerator * (L**i // c.denominator) for c, i in zip(coeffs, (1, 2, 3, 4, 6))
-    )
+    (m, point), through integral_model: (x, y) maps to (L^2 x, L^3 y)."""
+    im, L = integral_model(m)
+    a = im.coefficients()
     if point is INFINITY:
         return a, _PROJECTIVE_IDENTITY
     x, y = point.x, point.y
@@ -359,20 +354,17 @@ def full_two_torsion(m: WeierstrassModel) -> list:
     """All rational points of order dividing 2, the identity included.
 
     The x-coordinates of 2-torsion are the rational roots of the 2-division
-    polynomial 4x^3 + b2 x^2 + 2 b4 x + b6.
+    polynomial 4x^3 + b2 x^2 + 2 b4 x + b6, solved on the integral model
+    and mapped back by L^2 and L^3.
     """
-    inv = compute_invariants(m)
+    im, L = integral_model(m)
+    inv = compute_invariants(im)
     if inv.delta == 0:
         raise SingularModelError("two-torsion undefined on a singular model")
-    b2, b4, b6 = Fraction(inv.b2), Fraction(inv.b4), Fraction(inv.b6)
-    den = 1
-    for f in (b2, b4, b6):
-        den = den * f.denominator // math.gcd(den, f.denominator)
-    coeffs = [int(4 * den), int(b2 * den), int(2 * b4 * den), int(b6 * den)]
     points = [INFINITY]
-    for x in _rational_roots_cubic(*coeffs):
-        y = _norm(Fraction(-(m.a1 * x + m.a3), 2))
-        pt = AffinePoint(x, y)
+    for X in _rational_roots_cubic(4, inv.b2, 2 * inv.b4, inv.b6):
+        Y = -(im.a1 * X + im.a3) / 2
+        pt = AffinePoint(X / L**2, _norm(Y / L**3))
         if not is_on_curve(m, pt):
             raise CertificateError(f"2-torsion candidate {pt} is not on {m}")
         points.append(pt)

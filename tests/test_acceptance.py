@@ -22,7 +22,6 @@ import pytest
 
 from conftest import record_verdict
 from szpirolab import bounds, families, reduction, sharpness, sweeps
-from szpirolab.intarith import iroot
 from szpirolab.weierstrass import WeierstrassModel, compute_invariants
 
 SWEEP_BOUND = 30
@@ -367,9 +366,9 @@ class TestCriterion6:
                     m = sharpness.build_FT(T, signed)
                     mm = reduction.minimal_model(m)
                     ratio = compute_invariants(m).delta // mm.delta_min
-                    assert iroot(ratio, 12) == 256
+                    assert ratio == 256**12
                     H_table, _ = sharpness.sharp_polynomials(T, signed)
-                    assert H_table == bounds.height_of_minimal(mm) * 2**24
+                    assert H_table == reduction.height_of_minimal(mm) * 2**24
         record_verdict(
             "[acceptance] criterion 6 companion: PASS - all 1470 pairs exact "
             "except the 2x8 sequence at odd n, each off by exactly 4^12 in "

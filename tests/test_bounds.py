@@ -1,4 +1,4 @@
-"""Heights, ratios, the quality of abc triples, and the phi machinery."""
+"""Heights, ratios, and the phi machinery."""
 
 import dataclasses
 import math
@@ -12,12 +12,10 @@ from szpirolab.bounds import (
     PhiSpec,
     PhiValue,
     SzpiroExponent,
-    abc_quality,
     all_phi_specs,
     exceeds,
     homogeneity_check,
     leading_dominance,
-    naive_height,
     phi_eval,
     phi_scan,
     phi_spec,
@@ -34,7 +32,7 @@ from szpirolab.families import (
     recover_uT,
     validate_params,
 )
-from szpirolab.reduction import analyze
+from szpirolab.reduction import analyze, height_of_minimal, minimal_model
 from szpirolab.sharpness import build_FT
 from szpirolab.sweeps import check_instance, iter_param_tuples
 from szpirolab.weierstrass import (
@@ -75,21 +73,26 @@ class TestExponentTable:
 
 
 class TestHeight:
+    """max(|c4^3|, c6^2) of the global minimal model."""
+
     def test_c5(self):
-        assert naive_height(C5_11) == max(16**3, 152**2) == 23104
+        assert height_of_minimal(minimal_model(C5_11)) == max(16**3, 152**2) == 23104
 
     def test_c3_0(self):
         # c4 = 0 and c6 = -216 a^2, so the height is (216 a^2)^2
-        assert naive_height(WeierstrassModel(0, 0, 1, 0, 0)) == 216**2 == 46656
-        assert naive_height(build_model(validate_params("C3_0", 3))) == (216 * 9) ** 2
+        mm = minimal_model(WeierstrassModel(0, 0, 1, 0, 0))
+        assert height_of_minimal(mm) == 216**2 == 46656
+        mm = minimal_model(build_model(validate_params("C3_0", 3)))
+        assert height_of_minimal(mm) == (216 * 9) ** 2
 
     def test_sharp_c2_height(self):
         for n in (2, 5, -4):
-            assert naive_height(build_FT("C2", n)) == abs(192 * n + 1) ** 3
+            mm = minimal_model(build_FT("C2", n))
+            assert height_of_minimal(mm) == abs(192 * n + 1) ** 3
 
     def test_singular_rejected(self):
         with pytest.raises(SingularModelError):
-            naive_height(WeierstrassModel(0, 0, 0, 0, 0))
+            minimal_model(WeierstrassModel(0, 0, 0, 0, 0))
 
 
 class TestRatio:
@@ -123,7 +126,7 @@ class TestExceeds:
 
     def test_c3_0_against_two(self):
         m = WeierstrassModel(0, 0, 1, 0, 0)
-        assert naive_height(m) == 46656 > 27**2
+        assert height_of_minimal(minimal_model(m)) == 46656 > 27**2
         assert exceeds(m, SzpiroExponent(2, 1))
 
     def test_agrees_with_float_away_from_threshold(self):
@@ -145,23 +148,6 @@ class TestExceeds:
                             m, SzpiroExponent(l.numerator, l.denominator)
                         ) == (sigma > float(l))
                 done += 1
-
-
-class TestAbcQuality:
-    def test_trivial(self):
-        assert abc_quality(1, 1, 2) == 1.0
-
-    def test_known(self):
-        assert abs(abc_quality(1, 8, 9) - math.log(9) / math.log(6)) < 1e-12
-        assert abs(abc_quality(1, 2, 3) - math.log(3) / math.log(6)) < 1e-12
-
-    def test_preconditions(self):
-        with pytest.raises(ValueError, match="a \\+ b = c"):
-            abc_quality(1, 2, 4)
-        with pytest.raises(ValueError, match="gcd"):
-            abc_quality(2, 2, 4)
-        with pytest.raises(ValueError, match="positive"):
-            abc_quality(-1, 3, 2)
 
 
 class TestPhi:
@@ -196,6 +182,16 @@ class TestPhi:
             res = phi_scan(spec, denominator=8, x_range=3)
             assert res.violations == (), spec.label
             assert res.zeros == (), spec.label
+
+    def test_scan_arguments_rejected(self):
+        spec = phi_spec("C5", 1)
+        with pytest.raises(ValueError, match="x_range"):
+            phi_scan(spec, 16, -1)
+        with pytest.raises(ValueError, match="x_range"):
+            phi_scan(spec, 16, Fraction(-1, 32))
+        with pytest.raises(ValueError, match="denominator"):
+            phi_scan(spec, 0, 1)
+        assert phi_scan(spec, 16, 0).points == 1
 
     def test_c2xc4_minimum_shrinks_with_refinement(self):
         spec = phi_spec("C2xC4", 2)

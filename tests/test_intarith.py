@@ -10,7 +10,6 @@ from szpirolab import intarith
 from szpirolab.intarith import (
     FactorBudgetError,
     factorize,
-    iroot,
     is_cubefree,
     is_probable_prime,
     is_squarefree,
@@ -174,6 +173,19 @@ class TestFactorize:
         assert factorize(43**5).pairs == ((43, 5),)
         assert factorize((10**9 + 7) ** 2).pairs == ((10**9 + 7, 2),)
 
+    def test_perfect_power_cofactor(self):
+        # Cofactors past trial division go through the perfect-power root.
+        assert factorize(10007**12).pairs == ((10007, 12),)
+        assert factorize((10007 * 10009) ** 6).pairs == ((10007, 6), (10009, 6))
+
+    @given(
+        st.sampled_from([10007, 65537, 10**9 + 7, 2**61 - 1, 10**17 + 3]),
+        st.integers(min_value=2, max_value=13),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_perfect_power_round_trip(self, p, k):
+        assert factorize(p**k).pairs == ((p, k),)
+
     def test_budget_error_carries_partial(self, monkeypatch):
         # Starve rho so a semiprime of two large primes resists the budget.
         monkeypatch.setattr(intarith, "_RHO_MAX_ITER", 4)
@@ -184,9 +196,6 @@ class TestFactorize:
             intarith._factorize_uncached(n, 10_000)
         assert exc.value.cofactor == hard
         assert exc.value.partial.pairs == ((2, 2), (3, 1))
-
-    def test_divisors(self):
-        assert factorize(12).divisors() == [1, 2, 3, 4, 6, 12]
 
 
 class TestPrimality:
@@ -202,15 +211,3 @@ class TestPrimality:
     def test_large(self):
         assert is_probable_prime(2**89 - 1)
         assert not is_probable_prime(2**87 - 1)
-
-
-class TestIroot:
-    def test_exact(self):
-        assert iroot(3**12, 12) == 3
-        assert iroot(2**96, 12) == 256
-        assert iroot(10, 2) is None
-
-    @given(st.integers(min_value=0, max_value=10**30), st.integers(min_value=2, max_value=13))
-    @settings(max_examples=200, deadline=None)
-    def test_round_trip(self, base, k):
-        assert iroot(base**k, k) == base

@@ -14,9 +14,7 @@ from szpirolab.reduction import (
     _model_from_c4c6,
     analyze,
     conductor,
-    local_reduction,
     minimal_model,
-    semistability_report,
     tate_local,
 )
 from szpirolab.weierstrass import (
@@ -251,18 +249,19 @@ class TestConductor:
             checked += 1
 
 
+def semistable_flags(m: WeierstrassModel) -> dict[int, bool]:
+    return {d.p: d.semistable for d in analyze(m).local}
+
+
 class TestSemistability:
     def test_additive_curve(self):
-        report = dict(semistability_report(WeierstrassModel(0, 0, 0, 0, 1)))
-        assert report == {2: False, 3: False}
+        assert semistable_flags(WeierstrassModel(0, 0, 0, 0, 1)) == {2: False, 3: False}
 
     def test_semistable_curve(self):
-        report = dict(semistability_report(CURVE_11A1))
-        assert report == {11: True}
+        assert semistable_flags(CURVE_11A1) == {11: True}
 
     def test_c5_semistable_at_11(self):
-        report = dict(semistability_report(WeierstrassModel(0, -1, -1, 0, 0)))
-        assert report == {11: True}
+        assert semistable_flags(WeierstrassModel(0, -1, -1, 0, 0)) == {11: True}
 
     def test_matches_exponent_one(self):
         for m in (
@@ -271,9 +270,8 @@ class TestSemistability:
             WeierstrassModel(0, 0, 1, 0, 0),
             WeierstrassModel(0, 2, 0, -11, 0),
         ):
-            flags = dict(semistability_report(m))
-            for data in local_reduction(m):
-                assert flags[data.p] == (data.fp == 1)
+            for data in analyze(m).local:
+                assert data.semistable == (data.fp == 1)
 
 
 def _random_curves(rng, count, bound=12):
@@ -375,6 +373,15 @@ class TestExplicitChecks:
         monkeypatch.setattr(reduction, "_isomorphism_to", shifted)
         with pytest.raises(CertificateError, match="does not map"):
             minimal_model(blow_up(CURVE_11A1, 2))
+
+    def test_broken_tate_translation(self, monkeypatch):
+        # y^2 = (x - 1)^3 + 5: additive at 5 with the cusp at x = 1, so a
+        # translation that does nothing leaves 5 not dividing a4.
+        m = WeierstrassModel(0, -3, 0, 3, 4)
+        assert tate_local(m, 5).kodaira == "II"
+        monkeypatch.setattr(reduction, "_translate", lambda work, r=0, s=0, t=0: work)
+        with pytest.raises(CertificateError, match="p = 5"):
+            tate_local(m, 5)
 
     def test_nonintegral_isomorphism(self):
         with pytest.raises(CertificateError, match="not integral"):

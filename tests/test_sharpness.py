@@ -4,8 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from szpirolab.intarith import iroot
-from szpirolab.reduction import conductor, minimal_model
+from szpirolab.reduction import analyze, conductor, height_of_minimal, minimal_model
 from szpirolab.sharpness import (
     SHARP_FAMILIES,
     build_FT,
@@ -13,7 +12,6 @@ from szpirolab.sharpness import (
     degree_limit_check,
     fit_intercept,
     sharp_polynomials,
-    sieve_ST,
     verify_sharp_consistency,
 )
 from szpirolab.weierstrass import WeierstrassModel, compute_invariants
@@ -94,11 +92,9 @@ class TestConsistency:
         assert rep.ok and rep.w == 1
 
     def test_c1_semistable_every_n(self):
-        from szpirolab.reduction import semistability_report
-
         for n in range(-6, 7):
-            report = semistability_report(build_FT("C1", n))
-            assert all(flag for _, flag in report), n
+            local = analyze(build_FT("C1", n)).local
+            assert all(d.semistable for d in local), n
 
     def test_c2xc2_conductor_1365(self):
         rep = verify_sharp_consistency("C2xC2", 3)
@@ -129,14 +125,20 @@ class TestConsistency:
         m = build_FT("C2xC8", 3)
         mm = minimal_model(m)
         ratio = compute_invariants(m).delta // mm.delta_min
-        assert iroot(ratio, 12) == 256
+        assert ratio == 256**12
         assert len(rep.findings) == 2  # ratio and height; radical/N/semistable fine
 
     def test_c2xc8_even_n_clean(self):
         assert verify_sharp_consistency("C2xC8", 4).ok
 
 
+def record_ns(T: str, n_max: int, n_min: int = 2) -> list[int]:
+    return [r.n for r in convergence_scan(T, n_max, n_min=n_min).records]
+
+
 class TestSieve:
+    """convergence_scan keeps exactly the n >= 2 where f_T(n) is squarefree."""
+
     def test_c2_range(self):
         spec = SHARP_FAMILIES["C2"]
         expected = [
@@ -145,26 +147,22 @@ class TestSieve:
             if oracle_squarefree(spec.f_value(n))
         ]
         assert expected == [2, 3, 5, 6, 7]
-        assert sieve_ST("C2", 2, 10) == expected
+        assert record_ns("C2", 10) == expected
 
     def test_negative_range(self):
+        # n_min below 2 is raised to 2: |n| <= 1 and negative n never scan
         spec = SHARP_FAMILIES["C1"]
-        got = sieve_ST("C1", -2, 2)
         expected = [
-            n for n in (-2, 2) if oracle_squarefree(spec.f_value(n))
+            n for n in range(2, 11) if oracle_squarefree(spec.f_value(n))
         ]
-        assert got == expected
+        assert record_ns("C1", 10, n_min=-2) == expected
 
     def test_square_n_excluded(self):
         # n = k^2 > 1 makes n | f with a square factor for every family
         # whose f carries the factor n
         for T in ("C2", "C3", "C10"):
-            hits = sieve_ST(T, 2, 50)
+            hits = record_ns(T, 50)
             assert all(n not in hits for n in (4, 9, 16, 25, 36, 49))
-
-    def test_empty_range_rejected(self):
-        with pytest.raises(ValueError):
-            sieve_ST("C2", 5, 4)
 
 
 class TestConvergence:
@@ -185,8 +183,6 @@ class TestConvergence:
         assert scan.intercept is None
 
     def test_records_carry_conductor(self):
-        from szpirolab.bounds import height_of_minimal
-
         scan = convergence_scan("C3", 50, n_min=2)
         for r in scan.records:
             assert r.squarefree and r.conductor == abs(r.f_value)
@@ -197,3 +193,9 @@ class TestConvergence:
     def test_nmax_guard(self):
         with pytest.raises(ValueError):
             convergence_scan("C2", 5)
+
+    def test_samples_guard(self):
+        for samples in (1, 0, -3):
+            with pytest.raises(ValueError, match="samples"):
+                convergence_scan("C2", 1000, samples=samples)
+        assert convergence_scan("C2", 1000, samples=2).records
