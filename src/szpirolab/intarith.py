@@ -61,15 +61,6 @@ class Factorization:
     def __len__(self):
         return len(self.pairs)
 
-    def value(self) -> int:
-        out = 1
-        for p, e in self.pairs:
-            out *= p**e
-        return out
-
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.pairs)
-
     def radical(self) -> int:
         out = 1
         for p, _ in self.pairs:

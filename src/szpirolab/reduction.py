@@ -191,15 +191,25 @@ def _centered(x: int, modulus: int) -> int:
     return r
 
 
-def _translate(m: WeierstrassModel, r: int = 0, s: int = 0, t: int = 0):
-    return transform(m, Isomorphism(1, r, s, t))
+def _translate(a: tuple, r: int = 0, s: int = 0, t: int = 0) -> tuple:
+    """The coefficient tuple after x = x' + r, y = y' + s x' + t (u = 1)."""
+    a1, a2, a3, a4, a6 = a
+    return (
+        a1 + 2 * s,
+        a2 - s * a1 + 3 * r - s * s,
+        a3 + r * a1 + 2 * t,
+        a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t,
+        a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1,
+    )
 
 
-def _certify_step(ok: bool, p: int, work: WeierstrassModel, claim: str) -> None:
+def _certify_step(ok: bool, p: int, work: tuple, claim: str) -> None:
     """A translation in Tate's algorithm must reach the divisibility the
     next step reads; raised explicitly so the check survives python -O."""
     if not ok:
-        raise CertificateError(f"Tate's algorithm at p = {p}: {work} fails {claim}")
+        raise CertificateError(
+            f"Tate's algorithm at p = {p}: {WeierstrassModel(*work)} fails {claim}"
+        )
 
 
 def _cubic_has_distinct_roots(a: int, b: int, c: int, p: int) -> bool:
@@ -208,16 +218,23 @@ def _cubic_has_distinct_roots(a: int, b: int, c: int, p: int) -> bool:
     return disc % p != 0
 
 
-def tate_local(m: WeierstrassModel, p: int) -> LocalReductionData:
+def tate_local(
+    m: WeierstrassModel, p: int, inv: ModelInvariants | None = None
+) -> LocalReductionData:
     """Tate's algorithm at p for a model minimal at p.
 
     Produces the Kodaira type and conductor exponent.  A model that turns
     out to be non-minimal at p (the algorithm's final rescaling step) is
     rejected, since exponents are only meaningful for minimal models.
+    inv, the invariants of m, is for a caller that already holds them;
+    otherwise they are computed here.  The translations run on the integer
+    coefficient tuple, and each step computes only the b-invariant it reads
+    (Cremona, Algorithms for Modular Elliptic Curves, 3.2).
     """
     if not m.is_integral():
         raise ValueError("tate_local requires an integral model")
-    inv = compute_invariants(m)
+    if inv is None:
+        inv = compute_invariants(m)
     if inv.delta == 0:
         raise SingularModelError("Tate's algorithm requires delta != 0")
     n = p_adic_valuation(inv.delta, p) if inv.delta % p == 0 else 0
@@ -238,8 +255,8 @@ def tate_local(m: WeierstrassModel, p: int) -> LocalReductionData:
     else:
         r = _centered(-inv.b2 * pow(12, -1, p) % p, p)
         t = _centered(-(a1 * r + a3) * pow(2, -1, p) % p, p)
-    work = _translate(m, r=r, t=t)
-    a1, a2, a3, a4, a6 = work.coefficients()
+    work = _translate(m.coefficients(), r=r, t=t)
+    a1, a2, a3, a4, a6 = work
     _certify_step(
         a3 % p == 0 and a4 % p == 0 and a6 % p == 0,
         p, work, "p | a3, a4, a6",
@@ -255,10 +272,10 @@ def tate_local(m: WeierstrassModel, p: int) -> LocalReductionData:
 
     if val(a6, 2) < 2:
         return LocalReductionData(p, n, n, "II", False)
-    winv = compute_invariants(work)
-    if val(winv.b8, 3) < 3:
+    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+    if val(b8, 3) < 3:
         return LocalReductionData(p, n, n - 1, "III", False)
-    if val(winv.b6, 3) < 3:
+    if val(a3 * a3 + 4 * a6, 3) < 3:  # b6
         return LocalReductionData(p, n, n - 2, "IV", False)
 
     # Normalize so that p | a1, a2; p^2 | a3, a4; p^3 | a6.
@@ -269,7 +286,7 @@ def tate_local(m: WeierstrassModel, p: int) -> LocalReductionData:
         s = _centered(-a1 * pow(2, -1, p) % p, p)
         t = _centered(-a3 * pow(2, -1, p * p) % (p * p), p * p)
     work = _translate(work, s=s, t=t)
-    a1, a2, a3, a4, a6 = work.coefficients()
+    a1, a2, a3, a4, a6 = work
     _certify_step(a1 % p == 0 and a2 % p == 0, p, work, "p | a1, a2")
     _certify_step(
         a3 % p**2 == 0 and a4 % p**2 == 0 and a6 % p**3 == 0,
@@ -289,7 +306,7 @@ def tate_local(m: WeierstrassModel, p: int) -> LocalReductionData:
         else:
             root = (A * B - 9 * C) * pow(2 * (3 * B - A * A) % p, -1, p) % p
         work = _translate(work, r=p * _centered(root, p))
-        a1, a2, a3, a4, a6 = work.coefficients()
+        a1, a2, a3, a4, a6 = work
         _certify_step(a2 % p != 0 or a2 // p % p != 0, p, work, "v_p(a2) <= 1")
         ix, iy = 3, 3
         mx, my = p * p, p * p
@@ -303,7 +320,7 @@ def tate_local(m: WeierstrassModel, p: int) -> LocalReductionData:
             else:
                 root = -a3t * pow(2, -1, p) % p
             work = _translate(work, t=my * _centered(root, p))
-            a1, a2, a3, a4, a6 = work.coefficients()
+            a1, a2, a3, a4, a6 = work
             iy += 1
             my *= p
             a2t = a2 // p
@@ -316,7 +333,7 @@ def tate_local(m: WeierstrassModel, p: int) -> LocalReductionData:
             else:
                 root = -a4t * pow(2 * a2t % p, -1, p) % p
             work = _translate(work, r=mx * _centered(root, p))
-            a1, a2, a3, a4, a6 = work.coefficients()
+            a1, a2, a3, a4, a6 = work
             ix += 1
             mx *= p
         m_star = ix + iy - 5
@@ -330,7 +347,7 @@ def tate_local(m: WeierstrassModel, p: int) -> LocalReductionData:
     else:
         root = -A * pow(3, -1, p) % p
     work = _translate(work, r=p * _centered(root, p))
-    a1, a2, a3, a4, a6 = work.coefficients()
+    a1, a2, a3, a4, a6 = work
     _certify_step(
         a2 % p**2 == 0 and a4 % p**3 == 0 and a6 % p**4 == 0,
         p, work, "p^2 | a2, p^3 | a4 and p^4 | a6",
@@ -346,7 +363,7 @@ def tate_local(m: WeierstrassModel, p: int) -> LocalReductionData:
     else:
         root = -a3t * pow(2, -1, p) % p
     work = _translate(work, t=p * p * _centered(root, p))
-    a1, a2, a3, a4, a6 = work.coefficients()
+    a1, a2, a3, a4, a6 = work
     _certify_step(a3 % p**3 == 0 and a6 % p**5 == 0, p, work, "p^3 | a3 and p^5 | a6")
 
     if a4 % p**4 != 0:
@@ -389,7 +406,7 @@ def analyze(m: WeierstrassModel) -> CurveAnalysis:
         if c4 % p:
             data = LocalReductionData(p, e, 1, f"I{e}", True)
         else:
-            data = tate_local(mm.minimal, p)
+            data = tate_local(mm.minimal, p, mm.invariants)
         local.append(data)
         N *= p**data.fp
     return CurveAnalysis(mm, fac, tuple(local), N, height_of_minimal(mm))

@@ -406,7 +406,7 @@ def convergence_scan(
                 budget_skipped.append(n)
                 continue
             raise
-        _, f = sharp_polynomials(T, n)
+        f = spec.f_value(n)
         sigma = math.log(H) / math.log(abs(f))
         if not H**exp.q > abs(f) ** exp.p:
             strictly_above = False

@@ -88,8 +88,10 @@ def compute_invariants(m: WeierstrassModel) -> ModelInvariants:
     c4 = b2 * b2 - 24 * b4
     c6 = -b2 * b2 * b2 + 36 * b2 * b4 - 216 * b6
     delta = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
-    assert c4**3 - c6**2 == 1728 * delta
-    assert b2 * b6 - b4 * b4 == 4 * b8
+    if c4**3 - c6**2 != 1728 * delta:
+        raise CertificateError(f"c4^3 - c6^2 != 1728*delta for {m}")
+    if b2 * b6 - b4 * b4 != 4 * b8:
+        raise CertificateError(f"b2*b6 - b4^2 != 4*b8 for {m}")
     return ModelInvariants(b2, b4, b6, b8, c4, c6, delta)
 
 
@@ -279,16 +281,19 @@ def _projective_add(a, P, Q):
     return _projective_normal(X3n * D, Y3, D2 * D * Z12)
 
 
-def point_order(m: WeierstrassModel, point, cap: int = 16) -> int | None:
+def point_order(
+    m: WeierstrassModel, point, cap: int = 16, *, nonsingular: bool = False
+) -> int | None:
     """Exact order of a point if <= cap, else None.
 
     The multiples are computed in integer projective coordinates on an
     integral model isomorphic to m, so a rational model or point enters
     only through its common denominators.  The cap of 16 leaves slack
     above the largest rational torsion order (12) while keeping runaway
-    loops impossible.
+    loops impossible.  nonsingular=True is for a caller that has already
+    shown delta != 0, and skips recomputing the discriminant.
     """
-    if compute_invariants(m).delta == 0:
+    if not nonsingular and compute_invariants(m).delta == 0:
         raise SingularModelError("point order undefined on a singular model")
     a, P = _integral_projective(m, point)
     if not _projective_on_curve(a, P):
@@ -335,8 +340,9 @@ def _monic_cubic_integer_roots(c2: int, c1: int, c0: int) -> list[int]:
     return sorted(roots)
 
 
-def _rational_roots_cubic(c3: int, c2: int, c1: int, c0: int) -> list[Fraction]:
-    """Rational roots of c3 x^3 + c2 x^2 + c1 x + c0 (c3 != 0).
+def _rational_roots_cubic(c3: int, c2: int, c1: int, c0: int) -> list[tuple[int, int]]:
+    """Rational roots x = x0/c of c3 x^3 + c2 x^2 + c1 x + c0 (c3 != 0), as
+    integer pairs (x0, c).
 
     Substituting X = c3 x makes the cubic monic with integer coefficients,
     so every rational root shows up as an integer root X0 with x = X0/c3.
@@ -344,28 +350,31 @@ def _rational_roots_cubic(c3: int, c2: int, c1: int, c0: int) -> list[Fraction]:
     g = math.gcd(math.gcd(abs(c3), abs(c2)), math.gcd(abs(c1), abs(c0)))
     if g > 1:
         c3, c2, c1, c0 = c3 // g, c2 // g, c1 // g, c0 // g
-    return [
-        Fraction(x0, c3)
-        for x0 in _monic_cubic_integer_roots(c2, c1 * c3, c0 * c3 * c3)
-    ]
+    return [(x0, c3) for x0 in _monic_cubic_integer_roots(c2, c1 * c3, c0 * c3 * c3)]
 
 
 def full_two_torsion(m: WeierstrassModel) -> list:
     """All rational points of order dividing 2, the identity included.
 
     The x-coordinates of 2-torsion are the rational roots of the 2-division
-    polynomial 4x^3 + b2 x^2 + 2 b4 x + b6, solved on the integral model
-    and mapped back by L^2 and L^3.
+    polynomial 4x^3 + b2 x^2 + 2 b4 x + b6, solved on the integral model.
+    Each point is certified there in integer projective coordinates and
+    mapped back by L^2 and L^3.
     """
     im, L = integral_model(m)
-    inv = compute_invariants(im)
-    if inv.delta == 0:
+    a = a1, a2, a3, a4, a6 = im.coefficients()
+    b2, b4, b6 = a1 * a1 + 4 * a2, 2 * a4 + a1 * a3, a3 * a3 + 4 * a6
+    roots = _rational_roots_cubic(4, b2, 2 * b4, b6)
+    # The cubic has discriminant 16*delta, and a repeated root of a rational
+    # cubic is rational, so delta = 0 iff some root found is also a root of
+    # the derivative 12x^2 + 2 b2 x + 2 b4.
+    if any(6 * x0 * x0 + b2 * x0 * c + b4 * c * c == 0 for x0, c in roots):
         raise SingularModelError("two-torsion undefined on a singular model")
     points = [INFINITY]
-    for X in _rational_roots_cubic(4, inv.b2, 2 * inv.b4, inv.b6):
-        Y = -(im.a1 * X + im.a3) / 2
-        pt = AffinePoint(X / L**2, _norm(Y / L**3))
-        if not is_on_curve(m, pt):
-            raise CertificateError(f"2-torsion candidate {pt} is not on {m}")
-        points.append(pt)
+    for x0, c in roots:
+        # (x0/c, -(a1 x0/c + a3)/2) on the integral model
+        X, Y, Z = 2 * x0, -(a1 * x0 + a3 * c), 2 * c
+        if not _projective_on_curve(a, (X, Y, Z)):
+            raise CertificateError(f"2-torsion candidate ({X}:{Y}:{Z}) is not on {im}")
+        points.append(AffinePoint(Fraction(X, Z * L * L), _norm(Fraction(Y, Z * L**3))))
     return points

@@ -12,7 +12,9 @@ from szpirolab.families import (
     ValidationError,
     build_model,
     decompose_a,
+    delta_base,
     delta_eval,
+    model_coefficients,
     recover_uT,
     validate_params,
 )
@@ -84,6 +86,49 @@ class TestValidation:
 
     def test_c2xc2_d_one_allowed(self):
         assert validate_params("C2xC2", 2, 1, 1).params == (2, 1, 1)
+
+
+class TestSingularity:
+    """validate_params decides singularity from delta_base, so delta_base
+    must vanish exactly where the family discriminant does."""
+
+    def test_delta_base_has_the_discriminant_radical(self):
+        sympy = pytest.importorskip("sympy")
+        a, b, c, d, e = sympy.symbols("a b c d e")
+
+        def radical(expr, gens):
+            # The irreducible nonconstant factors, sign-normalized.
+            out = set()
+            for f, _ in sympy.factor_list(sympy.expand(expr), *gens)[1]:
+                poly = sympy.Poly(f, *gens)
+                if not poly.is_ground:
+                    out.add(-poly if poly.LC() < 0 else poly)
+            return out
+
+        for name in FAMILIES:
+            if name == "C3_0":
+                continue
+            forced_nonzero = set()
+            if name == "C3":  # a = c^3 d^2 e with c, d, e >= 1
+                gens, margs, dargs = (c, d, e, b), (c**3 * d**2 * e, b), (c, d, e, b)
+                forced_nonzero = {sympy.Poly(c, *gens)}
+            elif name == "C4":  # a = c^2 d
+                gens, margs, dargs = (c, d, b), (c**2 * d, b), (c, d, b)
+            elif FAMILIES[name].arity == 3:
+                gens = margs = dargs = (a, b, d)
+            else:
+                gens = margs = dargs = (a, b)
+            coeffs = [sympy.Poly(x, *gens) for x in model_coefficients(name, margs)]
+            disc = compute_invariants(WeierstrassModel(*coeffs)).delta.as_expr()
+            rad_disc = radical(disc, gens)
+            rad_base = radical(delta_base(name, dargs), gens)
+            assert rad_base <= rad_disc, name
+            assert rad_disc - rad_base == forced_nonzero, name
+
+    def test_c3_0_discriminant(self):
+        for a in (1, 2, 7, 60):
+            model = build_model(validate_params("C3_0", a))
+            assert compute_invariants(model).delta == -27 * a**4
 
 
 class TestDecomposition:

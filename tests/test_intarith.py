@@ -1,5 +1,6 @@
 """Exact integer arithmetic: valuations, radicals, squarefree, factoring."""
 
+import math
 import random
 
 import pytest
@@ -161,9 +162,10 @@ class TestFactorize:
         for _ in range(1000):
             n = rng.randrange(2, 10**12)
             f = factorize(n)
-            assert f.value() == n
+            assert math.prod(p**e for p, e in f.pairs) == n
             assert all(is_probable_prime(p) for p, _ in f)
-            assert list(f.primes()) == sorted(set(f.primes()))
+            primes = [p for p, _ in f.pairs]
+            assert primes == sorted(set(primes))
 
     def test_large_semiprime(self):
         p, q = 10**9 + 7, 10**9 + 9

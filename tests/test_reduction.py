@@ -8,6 +8,7 @@ import pytest
 
 from szpirolab import reduction
 from szpirolab.bounds import SzpiroExponent, exceeds
+from szpirolab.families import FAMILIES, ValidationError, build_model, validate_params
 from szpirolab.intarith import factorize, is_squarefree
 from szpirolab.reduction import (
     NonMinimalError,
@@ -25,6 +26,7 @@ from szpirolab.weierstrass import (
     compute_invariants,
     transform,
 )
+from szpirolab.sweeps import iter_param_tuples
 
 CURVE_11A1 = WeierstrassModel(0, -1, 1, -10, -20)
 
@@ -386,3 +388,168 @@ class TestExplicitChecks:
     def test_nonintegral_isomorphism(self):
         with pytest.raises(CertificateError, match="not integral"):
             reduction._integral_div(7, 2)
+
+
+def reference_tate_local(m: WeierstrassModel, p: int):
+    """The model-based Tate's algorithm tate_local replaced: every
+    translation goes through transform and a new WeierstrassModel, and the
+    III/IV tests read a full compute_invariants.  Returns
+    (vp_delta, fp, kodaira)."""
+    inv = compute_invariants(m)
+    n = reduction.p_adic_valuation(inv.delta, p) if inv.delta % p == 0 else 0
+    if n == 0:
+        return 0, 0, "I0"
+    if inv.c4 % p != 0:
+        return n, 1, f"I{n}"
+
+    def translate(work, r=0, s=0, t=0):
+        return transform(work, Isomorphism(1, r, s, t))
+
+    def val(x, bound):
+        v = 0
+        while v < bound and x % p == 0:
+            x //= p
+            v += 1
+        return v
+
+    centered = reduction._centered
+    a1, a2, a3, a4, a6 = m.coefficients()
+    if p == 2:
+        r = a4 % 2
+        t = (r * (1 + a2 + a4) + a6) % 2
+    elif p == 3:
+        r = (-inv.b6) % 3
+        t = (a1 * r + a3) % 3
+    else:
+        r = centered(-inv.b2 * pow(12, -1, p) % p, p)
+        t = centered(-(a1 * r + a3) * pow(2, -1, p) % p, p)
+    work = translate(m, r=r, t=t)
+    a1, a2, a3, a4, a6 = work.coefficients()
+    if val(a6, 2) < 2:
+        return n, n, "II"
+    winv = compute_invariants(work)
+    if val(winv.b8, 3) < 3:
+        return n, n - 1, "III"
+    if val(winv.b6, 3) < 3:
+        return n, n - 2, "IV"
+    if p == 2:
+        s = a2 % 2
+        t = 2 * ((a6 // 4) % 2)
+    else:
+        s = centered(-a1 * pow(2, -1, p) % p, p)
+        t = centered(-a3 * pow(2, -1, p * p) % (p * p), p * p)
+    work = translate(work, s=s, t=t)
+    a1, a2, a3, a4, a6 = work.coefficients()
+    A, B, C = a2 // p, a4 // p**2, a6 // p**3
+    if reduction._cubic_has_distinct_roots(A, B, C, p):
+        return n, n - 4, "I0*"
+    if (3 * B - A * A) % p != 0:
+        if p == 2:
+            root = B % 2
+        else:
+            root = (A * B - 9 * C) * pow(2 * (3 * B - A * A) % p, -1, p) % p
+        work = translate(work, r=p * centered(root, p))
+        a1, a2, a3, a4, a6 = work.coefficients()
+        ix, iy = 3, 3
+        mx, my = p * p, p * p
+        while True:
+            a3t = a3 // my
+            a6t = a6 // (mx * my)
+            if (a3t * a3t + 4 * a6t) % p != 0:
+                break
+            root = a6t % 2 if p == 2 else -a3t * pow(2, -1, p) % p
+            work = translate(work, t=my * centered(root, p))
+            a1, a2, a3, a4, a6 = work.coefficients()
+            iy += 1
+            my *= p
+            a2t = a2 // p
+            a4t = a4 // (p * mx)
+            a6t = a6 // (mx * my)
+            if (a4t * a4t - 4 * a2t * a6t) % p != 0:
+                break
+            if p == 2:
+                root = a6t * pow(a2t, -1, 2) % 2
+            else:
+                root = -a4t * pow(2 * a2t % p, -1, p) % p
+            work = translate(work, r=mx * centered(root, p))
+            a1, a2, a3, a4, a6 = work.coefficients()
+            ix += 1
+            mx *= p
+        m_star = ix + iy - 5
+        return n, n - 4 - m_star, f"I{m_star}*"
+    if p == 2:
+        root = A % 2
+    elif p == 3:
+        root = (-C) % 3
+    else:
+        root = -A * pow(3, -1, p) % p
+    work = translate(work, r=p * centered(root, p))
+    a1, a2, a3, a4, a6 = work.coefficients()
+    a3t = a3 // p**2
+    a6t = a6 // p**4
+    if (a3t * a3t + 4 * a6t) % p != 0:
+        return n, n - 6, "IV*"
+    root = a6t % 2 if p == 2 else -a3t * pow(2, -1, p) % p
+    work = translate(work, t=p * p * centered(root, p))
+    a1, a2, a3, a4, a6 = work.coefficients()
+    if a4 % p**4 != 0:
+        return n, n - 7, "III*"
+    if a6 % p**6 != 0:
+        return n, n - 8, "II*"
+    raise NonMinimalError(f"model {m} is not minimal at {p}")
+
+
+def _local_triple(d):
+    return d.vp_delta, d.fp, d.kodaira
+
+
+class TestTateReference:
+    """The integer-tuple tate_local agrees with the model-based reference
+    at every prime of delta_min, through analyze (certified invariants
+    passed in) and called on its own."""
+
+    def _agree(self, m):
+        ca = analyze(m)
+        assert [d.p for d in ca.local] == [p for p, _ in ca.factorization]
+        for d in ca.local:
+            expected = reference_tate_local(ca.mm.minimal, d.p)
+            assert _local_triple(d) == expected, (m, d.p)
+            assert _local_triple(tate_local(ca.mm.minimal, d.p)) == expected, (m, d.p)
+        return ca.local
+
+    def test_box_6_family_instances(self):
+        checked = 0
+        for name in FAMILIES:
+            for params in iter_param_tuples(name, 60 if name == "C3_0" else 6):
+                try:
+                    inst = validate_params(name, *params)
+                except ValidationError:
+                    continue
+                self._agree(build_model(inst))
+                checked += 1
+        assert checked == 2258
+
+    def test_random_curves_additive_at_2_and_3(self):
+        # a_i = r_i * 2^e * 3^f with e, f <= i: the weights of a model that
+        # reduces like p^i | a_i, which gives additive reduction at 2 and 3
+        # of every depth; the fully divisible ones are made minimal first.
+        rng = random.Random(20)
+        kinds = {2: set(), 3: set()}
+        curves = 0
+        while curves < 200:
+            coeffs = [
+                rng.randrange(-9, 10)
+                * 2 ** rng.randrange(i + 1)
+                * 3 ** rng.randrange(i + 1)
+                for i in (1, 2, 3, 4, 6)
+            ]
+            m = WeierstrassModel(*coeffs)
+            if compute_invariants(m).delta == 0:
+                continue
+            curves += 1
+            for d in self._agree(m):
+                if d.p in kinds and not d.semistable:
+                    kinds[d.p].add(d.kodaira)
+        for p in (2, 3):
+            assert {"II", "III", "IV", "I0*", "IV*", "III*", "II*"} <= kinds[p], p
+            assert kinds[p] & {f"I{m}*" for m in range(1, 6)}, p

@@ -138,23 +138,34 @@ class TestDefaultJobs:
         assert default_jobs() >= 1
 
 
-@pytest.fixture
-def minimal_model_calls(monkeypatch):
-    """Counts reduction.minimal_model calls through every szpirolab module
-    that binds it."""
-    from szpirolab import reduction
-
-    real = reduction.minimal_model
+def _count_calls(monkeypatch, module, name):
+    """Counts calls of module.name through every szpirolab module that
+    binds it."""
+    real = getattr(module, name)
     calls = []
 
-    def counted(m):
+    def counted(m, *args, **kwargs):
         calls.append(m)
-        return real(m)
+        return real(m, *args, **kwargs)
 
-    for modname, module in list(sys.modules.items()):
-        if modname.startswith("szpirolab") and vars(module).get("minimal_model") is real:
-            monkeypatch.setattr(module, "minimal_model", counted)
+    for modname, mod in list(sys.modules.items()):
+        if modname.startswith("szpirolab") and vars(mod).get(name) is real:
+            monkeypatch.setattr(mod, name, counted)
     return calls
+
+
+@pytest.fixture
+def minimal_model_calls(monkeypatch):
+    from szpirolab import reduction
+
+    return _count_calls(monkeypatch, reduction, "minimal_model")
+
+
+@pytest.fixture
+def compute_invariants_calls(monkeypatch):
+    from szpirolab import weierstrass
+
+    return _count_calls(monkeypatch, weierstrass, "compute_invariants")
 
 
 class TestSingleMinimalModel:
@@ -168,3 +179,14 @@ class TestSingleMinimalModel:
     def test_one_build_per_exceeds(self, minimal_model_calls):
         exceeds(WeierstrassModel(0, -1, -1, 0, 0), SzpiroExponent(3, 1))
         assert len(minimal_model_calls) == 1
+
+
+class TestOneSetOfInvariants:
+    def test_at_most_two_per_instance(self, compute_invariants_calls):
+        # One on the family model in minimal_model and one certifying the
+        # model rebuilt from (c4, c6); validation builds no model at all.
+        for name in FAMILIES:
+            params = _first_instance(name).params
+            compute_invariants_calls.clear()
+            check_instance(validate_params(name, *params))
+            assert len(compute_invariants_calls) <= 2, name

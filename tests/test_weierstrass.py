@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from szpirolab import weierstrass
+from szpirolab.poly import Poly
 from szpirolab.families import FAMILIES, ValidationError, build_model, validate_params
 from szpirolab.sweeps import iter_param_tuples
 from szpirolab.weierstrass import (
@@ -89,6 +90,19 @@ class TestInvariants:
         inv = compute_invariants(WeierstrassModel(*coeffs))
         assert inv.c4**3 - inv.c6**2 == 1728 * inv.delta
         assert inv.b2 * inv.b6 - inv.b4**2 == 4 * inv.b8
+
+    def test_identities_checked_explicitly(self):
+        # Float coefficients round, so the exact identities fail; that raises
+        # CertificateError, which python -O does not strip.
+        with pytest.raises(CertificateError, match="1728"):
+            compute_invariants(WeierstrassModel(0.1, 0.2, 0.3, 0.4, 0.5))
+        with pytest.raises(CertificateError, match="4\\*b8"):
+            compute_invariants(WeierstrassModel(0, 0.1, 1, 0, 0.3))
+
+    def test_poly_coefficients_accepted(self):
+        X = Poly([0, 1])
+        inv = compute_invariants(WeierstrassModel(0, 0, 1, X, 0))  # y^2 + y = x^3 + Xx
+        assert inv.delta == Poly([-27, 0, 0, -64])
 
     def test_identity_bulk(self):
         rng = random.Random(5150)
@@ -265,6 +279,86 @@ class TestTwoTorsion:
         assert [P.x for P in pts[1:]] == sorted(P.x for P in pts[1:])
 
 
+def reference_two_torsion(m):
+    """Fraction reference: the candidates of the rational root theorem for
+    the 2-division cubic of m with denominators cleared, each point checked
+    with is_on_curve."""
+    inv = compute_invariants(m)
+    if inv.delta == 0:
+        raise SingularModelError("singular")
+    coeffs = [Fraction(c) for c in (4, inv.b2, 2 * inv.b4, inv.b6)]
+    D = math.lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * D) for c in coeffs]
+    while ints[-1] == 0:  # x = 0 is a root; divide it out
+        ints.pop()
+    xs = {Fraction(0)} if len(ints) < 4 else set()
+    lead, last = abs(ints[0]), abs(ints[-1])
+    for q in (q for q in range(1, lead + 1) if lead % q == 0):
+        for p in (p for p in range(1, last + 1) if last % p == 0):
+            for x in (Fraction(p, q), Fraction(-p, q)):
+                if sum(c * x ** (3 - i) for i, c in enumerate(coeffs)) == 0:
+                    xs.add(x)
+    points = [INFINITY]
+    for x in sorted(xs):
+        y = -(m.a1 * x + m.a3) / 2
+        pt = AffinePoint(x, int(y) if y.denominator == 1 else y)
+        assert is_on_curve(m, pt)
+        points.append(pt)
+    return points
+
+
+def rational(rng, span, den):
+    return Fraction(rng.randrange(-span, span + 1), rng.randrange(1, den + 1))
+
+
+class TestTwoTorsionReference:
+    """full_two_torsion (integer roots, integer certificate) against the
+    Fraction reference, value and type, singular models included."""
+
+    def _check(self, m):
+        try:
+            expected = reference_two_torsion(m)
+        except SingularModelError:
+            with pytest.raises(SingularModelError):
+                full_two_torsion(m)
+            return None
+        got = full_two_torsion(m)
+        assert got == expected, m
+        assert [type(P.y) for P in got[1:]] == [type(P.y) for P in expected[1:]], m
+        return len(got)
+
+    def test_singular_models(self):
+        for m in (
+            WeierstrassModel(0, 0, 0, 0, 0),  # cusp at the origin
+            WeierstrassModel(0, 1, 0, 0, 0),  # node at the origin
+            WeierstrassModel(0, -3, 0, 3, -1),  # cusp at x = 1
+            # node at x = -1/4
+            WeierstrassModel(0, Fraction(1, 2), 0, Fraction(1, 16), 0),
+            WeierstrassModel(0, 0, 2, 0, -1),  # (y + 1)^2 = x^3
+        ):
+            with pytest.raises(SingularModelError):
+                full_two_torsion(m)
+
+    def test_random_models(self):
+        rng = random.Random(2024)
+        sizes = set()
+        for _ in range(400):
+            if rng.random() < 0.5:
+                # (x - r1)(x - r2)(x - r3), repeated roots allowed, moved by a
+                # random isomorphism so that a1, a3 and denominators appear
+                r1, r2, r3 = (rational(rng, 6, 3) for _ in range(3))
+                base = WeierstrassModel(
+                    0, -(r1 + r2 + r3), 0, r1 * r2 + r1 * r3 + r2 * r3, -r1 * r2 * r3
+                )
+                u = Fraction(rng.randrange(1, 4), rng.randrange(1, 4))
+                iso = Isomorphism(u, *(rational(rng, 4, 2) for _ in range(3)))
+                m = transform(base, iso)
+            else:
+                m = WeierstrassModel(*(rng.randrange(-9, 10) for _ in range(5)))
+            sizes.add(self._check(m))
+        assert sizes == {None, 1, 2, 4}
+
+
 class TestIntegralModel:
     def test_integral_input_unchanged(self):
         assert integral_model(CURVE_11A1) == (CURVE_11A1, 1)
@@ -376,9 +470,9 @@ class TestExactDiv:
 
 class TestTwoTorsionCheck:
     def test_off_curve_root_raises(self, monkeypatch):
-        monkeypatch.setattr(
-            weierstrass, "_rational_roots_cubic", lambda *c: [Fraction(5)]
-        )
+        # x = 5/1 is no root of either 2-division cubic, so its point is off
+        # the integral model.
+        monkeypatch.setattr(weierstrass, "_rational_roots_cubic", lambda *c: [(5, 1)])
         with pytest.raises(CertificateError, match="not on"):
             full_two_torsion(WeierstrassModel(0, 0, 0, -1, 0))
         with pytest.raises(CertificateError, match="not on"):
