@@ -72,9 +72,7 @@ from szpirolab.sharpness import (
     verify_sharp_consistency,
 )
 from szpirolab.sweeps import (
-    SweepConfig,
     check_instance,
-    run_config,
     run_sweep,
 )
 

@@ -24,7 +24,6 @@ from szpirolab.poly import Poly, X
 from szpirolab.reduction import analyze
 from szpirolab.weierstrass import (
     CertificateError,
-    SingularModelError,
     WeierstrassModel,
     compute_invariants,
 )
@@ -74,9 +73,7 @@ def szpiro_exponent(name: str) -> SzpiroExponent:
 
 
 def _analyze_for_ratio(model: WeierstrassModel):
-    if compute_invariants(model).delta == 0:
-        raise SingularModelError("Szpiro ratio undefined for singular model")
-    ca = analyze(model)
+    ca = analyze(model)  # a singular model raises SingularModelError here
     if ca.conductor <= 1:
         raise ValueError("conductor 1 cannot occur over Q; ratio undefined")
     return ca
@@ -442,7 +439,6 @@ def verify_height_bound(delta: int, height: int, exp: SzpiroExponent) -> bool:
 
     The minimal model is the family model scaled by u, so the right-hand
     side is the minimal model's height; the check is |delta|^p < height^q.
-    For C3_0, delta is 27 a^2.
     """
     return abs(delta) ** exp.p < height**exp.q
 

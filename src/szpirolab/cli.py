@@ -175,19 +175,18 @@ def cmd_family(args) -> int:
         _emit(out)
         return 0 if rep.ok else CHECK_FAILED
 
+    names = list(families.FAMILIES) if args.T == "all" else [args.T]
+    checks = tuple(args.checks.split(","))
     try:
-        config = sweeps.SweepConfig(
-            family=args.T,
-            bound=args.max,
-            c30_bound=args.c30_max,
-            checks=tuple(args.checks.split(",")),
-            jobs=args.jobs,
-        )
+        sweeps.check_sweep_args(args.max, args.c30_max, args.jobs, checks)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     failed = False
-    for summary in sweeps.run_config(config):
+    for name in names:
+        summary = sweeps.run_sweep(
+            name, args.max, jobs=args.jobs, c30_bound=args.c30_max, checks=checks
+        )
         _emit({
             "family": summary.family,
             "bound": summary.bound,
@@ -219,14 +218,14 @@ def _phi_u_keys(name: str, u_arg: str):
 
 
 def cmd_phi(args) -> int:
+    if args.jobs < 1:
+        print("error: worker count must be >= 1", file=sys.stderr)
+        return USAGE_ERROR
     names = (
         [n for n in families.FAMILIES if n != "C3_0"]
         if args.T == "all"
         else [args.T]
     )
-    if "C3_0" in names:
-        print("error: C3_0 has no phi branch", file=sys.stderr)
-        return USAGE_ERROR
     failed = False
     for name in names:
         try:
@@ -257,7 +256,11 @@ def cmd_phi(args) -> int:
 
 def cmd_sharp(args) -> int:
     names = list(sharpness.SHARP_FAMILIES) if args.T == "all" else [args.T]
-    stream = open(args.out, "w") if args.out else sys.stdout
+    try:
+        stream = open(args.out, "w") if args.out else sys.stdout
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     writer = None
     failed = False
     try:

@@ -14,6 +14,7 @@ involved anywhere.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -154,11 +155,16 @@ def _m_C2xC8(a, b):
 
 # ---------------------------------------------------------------------------
 # Base conductor-bound polynomials delta_T.  Argument orders:
-#   C2, C2xC2: (a, b, d);  C3: (c, d, e, b);  C4: (c, d, b);  else (a, b).
+#   C2, C2xC2: (a, b, d);  C3: (c, d, e, b);  C4: (c, d, b);  C3_0: (a,);
+#   else (a, b).
 
 
 def _d_C2(a, b, d):
     return b * b * d * (b * b * d - a * a)
+
+
+def _d_C3_0(a):
+    return 27 * a * a
 
 
 def _d_C3(c, d, e, b):
@@ -252,80 +258,52 @@ class FamilyId:
     l: Fraction  # sharp lower bound on the Szpiro ratio
     point_order: int  # exact order of (0,0) on the family model
     has_full_two_torsion: bool
-    allowed_u: tuple  # ints, or symbolic "c2d" / ("c", "2c")
-    delta_scales: dict  # u key -> exact rational multiplier for delta_T
+    # admissible u key -> exact rational multiplier for delta_T; the keys
+    # are ints, or symbolic "c2d" (C3) / "c", "2c" (C4)
+    delta_scales: dict
+    model: Callable  # model arguments -> (a1, a2, a3, a4, a6)
+    delta: Callable  # delta arguments -> delta_T
 
     def __str__(self):
         return self.name
 
 
-def _fam(name, arity, m, l, order, full2, allowed_u, scales):
-    return FamilyId(
-        name, arity, m, Fraction(l), order, full2, allowed_u, scales
-    )
+def _fam(name, arity, m, l, order, full2, scales, model, delta):
+    return FamilyId(name, arity, m, Fraction(l), order, full2, scales, model, delta)
 
 
 FAMILIES: dict[str, FamilyId] = {
     f.name: f
     for f in (
-        _fam("C2", 3, 6, Fraction(3, 2), 2, False, (1, 2, 4),
-             {1: Fraction(256), 2: Fraction(4), 4: Fraction(1, 64)}),
-        _fam("C3", 2, 12, 2, 3, False, ("c2d",), {"c2d": Fraction(1)}),
-        _fam("C3_0", 1, None, 2, 3, False, (1,), {1: Fraction(1)}),
-        _fam("C4", 2, 12, Fraction(12, 5), 4, False, ("c", "2c"),
-             {"c": Fraction(2), "2c": Fraction(1, 16)}),
-        _fam("C5", 2, 12, 3, 5, False, (1,), {1: Fraction(1)}),
-        _fam("C6", 2, 12, 3, 6, False, (1, 2), {1: Fraction(1), 2: Fraction(1, 8)}),
-        _fam("C7", 2, 24, 4, 7, False, (1,), {1: Fraction(1)}),
-        _fam("C8", 2, 24, 4, 8, False, (1, 2), {1: Fraction(1), 2: Fraction(1, 8)}),
-        _fam("C9", 2, 36, Fraction(9, 2), 9, False, (1,), {1: Fraction(1)}),
-        _fam("C10", 2, 36, Fraction(9, 2), 10, False, (1, 2),
-             {1: Fraction(1), 2: Fraction(1, 4)}),
-        _fam("C12", 2, 48, Fraction(24, 5), 12, False, (1, 2),
-             {1: Fraction(1), 2: Fraction(1, 8)}),
-        _fam("C2xC2", 3, 6, 2, 2, True, (1, 2), {1: Fraction(64), 2: Fraction(1)}),
-        _fam("C2xC4", 2, 12, 3, 4, True, (1, 2, 4),
-             {1: Fraction(8), 2: Fraction(1, 2), 4: Fraction(1, 32)}),
-        _fam("C2xC6", 2, 24, 4, 6, True, (1, 4, 16),
-             {1: Fraction(1), 4: Fraction(1, 8), 16: Fraction(1, 512)}),
-        _fam("C2xC8", 2, 48, Fraction(24, 5), 8, True, (1, 16, 64),
-             {1: Fraction(2), 16: Fraction(1, 128), 64: Fraction(1, 4096)}),
+        _fam("C2", 3, 6, Fraction(3, 2), 2, False,
+             {1: Fraction(256), 2: Fraction(4), 4: Fraction(1, 64)}, _m_C2, _d_C2),
+        _fam("C3", 2, 12, 2, 3, False, {"c2d": Fraction(1)}, _m_C3, _d_C3),
+        _fam("C3_0", 1, None, 2, 3, False, {1: Fraction(1)}, _m_C3_0, _d_C3_0),
+        _fam("C4", 2, 12, Fraction(12, 5), 4, False,
+             {"c": Fraction(2), "2c": Fraction(1, 16)}, _m_C4, _d_C4),
+        _fam("C5", 2, 12, 3, 5, False, {1: Fraction(1)}, _m_C5, _d_C5),
+        _fam("C6", 2, 12, 3, 6, False, {1: Fraction(1), 2: Fraction(1, 8)},
+             _m_C6, _d_C6),
+        _fam("C7", 2, 24, 4, 7, False, {1: Fraction(1)}, _m_C7, _d_C7),
+        _fam("C8", 2, 24, 4, 8, False, {1: Fraction(1), 2: Fraction(1, 8)},
+             _m_C8, _d_C8),
+        _fam("C9", 2, 36, Fraction(9, 2), 9, False, {1: Fraction(1)}, _m_C9, _d_C9),
+        _fam("C10", 2, 36, Fraction(9, 2), 10, False,
+             {1: Fraction(1), 2: Fraction(1, 4)}, _m_C10, _d_C10),
+        _fam("C12", 2, 48, Fraction(24, 5), 12, False,
+             {1: Fraction(1), 2: Fraction(1, 8)}, _m_C12, _d_C12),
+        _fam("C2xC2", 3, 6, 2, 2, True, {1: Fraction(64), 2: Fraction(1)},
+             _m_C2xC2, _d_C2xC2),
+        _fam("C2xC4", 2, 12, 3, 4, True,
+             {1: Fraction(8), 2: Fraction(1, 2), 4: Fraction(1, 32)},
+             _m_C2xC4, _d_C2xC4),
+        _fam("C2xC6", 2, 24, 4, 6, True,
+             {1: Fraction(1), 4: Fraction(1, 8), 16: Fraction(1, 512)},
+             _m_C2xC6, _d_C2xC6),
+        _fam("C2xC8", 2, 48, Fraction(24, 5), 8, True,
+             {1: Fraction(2), 16: Fraction(1, 128), 64: Fraction(1, 4096)},
+             _m_C2xC8, _d_C2xC8),
     )
-}
-
-_MODEL_BUILDERS = {
-    "C2": _m_C2,
-    "C3": _m_C3,
-    "C3_0": _m_C3_0,
-    "C4": _m_C4,
-    "C5": _m_C5,
-    "C6": _m_C6,
-    "C7": _m_C7,
-    "C8": _m_C8,
-    "C9": _m_C9,
-    "C10": _m_C10,
-    "C12": _m_C12,
-    "C2xC2": _m_C2xC2,
-    "C2xC4": _m_C2xC4,
-    "C2xC6": _m_C2xC6,
-    "C2xC8": _m_C2xC8,
-}
-
-_DELTA_BUILDERS = {
-    "C2": _d_C2,
-    "C3": _d_C3,
-    "C4": _d_C4,
-    "C5": _d_C5,
-    "C6": _d_C6,
-    "C7": _d_C7,
-    "C8": _d_C8,
-    "C9": _d_C9,
-    "C10": _d_C10,
-    "C12": _d_C12,
-    "C2xC2": _d_C2xC2,
-    "C2xC4": _d_C2xC4,
-    "C2xC6": _d_C2xC6,
-    "C2xC8": _d_C2xC8,
 }
 
 
@@ -341,12 +319,12 @@ def family(name: str) -> FamilyId:
 def model_coefficients(name: str, args) -> tuple:
     """Raw family-model coefficients (a1, a2, a3, a4, a6) at the given
     *model* arguments: (a, b [, d]), unvalidated, any exact ring."""
-    return _MODEL_BUILDERS[name](*args)
+    return FAMILIES[name].model(*args)
 
 
 def delta_base(name: str, args) -> object:
     """The base conductor-bound polynomial at full delta arguments."""
-    return _DELTA_BUILDERS[name](*args)
+    return FAMILIES[name].delta(*args)
 
 
 def decompose_a(name: str, a: int):
@@ -449,9 +427,8 @@ def validate_params(name: str, *params: int) -> FamilyInstance:
     instance = FamilyInstance(fam, tuple(params), decomposition)
     # Once the conditions above hold, delta_base vanishes exactly where the
     # family discriminant does (for C3 the discriminant has one more factor,
-    # c >= 1 of a = c^3 d^2 e); C3_0, with discriminant -27 a^4, is
-    # nonsingular for every a > 0.
-    if name != "C3_0" and delta_base(name, instance.delta_args) == 0:
+    # c >= 1 of a = c^3 d^2 e).
+    if delta_base(name, instance.delta_args) == 0:
         raise ValidationError("parameters give a singular curve (discriminant zero)")
     return instance
 
@@ -461,7 +438,7 @@ def build_model(instance: FamilyInstance) -> WeierstrassModel:
 
 
 def _u_key(instance: FamilyInstance, u: int):
-    """Map a concrete scaling u to its slot in the family's allowed set,
+    """Map a concrete scaling u to its key in the family's delta_scales,
     or None if u is not admissible."""
     name = instance.family.name
     if name == "C3":
@@ -474,7 +451,7 @@ def _u_key(instance: FamilyInstance, u: int):
         if u == 2 * c:
             return "2c"
         return None
-    return u if u in instance.family.allowed_u else None
+    return u if u in instance.family.delta_scales else None
 
 
 def recover_uT(instance: FamilyInstance, mm: MinimalModelResult | None = None) -> int:
@@ -490,7 +467,7 @@ def recover_uT(instance: FamilyInstance, mm: MinimalModelResult | None = None) -
     if _u_key(instance, u) is None:
         raise PaperContractViolation(
             f"recovered u = {u} for {instance} lies outside the allowed set "
-            f"{instance.family.allowed_u}"
+            f"{tuple(instance.family.delta_scales)}"
         )
     return u
 

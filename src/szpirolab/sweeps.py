@@ -22,6 +22,7 @@ from szpirolab.families import (
     ValidationError,
     build_model,
     delta_eval,
+    family,
     recover_uT,
     validate_params,
 )
@@ -36,12 +37,11 @@ from szpirolab.weierstrass import (
 __all__ = [
     "ALL_CHECKS",
     "InstanceReport",
-    "SweepConfig",
     "SweepSummary",
     "check_instance",
+    "check_sweep_args",
     "default_jobs",
     "iter_param_tuples",
-    "run_config",
     "run_sweep",
 ]
 
@@ -62,29 +62,20 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """A batch-verification request: which families, how far, how wide."""
+def _reject_unknown_checks(checks) -> None:
+    unknown = set(checks) - set(ALL_CHECKS)
+    if unknown:
+        raise ValueError(f"unknown checks: {sorted(unknown)}")
 
-    family: str = "all"  # a family name or "all"
-    bound: int = 30
-    c30_bound: int = 100
-    checks: tuple[str, ...] = ALL_CHECKS
-    jobs: int = 1
 
-    def __post_init__(self):
-        if self.bound < 1 or self.c30_bound < 1:
-            raise ValueError("parameter bounds must be positive")
-        if self.jobs < 1:
-            raise ValueError("worker count must be >= 1")
-        unknown = set(self.checks) - set(ALL_CHECKS)
-        if unknown:
-            raise ValueError(f"unknown checks: {sorted(unknown)}")
-
-    def family_names(self) -> list[str]:
-        from szpirolab.families import FAMILIES
-
-        return list(FAMILIES) if self.family == "all" else [self.family]
+def check_sweep_args(bound: int, c30_bound: int | None, jobs: int, checks) -> None:
+    """Raise ValueError on a bound or worker count below 1 or an unknown
+    check name; run_sweep calls it before it checks any instance."""
+    if bound < 1 or (c30_bound is not None and c30_bound < 1):
+        raise ValueError("parameter bounds must be positive")
+    if jobs < 1:
+        raise ValueError("worker count must be >= 1")
+    _reject_unknown_checks(checks)
 
 
 @dataclass(frozen=True)
@@ -112,7 +103,9 @@ def check_instance(instance: FamilyInstance, checks=ALL_CHECKS) -> InstanceRepor
     the minimal model.
     "torsion": the expected order of (0, 0), plus full rational 2-torsion
     where the torsion structure demands it.
+    An unknown check name raises ValueError.
     """
+    _reject_unknown_checks(checks)
     findings: list[str] = []
     name = instance.family.name
     fam = instance.family
@@ -123,24 +116,17 @@ def check_instance(instance: FamilyInstance, checks=ALL_CHECKS) -> InstanceRepor
     # delta stays None where delta_{T,u} is not needed or has no value; in
     # the latter case a finding already reports the instance
     delta = None
-    if name == "C3_0":
-        u = mm.scaling_u
-        a = instance.params[0]
-        delta = 27 * a * a
-        if u != 1:
-            findings.append(f"{instance}: expected already-minimal model, got u={u}")
-    else:
-        on_table = True
+    on_table = True
+    try:
+        u = recover_uT(instance, mm)
+    except PaperContractViolation as exc:
+        findings.append(str(exc))
+        u, on_table = mm.scaling_u, False
+    if "bounds" in checks or ("height" in checks and on_table):
         try:
-            u = recover_uT(instance, mm)
-        except PaperContractViolation as exc:
-            findings.append(str(exc))
-            u, on_table = mm.scaling_u, False
-        if "bounds" in checks or ("height" in checks and on_table):
-            try:
-                delta = abs(delta_eval(instance, u))
-            except (ValueError, PaperContractViolation) as exc:
-                findings.append(f"{instance}: {exc}")
+            delta = abs(delta_eval(instance, u))
+        except (ValueError, PaperContractViolation) as exc:
+            findings.append(f"{instance}: {exc}")
     bound = delta if "bounds" in checks and delta is not None else 0
 
     for d in ca.local:
@@ -279,8 +265,12 @@ def run_sweep(
     """Verify every valid instance in the box; returns aggregate findings.
 
     c30_bound overrides the box for the cubefree one-parameter family when
-    sweeping "all" with a deeper range there.
+    sweeping "all" with a deeper range there.  An unknown family and the
+    arguments check_sweep_args rejects raise ValueError before any
+    instance is checked.
     """
+    family(name)
+    check_sweep_args(bound, c30_bound, jobs, checks)
     if name == "C3_0" and c30_bound is not None:
         bound_used = c30_bound
     else:
@@ -302,17 +292,3 @@ def run_sweep(
     max_sigma = max((p[2] for p in parts if p[0]), default=-math.inf)
     min_sigma = min((p[3] for p in parts if p[0]), default=math.inf)
     return SweepSummary(name, bound_used, checked, tuple(findings), max_sigma, min_sigma)
-
-
-def run_config(config: SweepConfig) -> list[SweepSummary]:
-    """Run the sweep described by a config, one summary per family."""
-    return [
-        run_sweep(
-            name,
-            config.bound,
-            jobs=config.jobs,
-            c30_bound=config.c30_bound,
-            checks=config.checks,
-        )
-        for name in config.family_names()
-    ]

@@ -159,6 +159,13 @@ class TestPhi:
         assert code == 2
         assert "not admissible" in err
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_2(self, jobs, capsys):
+        code, out, err = run_cli(
+            ["phi", "--T", "C5", "--den", "8", "--range", "3", "--jobs", jobs], capsys
+        )
+        assert (code, out, err) == (2, "", "error: worker count must be >= 1\n")
+
 
 class TestSharp:
     def test_scan_json(self, capsys):
@@ -202,6 +209,15 @@ class TestSharp:
         text = out_path.read_text().splitlines()
         assert text[0].startswith("T,n,model,height,f")
         assert len(text) > 1
+
+    def test_unwritable_out_exit_2(self, tmp_path, capsys):
+        out_path = tmp_path / "missing" / "series.csv"
+        code, out, err = run_cli(
+            ["sharp", "--T", "C2", "--nmax", "120", "--out", str(out_path)], capsys
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and str(out_path) in err
+        assert "Traceback" not in err
 
     def test_nmax_guard(self, capsys):
         with pytest.raises(SystemExit) as exc:

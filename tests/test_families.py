@@ -222,7 +222,7 @@ class TestURecovery:
             if name in ("C3", "C4", "C3_0"):
                 continue
             for inst in random_instances(name, rng, 10):
-                assert recover_uT(inst) in fam.allowed_u
+                assert recover_uT(inst) in fam.delta_scales
 
 
 class TestDeltaEval:

@@ -1,24 +1,34 @@
-"""Sweep engine: enumeration, per-instance reports, config plumbing."""
+"""Sweep engine: enumeration, per-instance reports, argument checks."""
 
 import dataclasses
+import inspect
+import json
 import math
 import sys
 from fractions import Fraction
 
 import pytest
 
-from szpirolab.bounds import SzpiroExponent, exceeds
-from szpirolab.families import FAMILIES, ValidationError, validate_params
+from szpirolab.bounds import SzpiroExponent, exceeds, szpiro_ratio
+from szpirolab.cli import build_parser, main
+from szpirolab.families import (
+    FAMILIES,
+    ValidationError,
+    build_model,
+    delta_eval,
+    recover_uT,
+    validate_params,
+)
+from szpirolab.intarith import is_cubefree
+from szpirolab.reduction import analyze
 from szpirolab.sweeps import (
     ALL_CHECKS,
-    SweepConfig,
     check_instance,
     default_jobs,
     iter_param_tuples,
-    run_config,
     run_sweep,
 )
-from szpirolab.weierstrass import WeierstrassModel
+from szpirolab.weierstrass import SingularModelError, WeierstrassModel
 
 
 def _first_instance(name):
@@ -74,7 +84,7 @@ class TestCheckInstance:
     def test_u_outside_set_reported_not_raised(self, monkeypatch):
         # With u = 1 barred, delta_{C5,u} has no branch for the recovered u;
         # the height check must step aside and leave the u-set finding.
-        fam = dataclasses.replace(FAMILIES["C5"], allowed_u=(2,))
+        fam = dataclasses.replace(FAMILIES["C5"], delta_scales={2: Fraction(1)})
         monkeypatch.setitem(FAMILIES, "C5", fam)
         inst = validate_params("C5", 1, 1)
         rep = check_instance(inst)
@@ -110,24 +120,120 @@ class TestRunSweep:
         assert s.checked == sum(1 for a in range(1, 21) if is_cubefree(a))
 
 
-class TestSweepConfig:
-    def test_defaults(self):
-        config = SweepConfig()
-        assert config.checks == ALL_CHECKS
-        assert "C5" in config.family_names() and len(config.family_names()) == 15
+def _c3_0_deleted_branch(instance, checks):
+    """Test-only copy of the C3_0 branch check_instance used to have: u read
+    off the minimal model, delta = 27 a^2 without delta_eval, and a finding
+    when the family model is not already minimal.  Returns the u, the
+    conductor bound and the findings it contributed."""
+    u = analyze(build_model(instance)).mm.scaling_u
+    a = instance.params[0]
+    findings = []
+    if u != 1:
+        findings.append(f"{instance}: expected already-minimal model, got u={u}")
+    return u, 27 * a * a if "bounds" in checks else 0, tuple(findings)
 
-    def test_single_family(self):
-        config = SweepConfig(family="C7", bound=4, jobs=1)
-        (summary,) = run_config(config)
+
+class TestC30GeneralPath:
+    """C3_0 runs through recover_uT and delta_eval like every other family.
+    a is cubefree, so v_p(27 a^4) <= 11 < 12 at every p and u = 1."""
+
+    def test_matches_deleted_branch(self):
+        checked = 0
+        for a in range(1, 3001):
+            if not is_cubefree(a):
+                continue
+            inst = validate_params("C3_0", a)
+            assert recover_uT(inst) == 1, a
+            assert delta_eval(inst, 1) == 27 * a * a, a
+            rep = check_instance(inst)
+            assert (rep.u, rep.delta_bound, rep.findings) == _c3_0_deleted_branch(
+                inst, ALL_CHECKS
+            ), a
+            checked += 1
+        assert checked == 2496
+
+    def test_checks_subsets_match_deleted_branch(self):
+        for checks in (("bounds",), ("height",), ("torsion",), ("height", "torsion")):
+            for a in (1, 2, 12, 98):
+                inst = validate_params("C3_0", a)
+                rep = check_instance(inst, checks)
+                assert (rep.u, rep.delta_bound, rep.findings) == _c3_0_deleted_branch(
+                    inst, checks
+                ), (a, checks)
+
+
+class TestCheckNames:
+    def test_typo_in_sweep_raises(self):
+        # A misspelt "bounds" used to switch the conductor checks off, and
+        # the C2xC6 refutation then read as a clean sweep.
+        with pytest.raises(ValueError, match=r"unknown checks: \['bound'\]"):
+            run_sweep("C2xC6", 6, checks=("bound",))
+        assert len(run_sweep("C2xC6", 6).findings) == 25
+
+    def test_typo_in_check_instance_raises(self):
+        inst = validate_params("C2xC6", 1, 2)
+        with pytest.raises(ValueError, match="unknown checks"):
+            check_instance(inst, checks=("bound",))
+        with pytest.raises(ValueError, match="unknown checks"):
+            check_instance(inst, checks="bounds")
+
+    def test_unknown_family_raises(self):
+        # Every tuple used to fail validation, and the sweep read as clean.
+        with pytest.raises(ValidationError, match="unknown family 'C2x6'"):
+            run_sweep("C2x6", 5)
+
+
+def _verify_cli(argv, capsys):
+    code = main(["family", "verify", *argv])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestSweepArguments:
+    """The argument checks run_sweep and `family verify` share."""
+
+    def test_defaults(self, capsys):
+        assert inspect.signature(run_sweep).parameters["checks"].default == ALL_CHECKS
+        args = build_parser().parse_args(["family", "verify"])
+        assert tuple(args.checks.split(",")) == ALL_CHECKS and args.T == "all"
+        _, out, _ = _verify_cli(["--max", "1", "--c30-max", "1", "--jobs", "1"], capsys)
+        lines = [json.loads(line) for line in out.splitlines()]
+        names = [line["family"] for line in lines if "bound" in line]
+        assert "C5" in names and len(names) == 15
+        assert names == list(FAMILIES)
+
+    def test_single_family(self, capsys):
+        summary = run_sweep("C7", 4, jobs=1)
         assert summary.family == "C7" and summary.ok
+        code, out, _ = _verify_cli(["--T", "C7", "--max", "4", "--jobs", "1"], capsys)
+        (line,) = out.splitlines()
+        assert code == 0 and json.loads(line)["family"] == "C7"
 
     def test_validation(self):
         with pytest.raises(ValueError, match="positive"):
-            SweepConfig(bound=0)
+            run_sweep("C5", 0)
+        with pytest.raises(ValueError, match="positive"):
+            run_sweep("C5", 3, c30_bound=0)
         with pytest.raises(ValueError, match="worker"):
-            SweepConfig(jobs=0)
+            run_sweep("C5", 3, jobs=0)
         with pytest.raises(ValueError, match="unknown checks"):
-            SweepConfig(checks=("bounds", "phi"))
+            run_sweep("C5", 3, checks=("bounds", "phi"))
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--max", "0"], "parameter bounds must be positive"),
+            (["--c30-max", "0"], "parameter bounds must be positive"),
+            (["--T", "C5", "--c30-max", "0"], "parameter bounds must be positive"),
+            (["--max", "0", "--jobs", "0"], "parameter bounds must be positive"),
+            (["--jobs", "0"], "worker count must be >= 1"),
+            (["--checks", "foo"], "unknown checks: ['foo']"),
+            (["--checks", "bounds,phi"], "unknown checks: ['phi']"),
+        ],
+    )
+    def test_cli_usage_error_before_output(self, argv, message, capsys):
+        code, out, err = _verify_cli(argv, capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 class TestDefaultJobs:
@@ -190,3 +296,17 @@ class TestOneSetOfInvariants:
             compute_invariants_calls.clear()
             check_instance(validate_params(name, *params))
             assert len(compute_invariants_calls) <= 2, name
+
+    def test_two_per_ratio(self, compute_invariants_calls):
+        # minimal_model's own invariants decide singularity; no pre-check.
+        curve = WeierstrassModel(0, -1, -1, 0, 0)
+        assert exceeds(curve, SzpiroExponent(3, 1))
+        assert len(compute_invariants_calls) == 2
+        compute_invariants_calls.clear()
+        szpiro_ratio(curve)
+        assert len(compute_invariants_calls) == 2
+
+    def test_singular_model_still_rejected(self):
+        for call in (szpiro_ratio, lambda m: exceeds(m, SzpiroExponent(3, 1))):
+            with pytest.raises(SingularModelError, match="singular model"):
+                call(WeierstrassModel(0, 0, 0, 0, 0))
