@@ -17,8 +17,10 @@ from szpirolab.families import (
     FAMILIES,
     FamilyId,
     FamilyInstance,
+    build_model,
+    decompose_a,
     delta_base,
-    model_coefficients,
+    u_value,
 )
 from szpirolab.poly import Poly, X
 from szpirolab.reduction import analyze
@@ -101,33 +103,19 @@ def exceeds(model: WeierstrassModel, bound: SzpiroExponent) -> bool:
 # homogeneity identities.
 
 
-def _pattern_args(name: str, x):
-    if name == "C2":
-        return (1, 1, x)
-    if name == "C3":
-        return (1, 1, 1, x)
-    if name == "C4":
-        return (1, 1, x)
-    if name == "C2xC2":
-        return (1, x, 1)
-    return (1, x)
+def _pattern(fam: FamilyId, x) -> FamilyInstance:
+    """Every parameter 1 except x (d for C2, b otherwise); a family with
+    symbolic u keys gets the all-ones decomposition of a = 1."""
+    params = (1, 1, x) if fam.name == "C2" else (1, x, 1)[: fam.arity]
+    symbolic = any(isinstance(key, str) for key in fam.delta_scales)
+    return FamilyInstance(fam, params, decompose_a(fam.name, 1) if symbolic else None)
 
 
-def _full_to_model_args(name: str, full):
-    if name == "C3":
-        c, d, e, b = full
-        return (c**3 * d * d * e, b)
-    if name == "C4":
-        c, d, b = full
-        return (c * c * d, b)
-    return full
-
-
-def _alpha_beta_at(name: str, full):
-    """c4 and c6 of the family model at full (delta-order) arguments."""
-    margs = _full_to_model_args(name, full)
-    inv = compute_invariants(WeierstrassModel(*model_coefficients(name, margs)))
-    return inv.c4, inv.c6
+def _forms_at(instance: FamilyInstance):
+    """(alpha, beta, delta_base): c4 and c6 of the family model, and the
+    base conductor-bound polynomial, at the instance."""
+    inv = compute_invariants(build_model(instance))
+    return inv.c4, inv.c6, delta_base(instance.family.name, instance.delta_args)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +127,7 @@ class PhiSpec:
     """One (family, u) branch of the height-vs-bound gap function."""
 
     family: FamilyId
-    u_key: object  # int, or "c"/"2c" for C4, "c2d" for C3
+    u_key: object  # a key of family.delta_scales
     prefactor: Fraction
     exponent: SzpiroExponent
 
@@ -154,12 +142,7 @@ def phi_spec(name: str, u_key) -> PhiSpec:
         raise ValueError("C3_0 has no phi branch; its bound is checked directly")
     if u_key not in fam.delta_scales:
         raise ValueError(f"u = {u_key} is not admissible for {name}")
-    if name == "C3":
-        pre = Fraction(1)  # at (1,1,1,x) the scaling c^2 d is 1
-    elif name == "C4":
-        pre = Fraction(1) if u_key == "c" else Fraction(1, 2**12)
-    else:
-        pre = Fraction(1, int(u_key) ** 12)
+    pre = Fraction(1, u_value(u_key, _pattern(fam, 1).decomposition) ** 12)
     return PhiSpec(fam, u_key, pre, szpiro_exponent(name))
 
 
@@ -234,12 +217,11 @@ def _phi_polys(name: str, den: int) -> tuple[Poly, Poly, Poly]:
             Poly([c * den ** (poly.degree - i) for i, c in enumerate(poly.coeffs)])
             for poly in _phi_polys(name, 1)
         )
-    full = _pattern_args(name, X)
-    alpha, beta = _alpha_beta_at(name, full)
+    alpha, beta, dbase = _forms_at(_pattern(FAMILIES[name], X))
     return (
         _integral(alpha, "alpha", name),
         _integral(beta, "beta", name),
-        _integral(delta_base(name, full), "delta_base", name),
+        _integral(dbase, "delta_base", name),
     )
 
 
@@ -380,30 +362,16 @@ def _homogeneity_data(instance: FamilyInstance):
     if name == "C2":
         a, b, d = instance.params
         x = Fraction(b * b * d, a * a)
-        base = Fraction(a)
-        dbase = Fraction(a)
+        base = dbase = Fraction(a)
     elif name == "C2xC2":
         a, b, d = instance.params
         x = Fraction(b, a)
-        base = Fraction(a * d)
-        dbase = Fraction(a * d)
-    elif name == "C3":
-        c, d, e, b = instance.delta_args
-        a = c**3 * d * d * e
-        x = Fraction(b, a)
-        base = Fraction(a)
-        dbase = Fraction(c * d * e)
-    elif name == "C4":
-        c, d, b = instance.delta_args
-        a = c * c * d
-        x = Fraction(b, a)
-        base = Fraction(a)
-        dbase = Fraction(c * d)
+        base = dbase = Fraction(a * d)
     else:
         a, b = instance.params
         x = Fraction(b, a)
         base = Fraction(a)
-        dbase = Fraction(a)
+        dbase = Fraction(math.prod(instance.decomposition or (a,)))
     m_over_l = Fraction(m) / l
     if m_over_l.denominator != 1:
         raise CertificateError(
@@ -415,22 +383,17 @@ def _homogeneity_data(instance: FamilyInstance):
 
 def homogeneity_check(instance: FamilyInstance) -> bool:
     """Verify all three scaling identities exactly in rational arithmetic."""
-    name = instance.family.name
-    if name == "C3_0":
+    if instance.family.name == "C3_0":
         raise ValueError("C3_0 carries no homogeneity identities")
     if instance.params[0] == 0:
         raise ValueError("leading parameter must be nonzero")
     x, s_alpha, s_beta, s_delta = _homogeneity_data(instance)
-    full_sub = _pattern_args(name, x)
-    alpha_sub, beta_sub = _alpha_beta_at(name, full_sub)
-    delta_sub = Fraction(delta_base(name, full_sub))
-
-    alpha, beta = _alpha_beta_at(name, instance.delta_args)
-    delta_val = Fraction(delta_base(name, instance.delta_args))
+    alpha_sub, beta_sub, delta_sub = _forms_at(_pattern(instance.family, x))
+    alpha, beta, delta_val = _forms_at(instance)
     return (
         Fraction(alpha) == s_alpha * alpha_sub
         and Fraction(beta) == s_beta * beta_sub
-        and delta_val == s_delta * delta_sub
+        and Fraction(delta_val) == s_delta * delta_sub
     )
 
 

@@ -205,7 +205,8 @@ def _phi_u_keys(name: str, u_arg: str):
     fam = families.FAMILIES[name]
     if u_arg == "all":
         return list(fam.delta_scales)
-    if u_arg in ("c", "2c", "c2d"):
+    keys = (k for f in families.FAMILIES.values() for k in f.delta_scales)
+    if u_arg in {k for k in keys if isinstance(k, str)}:
         key = u_arg
     else:
         try:

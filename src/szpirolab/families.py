@@ -34,6 +34,7 @@ __all__ = [
     "model_coefficients",
     "delta_base",
     "recover_uT",
+    "u_value",
     "validate_params",
 ]
 
@@ -259,7 +260,7 @@ class FamilyId:
     point_order: int  # exact order of (0,0) on the family model
     has_full_two_torsion: bool
     # admissible u key -> exact rational multiplier for delta_T; the keys
-    # are ints, or symbolic "c2d" (C3) / "c", "2c" (C4)
+    # are ints, or symbolic ones that u_value resolves
     delta_scales: dict
     model: Callable  # model arguments -> (a1, a2, a3, a4, a6)
     delta: Callable  # delta arguments -> delta_T
@@ -355,7 +356,11 @@ def decompose_a(name: str, a: int):
 
 @dataclass(frozen=True)
 class FamilyInstance:
-    """A validated parameter tuple for one family."""
+    """A validated parameter tuple for one family.
+
+    bounds also builds unvalidated pattern instances, whose parameters may
+    be rationals or a polynomial indeterminate.
+    """
 
     family: FamilyId
     params: tuple[int, ...]
@@ -437,21 +442,23 @@ def build_model(instance: FamilyInstance) -> WeierstrassModel:
     return WeierstrassModel(*model_coefficients(instance.family.name, instance.params))
 
 
+def u_value(key, decomposition) -> int:
+    """The scaling u a delta_scales key stands for: an int key is u itself;
+    "c2d" is c^2 d (C3, a = c^3 d^2 e), "c" and "2c" are c and 2c (C4,
+    a = c^2 d), read from the instance's decomposition."""
+    if isinstance(key, int):
+        return key
+    c, d = decomposition[:2]
+    return {"c2d": c * c * d, "c": c, "2c": 2 * c}[key]
+
+
 def _u_key(instance: FamilyInstance, u: int):
     """Map a concrete scaling u to its key in the family's delta_scales,
     or None if u is not admissible."""
-    name = instance.family.name
-    if name == "C3":
-        c, d, _ = instance.decomposition
-        return "c2d" if u == c * c * d else None
-    if name == "C4":
-        c, _ = instance.decomposition
-        if u == c:
-            return "c"
-        if u == 2 * c:
-            return "2c"
-        return None
-    return u if u in instance.family.delta_scales else None
+    for key in instance.family.delta_scales:
+        if u_value(key, instance.decomposition) == u:
+            return key
+    return None
 
 
 def recover_uT(instance: FamilyInstance, mm: MinimalModelResult | None = None) -> int:

@@ -28,7 +28,7 @@ __all__ = [
 # same witnesses give a strong probable-prime answer.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
-DEFAULT_TRIAL_BOUND = 10_000
+_TRIAL_BOUND = 10_000
 _RHO_ATTEMPTS = 24
 _RHO_MAX_ITER = 1 << 22
 
@@ -214,10 +214,10 @@ def _factor_hard(n: int, out: dict[int, int], stuck: list[int]) -> None:
     _factor_hard(n // d, out, stuck)
 
 
-def _factorize_uncached(n: int, trial_bound: int) -> Factorization:
+def _factorize_uncached(n: int) -> Factorization:
     m = n
     out: dict[int, int] = {}
-    for p in small_primes(trial_bound):
+    for p in small_primes(_TRIAL_BOUND):
         if p * p > m:
             break
         if m % p == 0:
@@ -227,7 +227,7 @@ def _factorize_uncached(n: int, trial_bound: int) -> Factorization:
                 e += 1
             out[p] = e
     if m > 1:
-        if m <= trial_bound * trial_bound:
+        if m <= _TRIAL_BOUND * _TRIAL_BOUND:
             out[m] = out.get(m, 0) + 1  # survived trial division below sqrt: prime
         else:
             stuck: list[int] = []
@@ -238,12 +238,10 @@ def _factorize_uncached(n: int, trial_bound: int) -> Factorization:
     return Factorization(tuple(sorted(out.items())))
 
 
-@lru_cache(maxsize=200_000)
-def _factorize_default(n: int) -> Factorization:
-    return _factorize_uncached(n, DEFAULT_TRIAL_BOUND)
+_factorize_default = lru_cache(maxsize=200_000)(_factorize_uncached)
 
 
-def factorize(n: int, trial_bound: int = DEFAULT_TRIAL_BOUND) -> Factorization:
+def factorize(n: int) -> Factorization:
     """Complete factorization of |n|, n != 0.
 
     Raises FactorBudgetError (with partial data) if a cofactor survives
@@ -254,9 +252,7 @@ def factorize(n: int, trial_bound: int = DEFAULT_TRIAL_BOUND) -> Factorization:
     n = abs(n)
     if n == 1:
         return Factorization(())
-    if trial_bound == DEFAULT_TRIAL_BOUND:
-        return _factorize_default(n)
-    return _factorize_uncached(n, trial_bound)
+    return _factorize_default(n)
 
 
 def radical(n: int) -> int:

@@ -17,7 +17,7 @@ from szpirolab.families import model_coefficients
 from szpirolab.intarith import FactorBudgetError, is_squarefree, radical
 from szpirolab.poly import Poly
 from szpirolab.reduction import analyze, height_of_minimal, minimal_model
-from szpirolab.weierstrass import WeierstrassModel, compute_invariants
+from szpirolab.weierstrass import WeierstrassModel
 
 __all__ = [
     "SHARP_FAMILIES",
@@ -196,18 +196,20 @@ SHARP_FAMILIES: dict[str, SharpFamilySpec] = {
 
 
 def build_FT(T: str, n: int) -> WeierstrassModel:
-    """The n-th member of the sharpness sequence for T."""
+    """The n-th member of the sharpness sequence for T.
+
+    disc(F_T(n)) and f(n) have the same radical as polynomials in n, so the
+    model is singular exactly where f(n) = 0.
+    """
     spec = SHARP_FAMILIES[T]
-    if T == "C1":
-        m = WeierstrassModel(0, 0, 1, 3 * n + 1, 0)
-    else:
-        args = [Poly(spec.A)(n), Poly(spec.B)(n)]
-        if spec.D is not None:
-            args.append(Poly(spec.D)(n))
-        m = WeierstrassModel(*model_coefficients(T, tuple(args)))
-    if compute_invariants(m).delta == 0:
+    if spec.f_value(n) == 0:
         raise ValueError(f"F_{T}({n}) is degenerate (discriminant zero)")
-    return m
+    if T == "C1":
+        return WeierstrassModel(0, 0, 1, 3 * n + 1, 0)
+    args = [Poly(spec.A)(n), Poly(spec.B)(n)]
+    if spec.D is not None:
+        args.append(Poly(spec.D)(n))
+    return WeierstrassModel(*model_coefficients(T, tuple(args)))
 
 
 def sharp_polynomials(T: str, n: int) -> tuple[int, int]:
@@ -374,7 +376,6 @@ def convergence_scan(
     n_max: int,
     n_min: int = 2,
     samples: int | None = None,
-    skip_budget_errors: bool = True,
 ) -> ConvergenceScan:
     """Ratio records along the squarefree set, plus the 1/log fit.
 
@@ -402,10 +403,8 @@ def convergence_scan(
             model = build_FT(T, n)
             H = height_of_minimal(minimal_model(model))
         except FactorBudgetError:
-            if skip_budget_errors:
-                budget_skipped.append(n)
-                continue
-            raise
+            budget_skipped.append(n)
+            continue
         f = spec.f_value(n)
         sigma = math.log(H) / math.log(abs(f))
         if not H**exp.q > abs(f) ** exp.p:

@@ -29,9 +29,11 @@ from szpirolab.families import (
     build_model,
     delta_base,
     delta_eval,
+    model_coefficients,
     recover_uT,
     validate_params,
 )
+from szpirolab.poly import X
 from szpirolab.reduction import analyze, height_of_minimal, minimal_model
 from szpirolab.sharpness import build_FT
 from szpirolab.sweeps import check_instance, iter_param_tuples
@@ -226,10 +228,8 @@ def _fraction_phi_eval(spec, x):
     """Reference: phi at x from a Fraction model and its invariants, with no
     polynomial cache and no cleared denominators."""
     x = Fraction(x)
-    name = spec.family.name
-    full = bounds._pattern_args(name, x)
-    alpha, beta = bounds._alpha_beta_at(name, full)
-    delta_u = spec.family.delta_scales[spec.u_key] * Fraction(delta_base(name, full))
+    alpha, beta, dbase = bounds._forms_at(bounds._pattern(spec.family, x))
+    delta_u = spec.family.delta_scales[spec.u_key] * Fraction(dbase)
     big = spec.prefactor * max(abs(Fraction(alpha)) ** 3, Fraction(beta) ** 2)
     p, q = spec.exponent.p, spec.exponent.q
     lhs_pow = big**q
@@ -300,6 +300,34 @@ class TestIntegerPhiEval:
             bounds._phi_polys.cache_clear()
 
 
+def _table_forms(name, x):
+    """Test-only reference: alpha, beta and delta_base along the pattern
+    from explicit per-family argument tables (delta order, then the model
+    arguments a = c^3 d^2 e for C3 and a = c^2 d for C4)."""
+    full = {"C2": (1, 1, x), "C3": (1, 1, 1, x), "C4": (1, 1, x), "C2xC2": (1, x, 1)}
+    full = full.get(name, (1, x))
+    if name == "C3":
+        c, d, e, b = full
+        margs = (c**3 * d * d * e, b)
+    elif name == "C4":
+        c, d, b = full
+        margs = (c * c * d, b)
+    else:
+        margs = full
+    inv = compute_invariants(WeierstrassModel(*model_coefficients(name, margs)))
+    return inv.c4, inv.c6, delta_base(name, full)
+
+
+class TestPattern:
+    def test_forms_match_argument_tables(self):
+        names = [name for name in FAMILIES if name != "C3_0"]
+        assert len(names) == 14
+        for name in names:
+            for x in (X, 0, Fraction(-3, 2), 7):
+                got = bounds._forms_at(bounds._pattern(FAMILIES[name], x))
+                assert got == _table_forms(name, x), (name, x)
+
+
 class TestHomogeneity:
     def test_spec_examples(self):
         assert homogeneity_check(validate_params("C5", 2, 3))
@@ -311,10 +339,10 @@ class TestHomogeneity:
 
     def test_alpha_scaling_explicitly(self):
         # alpha(2,3) = 2^4 alpha(1, 3/2) for the weight-12 family with 5-torsion
-        from szpirolab.bounds import _alpha_beta_at
+        from szpirolab.bounds import _forms_at, _pattern
 
-        a24, _ = _alpha_beta_at("C5", (2, 3))
-        a_sub, _ = _alpha_beta_at("C5", (1, Fraction(3, 2)))
+        a24, _, _ = _forms_at(validate_params("C5", 2, 3))
+        a_sub, _, _ = _forms_at(_pattern(FAMILIES["C5"], Fraction(3, 2)))
         assert Fraction(a24) == 16 * a_sub
 
     def test_c3_0_has_none(self):

@@ -159,6 +159,14 @@ class TestPhi:
         assert code == 2
         assert "not admissible" in err
 
+    @pytest.mark.parametrize(
+        "u, message",
+        [("c", "u = c is not admissible for C5"), ("abc", "bad u value 'abc'")],
+    )
+    def test_bad_symbolic_u_exit_2(self, u, message, capsys):
+        code, out, err = run_cli(["phi", "--T", "C5", "--u", u], capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_exit_2(self, jobs, capsys):
         code, out, err = run_cli(

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from szpirolab import families
 from szpirolab.families import (
     FAMILIES,
     PaperContractViolation,
@@ -16,11 +17,12 @@ from szpirolab.families import (
     delta_eval,
     model_coefficients,
     recover_uT,
+    u_value,
     validate_params,
 )
 from szpirolab.intarith import factorize, is_squarefree, p_adic_valuation
 from szpirolab.reduction import analyze, minimal_model
-from szpirolab.sweeps import check_instance
+from szpirolab.sweeps import check_instance, iter_param_tuples
 from szpirolab.weierstrass import (
     AffinePoint,
     WeierstrassModel,
@@ -223,6 +225,36 @@ class TestURecovery:
                 continue
             for inst in random_instances(name, rng, 10):
                 assert recover_uT(inst) in fam.delta_scales
+
+
+class TestUKeys:
+    def test_symbolic_values(self):
+        # C3: a = 24 = 2^3 * 3, so c = 2, d = 1, e = 3; C4: a = 12 = 2^2 * 3
+        assert u_value("c2d", validate_params("C3", 24, 5).decomposition) == 4
+        assert u_value("c", (2, 3)) == 2
+        assert u_value("2c", (2, 3)) == 4
+        assert u_value(16, None) == 16
+
+    def test_keys_round_trip_on_box(self):
+        # Every key resolves to a u that maps back to that key, and no
+        # other u is admissible, on every valid instance of the box.
+        checked = 0
+        for name, fam in FAMILIES.items():
+            for params in iter_param_tuples(name, 8):
+                try:
+                    inst = validate_params(name, *params)
+                except ValidationError:
+                    continue
+                admissible = set()
+                for key in fam.delta_scales:
+                    u = u_value(key, inst.decomposition)
+                    assert families._u_key(inst, u) == key, (inst, key)
+                    admissible.add(u)
+                for u in range(-1, max(admissible) + 2):
+                    if u not in admissible:
+                        assert families._u_key(inst, u) is None, (inst, u)
+                checked += 1
+        assert checked > 3000
 
 
 class TestDeltaEval:

@@ -195,7 +195,7 @@ class TestFactorize:
         hard = (10**17 + 3) * (10**17 + 13)  # both prime
         n = 12 * hard
         with pytest.raises(FactorBudgetError) as exc:
-            intarith._factorize_uncached(n, 10_000)
+            intarith._factorize_uncached(n)
         assert exc.value.cofactor == hard
         assert exc.value.partial.pairs == ((2, 2), (3, 1))
 

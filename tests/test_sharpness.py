@@ -1,9 +1,14 @@
 """Sharpness sequences: table data, cross-validation, sieving, convergence."""
 
+import math
+import sys
 from fractions import Fraction
 
 import pytest
 
+from szpirolab import weierstrass
+from szpirolab.families import model_coefficients
+from szpirolab.poly import Poly
 from szpirolab.reduction import analyze, conductor, height_of_minimal, minimal_model
 from szpirolab.sharpness import (
     SHARP_FAMILIES,
@@ -52,6 +57,26 @@ class TestBuild:
     def test_degenerate_flagged(self):
         with pytest.raises(ValueError, match="degenerate"):
             build_FT("C3", 0)
+
+    def test_discriminant_radical_is_f_radical(self):
+        # build_FT rejects the n with f(n) = 0; that is exact because the
+        # model discriminant and f have the same radical as polynomials in n.
+        sympy = pytest.importorskip("sympy")
+        n = sympy.Symbol("n")
+
+        def radical(p):
+            poly = sympy.Poly(list(reversed(p.coeffs)), n, domain="QQ")
+            return poly.sqf_part().monic()
+
+        for T, spec in SHARP_FAMILIES.items():
+            if spec.A is None:
+                coeffs = (0, 0, 1, Poly((1, 3)), 0)
+            else:
+                args = tuple(Poly(c) for c in (spec.A, spec.B, spec.D) if c is not None)
+                coeffs = model_coefficients(T, args)
+            disc = compute_invariants(WeierstrassModel(*coeffs)).delta
+            f = math.prod((Poly(c) for c in spec.f_factors), start=Poly((1,)))
+            assert radical(disc) == radical(f), T
 
     def test_torsion_point_carried_by_every_member(self):
         from szpirolab.families import FAMILIES
@@ -193,6 +218,23 @@ class TestConvergence:
     def test_nmax_guard(self):
         with pytest.raises(ValueError):
             convergence_scan("C2", 5)
+
+    def test_two_invariant_builds_per_record(self, monkeypatch):
+        # Only minimal_model builds invariants: for the model and for its
+        # certificate.  build_FT decides degeneracy from f(n) alone.
+        real = weierstrass.compute_invariants
+        calls = []
+
+        def counted(model):
+            calls.append(model)
+            return real(model)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("szpirolab") and vars(module).get("compute_invariants") is real:
+                monkeypatch.setattr(module, "compute_invariants", counted)
+        scan = convergence_scan("C5", 10000, samples=20)
+        assert len(scan.records) == 11
+        assert len(calls) == 22
 
     def test_samples_guard(self):
         for samples in (1, 0, -3):

@@ -21,3 +21,17 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name}: assert on line(s) {lines}"
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "families.py"], ids=lambda path: path.name
+)
+def test_symbolic_u_keys_only_in_families(path):
+    # What a symbolic u key means is decided by families.u_value alone.
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value in ("c2d", "2c")
+    ]
+    assert lines == [], f"{path.name}: symbolic u key on line(s) {lines}"
