@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 
 from szpirolab.families import (
     FAMILIES,
@@ -299,6 +300,8 @@ def phi_scan(
     """
     if denominator < 1:
         raise ValueError("denominator must be >= 1")
+    if jobs < 1:
+        raise ValueError("worker count must be >= 1")
     x_range = Fraction(x_range)
     if x_range < 0:
         raise ValueError("x_range must be >= 0")
@@ -308,17 +311,16 @@ def phi_scan(
     if jobs > 1 and total > 256:
         from concurrent.futures import ProcessPoolExecutor
 
-        bounds_list = []
         step = -(-total // jobs)
-        start = k_lo
-        while start < k_hi:
-            bounds_list.append((start, min(start + step, k_hi)))
-            start += step
+        starts = range(k_lo, k_hi, step)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = list(
                 pool.map(
-                    _scan_chunk_star,
-                    [(spec, denominator, lo, hi) for lo, hi in bounds_list],
+                    _scan_chunk,
+                    repeat(spec),
+                    repeat(denominator),
+                    starts,
+                    [min(lo + step, k_hi) for lo in starts],
                 )
             )
     else:
@@ -343,10 +345,6 @@ def phi_scan(
         best[1],
         best[2],
     )
-
-
-def _scan_chunk_star(args):
-    return _scan_chunk(*args)
 
 
 # ---------------------------------------------------------------------------

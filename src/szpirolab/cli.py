@@ -30,13 +30,20 @@ USAGE_ERROR = 2
 CHECK_FAILED = 1
 
 
+class UsageError(Exception):
+    """Rejected command-line input; main reports it with exit code 2."""
+
+
 def _parse_model(text: str) -> WeierstrassModel:
     parts = text.split(",")
     if len(parts) != 5:
-        raise ValueError("--model expects five comma-separated coefficients")
+        raise UsageError("--model expects five comma-separated coefficients")
     coeffs = []
     for part in parts:
-        frac = Fraction(part.strip())
+        try:
+            frac = Fraction(part.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise UsageError(exc) from exc
         coeffs.append(int(frac) if frac.denominator == 1 else frac)
     return WeierstrassModel(*coeffs)
 
@@ -45,9 +52,7 @@ def _s(x) -> str | int | float:
     """JSON-safe rendering: big ints as decimal strings."""
     if isinstance(x, bool) or x is None:
         return x
-    if isinstance(x, int):
-        return str(x)
-    if isinstance(x, Fraction):
+    if isinstance(x, (int, Fraction)):
         return str(x)
     return x
 
@@ -63,11 +68,7 @@ def _model_json(m: WeierstrassModel):
 
 
 def cmd_curve(args) -> int:
-    try:
-        model = _parse_model(args.model)
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    model = _parse_model(args.model)
     inv = compute_invariants(model)
     if args.action == "invariants":
         out = {
@@ -80,8 +81,7 @@ def cmd_curve(args) -> int:
         _emit(out)
         return 0
     if inv.delta == 0:
-        print("error: singular model (discriminant zero)", file=sys.stderr)
-        return CHECK_FAILED
+        raise SingularModelError("singular model (discriminant zero)")
     integral, L = integral_model(model)
     if args.action == "minimal":
         mm = reduction.minimal_model(integral)
@@ -147,16 +147,10 @@ def _family_params(args) -> list[int]:
 def cmd_family(args) -> int:
     if args.action == "build":
         if args.T == "all":
-            print("error: family build requires a concrete --T", file=sys.stderr)
-            return USAGE_ERROR
+            raise UsageError("family build requires a concrete --T")
         if args.a is None:
-            print("error: family build requires --a", file=sys.stderr)
-            return USAGE_ERROR
-        try:
-            inst = families.validate_params(args.T, *_family_params(args))
-        except families.ValidationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return USAGE_ERROR
+            raise UsageError("family build requires --a")
+        inst = families.validate_params(args.T, *_family_params(args))
         rep = sweeps.check_instance(inst)
         out = {
             "family": inst.family.name,
@@ -180,8 +174,7 @@ def cmd_family(args) -> int:
     try:
         sweeps.check_sweep_args(args.max, args.c30_max, args.jobs, checks)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError(exc) from exc
     failed = False
     for name in names:
         summary = sweeps.run_sweep(
@@ -212,16 +205,15 @@ def _phi_u_keys(name: str, u_arg: str):
         try:
             key = int(u_arg)
         except ValueError:
-            raise ValueError(f"bad u value {u_arg!r}")
+            raise UsageError(f"bad u value {u_arg!r}") from None
     if key not in fam.delta_scales:
-        raise ValueError(f"u = {u_arg} is not admissible for {name}")
+        raise UsageError(f"u = {u_arg} is not admissible for {name}")
     return [key]
 
 
 def cmd_phi(args) -> int:
     if args.jobs < 1:
-        print("error: worker count must be >= 1", file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError("worker count must be >= 1")
     names = (
         [n for n in families.FAMILIES if n != "C3_0"]
         if args.T == "all"
@@ -229,12 +221,7 @@ def cmd_phi(args) -> int:
     )
     failed = False
     for name in names:
-        try:
-            keys = _phi_u_keys(name, args.u)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return USAGE_ERROR
-        for key in keys:
+        for key in _phi_u_keys(name, args.u):
             spec = bounds.phi_spec(name, key)
             res = bounds.phi_scan(spec, args.den, args.range, jobs=args.jobs)
             dom = bounds.leading_dominance(spec)
@@ -260,8 +247,7 @@ def cmd_sharp(args) -> int:
     try:
         stream = open(args.out, "w") if args.out else sys.stdout
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError(exc) from exc
     writer = None
     failed = False
     try:
@@ -291,8 +277,7 @@ def cmd_sharp(args) -> int:
                     writer.writerow(row)
             else:
                 for row in rows:
-                    json.dump(row, stream, separators=(", ", ": "))
-                    stream.write("\n")
+                    _emit(row, stream)
             summary = {
                 "T": name,
                 "sieve_hits": scan.sieve_hits,
@@ -305,9 +290,7 @@ def cmd_sharp(args) -> int:
                 summary["budget_skipped_n"] = list(scan.budget_skipped)
             if scan.warning:
                 summary["warning"] = scan.warning
-            json.dump(summary, stream if args.format != "csv" else sys.stdout,
-                      separators=(", ", ": "))
-            (stream if args.format != "csv" else sys.stdout).write("\n")
+            _emit(summary, stream if args.format != "csv" else sys.stdout)
             if not scan.strictly_above:
                 failed = True
     finally:
@@ -382,15 +365,12 @@ def main(argv=None) -> int:
         parser.error("--den must be >= 1")
     try:
         return args.func(args)
-    except SingularModelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return CHECK_FAILED
     except FactorBudgetError as exc:
         print(f"error: {exc} (partial: {exc.partial.pairs})", file=sys.stderr)
         return CHECK_FAILED
-    except families.ValidationError as exc:
+    except (SingularModelError, UsageError, families.ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return CHECK_FAILED if isinstance(exc, SingularModelError) else USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -9,9 +9,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ["Poly", "X"]
+__all__ = ["Poly", "X", "evaluate"]
 
 Scalar = (int, Fraction)
+
+
+def evaluate(coeffs, x):
+    """The polynomial with coefficients coeffs (low to high) at x, by Horner."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 class Poly:
@@ -96,10 +104,7 @@ class Poly:
         return result
 
     def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return evaluate(self.coeffs, x)
 
     def __repr__(self):
         return f"Poly({list(self.coeffs)})"

@@ -87,22 +87,13 @@ def _model_from_c4c6(c4: int, c6: int) -> tuple[WeierstrassModel, ModelInvariant
     b2 = (-c6) % 12
     if b2 > 6:
         b2 -= 12
-    b4, rem = divmod(b2 * b2 - c4, 24)
-    if rem:
-        raise ValueError(f"no integral model with c4={c4}, c6={c6}")
-    b6, rem = divmod(-b2**3 + 36 * b2 * b4 - c6, 216)
-    if rem:
-        raise ValueError(f"no integral model with c4={c4}, c6={c6}")
-    a1 = b2 % 2
-    a2, rem = divmod(b2 - a1, 4)
-    if rem:
-        raise ValueError(f"no integral model with c4={c4}, c6={c6}")
-    a3 = b6 % 2
-    a4, rem = divmod(b4 - a1 * a3, 2)
-    if rem:
-        raise ValueError(f"no integral model with c4={c4}, c6={c6}")
-    a6, rem = divmod(b6 - a3, 4)
-    if rem:
+    b4, r1 = divmod(b2 * b2 - c4, 24)
+    b6, r2 = divmod(-b2**3 + 36 * b2 * b4 - c6, 216)
+    a1, a3 = b2 % 2, b6 % 2
+    a2, r3 = divmod(b2 - a1, 4)
+    a4, r4 = divmod(b4 - a1 * a3, 2)
+    a6, r5 = divmod(b6 - a3, 4)
+    if r1 or r2 or r3 or r4 or r5:
         raise ValueError(f"no integral model with c4={c4}, c6={c6}")
     m = WeierstrassModel(a1, a2, a3, a4, a6)
     inv = compute_invariants(m)

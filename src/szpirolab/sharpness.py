@@ -15,7 +15,7 @@ from fractions import Fraction
 from szpirolab.bounds import szpiro_exponent
 from szpirolab.families import model_coefficients
 from szpirolab.intarith import FactorBudgetError, is_squarefree, radical
-from szpirolab.poly import Poly
+from szpirolab.poly import evaluate
 from szpirolab.reduction import analyze, height_of_minimal, minimal_model
 from szpirolab.weierstrass import WeierstrassModel
 
@@ -51,19 +51,13 @@ class SharpFamilySpec:
         return abs(32 * n) if self.w_const is None else self.w_const
 
     def height_value(self, n: int) -> int:
-        out = 1
-        for coeffs, e in self.height_factors:
-            out *= abs(Poly(coeffs)(n)) ** e
-        return out
+        return math.prod(abs(evaluate(c, n)) ** e for c, e in self.height_factors)
 
     def f_value(self, n: int) -> int:
-        out = 1
-        for coeffs in self.f_factors:
-            out *= Poly(coeffs)(n)
-        return out
+        return math.prod(self.f_factor_values(n))
 
     def f_factor_values(self, n: int) -> list[int]:
-        return [Poly(coeffs)(n) for coeffs in self.f_factors]
+        return [evaluate(coeffs, n) for coeffs in self.f_factors]
 
     @property
     def height_degree(self) -> int:
@@ -206,10 +200,8 @@ def build_FT(T: str, n: int) -> WeierstrassModel:
         raise ValueError(f"F_{T}({n}) is degenerate (discriminant zero)")
     if T == "C1":
         return WeierstrassModel(0, 0, 1, 3 * n + 1, 0)
-    args = [Poly(spec.A)(n), Poly(spec.B)(n)]
-    if spec.D is not None:
-        args.append(Poly(spec.D)(n))
-    return WeierstrassModel(*model_coefficients(T, tuple(args)))
+    args = tuple(evaluate(c, n) for c in (spec.A, spec.B, spec.D) if c is not None)
+    return WeierstrassModel(*model_coefficients(T, args))
 
 
 def sharp_polynomials(T: str, n: int) -> tuple[int, int]:
@@ -290,14 +282,13 @@ def verify_sharp_consistency(T: str, n: int) -> ConsistencyReport:
     return ConsistencyReport(T, n, w_expected, tuple(findings))
 
 
-def _f_is_squarefree(spec: SharpFamilySpec, n: int) -> bool:
-    """Squarefree test of f(n) through its factored form.
+def _f_is_squarefree(values: list[int]) -> bool:
+    """Squarefree test of f(n) through its factor values at n.
 
     The product is squarefree iff the factor values are pairwise coprime
     and each is individually squarefree; factoring the small pieces avoids
     ever factoring the full product.
     """
-    values = spec.f_factor_values(n)
     if any(v == 0 for v in values):
         return False
     for i in range(len(values)):
@@ -397,15 +388,16 @@ def convergence_scan(
     strictly_above = True
     budget_skipped: list[int] = []
     for n in _sample_values(max(n_min, 2), n_max, samples):
+        values = spec.f_factor_values(n)
         try:
-            if not _f_is_squarefree(spec, n):
+            if not _f_is_squarefree(values):
                 continue
             model = build_FT(T, n)
             H = height_of_minimal(minimal_model(model))
         except FactorBudgetError:
             budget_skipped.append(n)
             continue
-        f = spec.f_value(n)
+        f = math.prod(values)
         sigma = math.log(H) / math.log(abs(f))
         if not H**exp.q > abs(f) ** exp.p:
             strictly_above = False

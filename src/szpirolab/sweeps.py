@@ -14,6 +14,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 from szpirolab.bounds import szpiro_exponent, verify_height_bound
 from szpirolab.families import (
@@ -26,7 +27,7 @@ from szpirolab.families import (
     recover_uT,
     validate_params,
 )
-from szpirolab.intarith import is_squarefree
+from szpirolab.intarith import is_squarefree, p_adic_valuation
 from szpirolab.reduction import analyze
 from szpirolab.weierstrass import (
     AffinePoint,
@@ -137,14 +138,8 @@ def check_instance(instance: FamilyInstance, checks=ALL_CHECKS) -> InstanceRepor
         if fp > cap:
             findings.append(f"{instance}: f_{p} = {fp} exceeds cap {cap}")
         if bound and bound % p ** fp != 0:
-            vd = 0
-            b = bound
-            while b % p == 0:
-                b //= p
-                vd += 1
-            findings.append(
-                f"{instance}: v_{p}(N) = {fp} > v_{p}(delta) = {vd}"
-            )
+            vd = p_adic_valuation(bound, p)
+            findings.append(f"{instance}: v_{p}(N) = {fp} > v_{p}(delta) = {vd}")
 
     if bound and N > bound:
         findings.append(f"{instance}: conductor {N} > bound {bound}")
@@ -251,10 +246,6 @@ def _check_chunk(name: str, chunk: list[tuple[int, ...]], checks=ALL_CHECKS):
     return checked, findings, max_sigma, min_sigma
 
 
-def _check_chunk_star(args):
-    return _check_chunk(*args)
-
-
 def run_sweep(
     name: str,
     bound: int,
@@ -282,9 +273,7 @@ def run_sweep(
         step = -(-len(tuples) // (jobs * 8))
         chunks = [tuples[i : i + step] for i in range(0, len(tuples), step)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(
-                pool.map(_check_chunk_star, [(name, c, checks) for c in chunks])
-            )
+            parts = list(pool.map(_check_chunk, repeat(name), chunks, repeat(checks)))
     checked = sum(p[0] for p in parts)
     findings: list[str] = []
     for p in parts:

@@ -193,6 +193,9 @@ class TestPhi:
             phi_scan(spec, 16, Fraction(-1, 32))
         with pytest.raises(ValueError, match="denominator"):
             phi_scan(spec, 0, 1)
+        for jobs in (0, -3):
+            with pytest.raises(ValueError, match="worker count must be >= 1"):
+                phi_scan(spec, 16, 1, jobs=jobs)
         assert phi_scan(spec, 16, 0).points == 1
 
     def test_c2xc4_minimum_shrinks_with_refinement(self):

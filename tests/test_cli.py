@@ -251,6 +251,25 @@ def test_usage_error_exit_2(argv, message, capsys):
     assert message in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["family", "build", "--T", "all", "--a", "1"],
+         (2, "", "error: family build requires a concrete --T\n")),
+        (["family", "build", "--T", "C5"],
+         (2, "", "error: family build requires --a\n")),
+        (["curve", "ratio", "--model", "a,2,3,4,5"],
+         (2, "", "error: Invalid literal for Fraction: 'a'\n")),
+        (["curve", "ratio", "--model", "1/0,2,3,4,5"],
+         (2, "", "error: Fraction(1, 0)\n")),
+        (["curve", "minimal", "--model", "0,0,0,0,0"],
+         (1, "", "error: singular model (discriminant zero)\n")),
+    ],
+)
+def test_error_exit_pinned(argv, expected, capsys):
+    assert run_cli(argv, capsys) == expected
+
+
 class TestOptimizedParity:
     """No result may rest on an assert: python -O strips them, so the same
     commands must print the same output and exit with the same codes."""

@@ -236,6 +236,21 @@ class TestConvergence:
         assert len(scan.records) == 11
         assert len(calls) == 22
 
+    def test_stored_polynomials_not_rebuilt_per_record(self, monkeypatch):
+        # The coefficient tuples are evaluated in place: building a Poly per
+        # term cost 148 of them for these 11 records.
+        real = Poly.__init__
+        built = []
+
+        def counted(self, coeffs):
+            built.append(coeffs)
+            real(self, coeffs)
+
+        monkeypatch.setattr(Poly, "__init__", counted)
+        scan = convergence_scan("C5", 10000, samples=20)
+        assert len(scan.records) == 11
+        assert len(built) <= 10
+
     def test_samples_guard(self):
         for samples in (1, 0, -3):
             with pytest.raises(ValueError, match="samples"):

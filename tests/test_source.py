@@ -35,3 +35,28 @@ def test_symbolic_u_keys_only_in_families(path):
         if isinstance(node, ast.Constant) and node.value in ("c2d", "2c")
     ]
     assert lines == [], f"{path.name}: symbolic u key on line(s) {lines}"
+
+
+def test_cli_exit_code_2_decided_in_main():
+    # Input errors raise; main alone turns them into a message and exit 2.
+    path = next(p for p in SOURCES if p.name == "cli.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    (main,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main"]
+    in_main = {id(node) for node in ast.walk(main)}
+    outside = [node for node in ast.walk(tree) if id(node) not in in_main]
+    reads = [
+        node.lineno
+        for node in outside
+        if isinstance(node, ast.Name)
+        and node.id == "USAGE_ERROR"
+        and isinstance(node.ctx, ast.Load)
+    ]
+    catches = [
+        node.lineno
+        for node in outside
+        if isinstance(node, ast.ExceptHandler)
+        and node.type is not None
+        and "ValidationError" in ast.unparse(node.type)
+    ]
+    assert reads == [], f"cli.py: USAGE_ERROR read outside main on line(s) {reads}"
+    assert catches == [], f"cli.py: ValidationError caught outside main on line(s) {catches}"
