@@ -52,8 +52,8 @@ from szpirolab.families import (
     validate_params,
 )
 from szpirolab.bounds import (
+    PHI_FAMILIES,
     PhiSpec,
-    SzpiroExponent,
     exceeds,
     homogeneity_check,
     phi_eval,

@@ -20,7 +20,6 @@ from szpirolab.families import (
     FamilyInstance,
     build_model,
     decompose_a,
-    delta_base,
     u_value,
 )
 from szpirolab.poly import Poly, X
@@ -32,10 +31,10 @@ from szpirolab.weierstrass import (
 )
 
 __all__ = [
+    "PHI_FAMILIES",
     "PhiScanResult",
     "PhiSpec",
     "PhiValue",
-    "SzpiroExponent",
     "all_phi_specs",
     "exceeds",
     "homogeneity_check",
@@ -49,30 +48,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SzpiroExponent:
-    """The sharp ratio bound l = p/q in lowest terms."""
-
-    p: int
-    q: int
-
-    @classmethod
-    def from_fraction(cls, l: Fraction) -> "SzpiroExponent":
-        return cls(l.numerator, l.denominator)
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.p, self.q)
-
-    def __str__(self):
-        return f"{self.p}/{self.q}"
-
-
-def szpiro_exponent(name: str) -> SzpiroExponent:
-    """The lower-bound exponent for a torsion structure ("C1" for trivial)."""
-    if name == "C1":
-        return SzpiroExponent(1, 1)
-    return SzpiroExponent.from_fraction(FAMILIES[name].l)
+def szpiro_exponent(name: str) -> Fraction:
+    """The sharp ratio bound l for a torsion structure ("C1" for trivial)."""
+    return Fraction(1) if name == "C1" else FAMILIES[name].l
 
 
 def _analyze_for_ratio(model: WeierstrassModel):
@@ -92,10 +70,10 @@ def szpiro_ratio(model: WeierstrassModel) -> float:
     return math.log(ca.height) / math.log(ca.conductor)
 
 
-def exceeds(model: WeierstrassModel, bound: SzpiroExponent) -> bool:
+def exceeds(model: WeierstrassModel, bound: Fraction) -> bool:
     """Exact test of szpiro_ratio(model) > p/q, as height^q > N^p."""
     ca = _analyze_for_ratio(model)
-    return ca.height**bound.q > ca.conductor**bound.p
+    return ca.height**bound.denominator > ca.conductor**bound.numerator
 
 
 # ---------------------------------------------------------------------------
@@ -113,14 +91,17 @@ def _pattern(fam: FamilyId, x) -> FamilyInstance:
 
 
 def _forms_at(instance: FamilyInstance):
-    """(alpha, beta, delta_base): c4 and c6 of the family model, and the
+    """(alpha, beta, delta_T): c4 and c6 of the family model, and the
     base conductor-bound polynomial, at the instance."""
     inv = compute_invariants(build_model(instance))
-    return inv.c4, inv.c6, delta_base(instance.family.name, instance.delta_args)
+    return inv.c4, inv.c6, instance.family.delta(*instance.delta_args)
 
 
 # ---------------------------------------------------------------------------
 # The nonnegative gap functions phi_{T,u}.
+
+# The families with a homogeneity weight: each has one phi branch per u.
+PHI_FAMILIES = tuple(name for name, fam in FAMILIES.items() if fam.m is not None)
 
 
 @dataclass(frozen=True)
@@ -130,7 +111,7 @@ class PhiSpec:
     family: FamilyId
     u_key: object  # a key of family.delta_scales
     prefactor: Fraction
-    exponent: SzpiroExponent
+    exponent: Fraction
 
     @property
     def label(self) -> str:
@@ -139,23 +120,19 @@ class PhiSpec:
 
 def phi_spec(name: str, u_key) -> PhiSpec:
     fam = FAMILIES[name]
-    if name == "C3_0":
-        raise ValueError("C3_0 has no phi branch; its bound is checked directly")
+    if name not in PHI_FAMILIES:
+        raise ValueError(f"{name} has no phi branch; its bound is checked directly")
     if u_key not in fam.delta_scales:
         raise ValueError(f"u = {u_key} is not admissible for {name}")
     pre = Fraction(1, u_value(u_key, _pattern(fam, 1).decomposition) ** 12)
-    return PhiSpec(fam, u_key, pre, szpiro_exponent(name))
+    return PhiSpec(fam, u_key, pre, fam.l)
 
 
 def all_phi_specs() -> list[PhiSpec]:
     """Every (T, u) branch, both C4 branches included."""
-    out = []
-    for name, fam in FAMILIES.items():
-        if name == "C3_0":
-            continue
-        for key in fam.delta_scales:
-            out.append(phi_spec(name, key))
-    return out
+    return [
+        phi_spec(name, key) for name in PHI_FAMILIES for key in FAMILIES[name].delta_scales
+    ]
 
 
 @dataclass(frozen=True)
@@ -204,7 +181,7 @@ def _integral(poly, what: str, name: str) -> Poly:
 
 @lru_cache(maxsize=1024)
 def _phi_polys(name: str, den: int) -> tuple[Poly, Poly, Poly]:
-    """alpha(X), beta(X) and delta_base(X) of a family along its pattern,
+    """alpha(X), beta(X) and delta_T(X) of a family along its pattern,
     homogenized at den: coefficient i is multiplied by den^(deg - i), so
     evaluating the result at k gives den^deg * poly(k/den) in integers.
 
@@ -222,7 +199,7 @@ def _phi_polys(name: str, den: int) -> tuple[Poly, Poly, Poly]:
     return (
         _integral(alpha, "alpha", name),
         _integral(beta, "beta", name),
-        _integral(dbase, "delta_base", name),
+        _integral(dbase, "delta_T", name),
     )
 
 
@@ -246,7 +223,7 @@ def phi_eval(spec: PhiSpec, x) -> PhiValue:
     big_num, big_den = pre.numerator * m, pre.denominator * den**e
     del_num = abs(scale.numerator * dbase(k))
     del_den = scale.denominator * den**dbase.degree
-    p, q = spec.exponent.p, spec.exponent.q
+    p, q = spec.exponent.numerator, spec.exponent.denominator
     lhs = big_num**q * del_den**p
     rhs = del_num**p * big_den**q
     sign = (lhs > rhs) - (lhs < rhs)
@@ -270,20 +247,25 @@ class PhiScanResult:
     min_exact: Fraction | None
 
 
-def _scan_chunk(spec: PhiSpec, denominator: int, k_lo: int, k_hi: int):
+def _phi_key(val: PhiValue):
+    """What a scan minimizes: the exact value when there is one."""
+    return val.approx if val.exact is None else val.exact
+
+
+def _scan_chunk(spec: PhiSpec, denominator: int, ks: range):
+    """(violations, zeros, first PhiValue with the least _phi_key) over ks."""
     violations = []
     zeros = []
-    best = (math.inf, None, None)
-    for k in range(k_lo, k_hi):
-        x = Fraction(k, denominator)
-        val = phi_eval(spec, x)
+    best = best_key = None
+    for k in ks:
+        val = phi_eval(spec, Fraction(k, denominator))
         if val.sign < 0:
-            violations.append(x)
+            violations.append(val.x)
         elif val.sign == 0:
-            zeros.append(x)
-        key = val.exact if val.exact is not None else val.approx
-        if best[1] is None or key < best[0]:
-            best = (key, x, val.exact)
+            zeros.append(val.x)
+        key = _phi_key(val)
+        if best is None or key < best_key:
+            best, best_key = val, key
     return violations, zeros, best
 
 
@@ -306,44 +288,33 @@ def phi_scan(
     if x_range < 0:
         raise ValueError("x_range must be >= 0")
     k_max = int(x_range * denominator)
-    k_lo, k_hi = -k_max, k_max + 1
-    total = k_hi - k_lo
-    if jobs > 1 and total > 256:
+    ks = range(-k_max, k_max + 1)
+    if jobs > 1 and len(ks) > 256:
         from concurrent.futures import ProcessPoolExecutor
 
-        step = -(-total // jobs)
-        starts = range(k_lo, k_hi, step)
+        step = -(-len(ks) // jobs)
+        chunks = [ks[i : i + step] for i in range(0, len(ks), step)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(
-                pool.map(
-                    _scan_chunk,
-                    repeat(spec),
-                    repeat(denominator),
-                    starts,
-                    [min(lo + step, k_hi) for lo in starts],
-                )
-            )
+            parts = list(pool.map(_scan_chunk, repeat(spec), repeat(denominator), chunks))
     else:
-        parts = [_scan_chunk(spec, denominator, k_lo, k_hi)]
+        parts = [_scan_chunk(spec, denominator, ks)]
 
     violations: list[Fraction] = []
     zeros: list[Fraction] = []
-    best = (math.inf, None, None)
-    for viol, zer, chunk_best in parts:
+    for viol, zer, _ in parts:
         violations.extend(viol)
         zeros.extend(zer)
-        if chunk_best[1] is not None and (best[1] is None or chunk_best[0] < best[0]):
-            best = chunk_best
+    best = min((part[2] for part in parts), key=_phi_key)
     return PhiScanResult(
         spec,
         denominator,
         x_range,
-        total,
+        len(ks),
         tuple(violations),
         tuple(zeros),
-        best[0] if best[2] is None else _safe_float(best[2]),
-        best[1],
-        best[2],
+        best.approx if best.exact is None else _safe_float(best.exact),
+        best.x,
+        best.exact,
     )
 
 
@@ -381,8 +352,8 @@ def _homogeneity_data(instance: FamilyInstance):
 
 def homogeneity_check(instance: FamilyInstance) -> bool:
     """Verify all three scaling identities exactly in rational arithmetic."""
-    if instance.family.name == "C3_0":
-        raise ValueError("C3_0 carries no homogeneity identities")
+    if instance.family.name not in PHI_FAMILIES:
+        raise ValueError(f"{instance.family.name} carries no homogeneity identities")
     if instance.params[0] == 0:
         raise ValueError("leading parameter must be nonzero")
     x, s_alpha, s_beta, s_delta = _homogeneity_data(instance)
@@ -395,13 +366,13 @@ def homogeneity_check(instance: FamilyInstance) -> bool:
     )
 
 
-def verify_height_bound(delta: int, height: int, exp: SzpiroExponent) -> bool:
+def verify_height_bound(delta: int, height: int, exp: Fraction) -> bool:
     """Exact check |delta_{T,u}|^l < u^-12 max(|alpha^3|, beta^2), l = p/q.
 
     The minimal model is the family model scaled by u, so the right-hand
     side is the minimal model's height; the check is |delta|^p < height^q.
     """
-    return abs(delta) ** exp.p < height**exp.q
+    return abs(delta) ** exp.numerator < height**exp.denominator
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +407,8 @@ def leading_dominance(spec: PhiSpec) -> DominanceReport:
         leads.append(Fraction(beta.leading) ** 2)
     lead_max = spec.prefactor * max(leads)
 
-    p, q = spec.exponent.p, spec.exponent.q
-    deg_bound = Fraction(p, q) * dbase.degree
+    p, q = spec.exponent.numerator, spec.exponent.denominator
+    deg_bound = spec.exponent * dbase.degree
     lead_bound = abs(spec.family.delta_scales[spec.u_key] * Fraction(dbase.leading))
     if deg_max > deg_bound:
         dominant = True

@@ -214,11 +214,7 @@ def _phi_u_keys(name: str, u_arg: str):
 def cmd_phi(args) -> int:
     if args.jobs < 1:
         raise UsageError("worker count must be >= 1")
-    names = (
-        [n for n in families.FAMILIES if n != "C3_0"]
-        if args.T == "all"
-        else [args.T]
-    )
+    names = list(bounds.PHI_FAMILIES) if args.T == "all" else [args.T]
     failed = False
     for name in names:
         for key in _phi_u_keys(name, args.u):
@@ -282,7 +278,7 @@ def cmd_sharp(args) -> int:
                 "T": name,
                 "sieve_hits": scan.sieve_hits,
                 "strictly_above_l": scan.strictly_above,
-                "l": _s(bounds.szpiro_exponent(name).value),
+                "l": _s(bounds.szpiro_exponent(name)),
                 "fit_intercept": scan.intercept,
                 "fit_slope": scan.slope,
             }
@@ -331,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_phi = sub.add_parser("phi", help="grid scan of the bound-gap functions")
     p_phi.add_argument("--T", default="all",
-                       choices=[n for n in family_names if n != "C3_0"] + ["all"])
+                       choices=list(bounds.PHI_FAMILIES) + ["all"])
     p_phi.add_argument("--u", default="all")
     p_phi.add_argument("--den", type=int, default=64)
     p_phi.add_argument("--range", type=_grid_range, default="20")

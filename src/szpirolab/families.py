@@ -31,8 +31,6 @@ __all__ = [
     "build_model",
     "decompose_a",
     "delta_eval",
-    "model_coefficients",
-    "delta_base",
     "recover_uT",
     "u_value",
     "validate_params",
@@ -317,17 +315,6 @@ def family(name: str) -> FamilyId:
         ) from None
 
 
-def model_coefficients(name: str, args) -> tuple:
-    """Raw family-model coefficients (a1, a2, a3, a4, a6) at the given
-    *model* arguments: (a, b [, d]), unvalidated, any exact ring."""
-    return FAMILIES[name].model(*args)
-
-
-def delta_base(name: str, args) -> object:
-    """The base conductor-bound polynomial at full delta arguments."""
-    return FAMILIES[name].delta(*args)
-
-
 def decompose_a(name: str, a: int):
     """Split a > 0 per prime: a = c^3 d^2 e (gcd(d,e)=1, de squarefree) for
     C3, a = c^2 d (d squarefree) for C4.  The split is unique."""
@@ -430,16 +417,16 @@ def validate_params(name: str, *params: int) -> FamilyInstance:
             decomposition = decompose_a(name, a)
 
     instance = FamilyInstance(fam, tuple(params), decomposition)
-    # Once the conditions above hold, delta_base vanishes exactly where the
+    # Once the conditions above hold, delta_T vanishes exactly where the
     # family discriminant does (for C3 the discriminant has one more factor,
     # c >= 1 of a = c^3 d^2 e).
-    if delta_base(name, instance.delta_args) == 0:
+    if fam.delta(*instance.delta_args) == 0:
         raise ValidationError("parameters give a singular curve (discriminant zero)")
     return instance
 
 
 def build_model(instance: FamilyInstance) -> WeierstrassModel:
-    return WeierstrassModel(*model_coefficients(instance.family.name, instance.params))
+    return WeierstrassModel(*instance.family.model(*instance.params))
 
 
 def u_value(key, decomposition) -> int:
@@ -485,15 +472,13 @@ def delta_eval(instance: FamilyInstance, u: int) -> int:
     The scaled polynomial must be an integer; non-integrality would break
     the published table and raises PaperContractViolation.
     """
+    fam = instance.family
     key = _u_key(instance, u)
     if key is None:
-        raise ValueError(
-            f"u = {u} is not admissible for {instance.family.name}"
-        )
-    base = delta_base(instance.family.name, instance.delta_args)
-    scaled = instance.family.delta_scales[key] * base
+        raise ValueError(f"u = {u} is not admissible for {fam.name}")
+    scaled = fam.delta_scales[key] * fam.delta(*instance.delta_args)
     if scaled.denominator != 1:
         raise PaperContractViolation(
-            f"delta_({instance.family.name},{u}) at {instance} is not integral: {scaled}"
+            f"delta_({fam.name},{u}) at {instance} is not integral: {scaled}"
         )
     return int(scaled)

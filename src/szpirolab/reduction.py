@@ -139,23 +139,15 @@ def minimal_model(m: WeierstrassModel) -> MinimalModelResult:
     if delta == 0:
         raise SingularModelError("singular model has no minimal model")
 
-    # Primes that can be scaled out must divide both invariants (or the
-    # nonzero one when the other vanishes).
-    if c4 == 0:
-        support = factorize(c6)
-    elif c6 == 0:
-        support = factorize(c4)
-    else:
-        support = factorize(math.gcd(c4, c6))
-
+    # Primes that can be scaled out divide every nonzero invariant; c4 and
+    # c6 are not both zero, so the gcd is nonzero.
     u = 1
-    for p, _ in support:
-        k4 = p_adic_valuation(c4, p) // 4 if c4 != 0 else None
-        k6 = p_adic_valuation(c6, p) // 6 if c6 != 0 else None
-        k = min(
-            [x for x in (k4, k6) if x is not None]
-            + [p_adic_valuation(delta, p) // 12]
-        )
+    for p, _ in factorize(math.gcd(c4, c6)):
+        k = p_adic_valuation(delta, p) // 12
+        if c4 != 0:
+            k = min(k, p_adic_valuation(c4, p) // 4)
+        if c6 != 0:
+            k = min(k, p_adic_valuation(c6, p) // 6)
         if p == 2:
             while k > 0 and not _kraus_ok_at_2(c4 // 2 ** (4 * k), c6 // 2 ** (6 * k)):
                 k -= 1

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from szpirolab.bounds import szpiro_exponent
-from szpirolab.families import model_coefficients
+from szpirolab.families import FAMILIES
 from szpirolab.intarith import FactorBudgetError, is_squarefree, radical
 from szpirolab.poly import evaluate
 from szpirolab.reduction import analyze, height_of_minimal, minimal_model
@@ -201,7 +201,7 @@ def build_FT(T: str, n: int) -> WeierstrassModel:
     if T == "C1":
         return WeierstrassModel(0, 0, 1, 3 * n + 1, 0)
     args = tuple(evaluate(c, n) for c in (spec.A, spec.B, spec.D) if c is not None)
-    return WeierstrassModel(*model_coefficients(T, args))
+    return WeierstrassModel(*FAMILIES[T].model(*args))
 
 
 def sharp_polynomials(T: str, n: int) -> tuple[int, int]:
@@ -218,7 +218,7 @@ def sharp_polynomials(T: str, n: int) -> tuple[int, int]:
 def degree_limit_check(T: str) -> bool:
     """deg H / deg f must equal the sharp exponent l exactly."""
     spec = SHARP_FAMILIES[T]
-    return Fraction(spec.height_degree, spec.f_degree) == szpiro_exponent(T).value
+    return Fraction(spec.height_degree, spec.f_degree) == szpiro_exponent(T)
 
 
 @dataclass(frozen=True)
@@ -383,7 +383,7 @@ def convergence_scan(
     if samples is not None and samples < 2:
         raise ValueError("samples must be >= 2")
     spec = SHARP_FAMILIES[T]
-    exp = szpiro_exponent(T)
+    l = szpiro_exponent(T)
     records: list[SharpnessRecord] = []
     strictly_above = True
     budget_skipped: list[int] = []
@@ -399,7 +399,7 @@ def convergence_scan(
             continue
         f = math.prod(values)
         sigma = math.log(H) / math.log(abs(f))
-        if not H**exp.q > abs(f) ** exp.p:
+        if not H**l.denominator > abs(f) ** l.numerator:
             strictly_above = False
         records.append(SharpnessRecord(T, n, model, H, f, True, abs(f), sigma))
     warning = None

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 
-from szpirolab.bounds import szpiro_exponent, verify_height_bound
+from szpirolab.bounds import verify_height_bound
 from szpirolab.families import (
     FamilyInstance,
     PaperContractViolation,
@@ -98,8 +98,12 @@ class InstanceReport:
 def check_instance(instance: FamilyInstance, checks=ALL_CHECKS) -> InstanceReport:
     """Run the selected published checks on one validated instance.
 
-    "bounds": admissible u set, per-prime and global conductor bounds, the
-    exact ratio inequality height^q > N^p, and the conductor exponent caps.
+    Under every selection: a recovered u outside the admissible set, the
+    conductor exponent caps (f_p >= 2 at additive primes, f_p at most 8 at
+    2, 5 at 3 and 2 elsewhere), and the exact ratio inequality
+    height^q > N^p, l = p/q.
+    "bounds": adds the per-prime and global conductor bounds by
+    delta_{T,u}, which is then reported as delta_bound (0 otherwise).
     "height": the strict inequality |delta_{T,u}|^l < max(|c4|^3, c6^2) of
     the minimal model.
     "torsion": the expected order of (0, 0), plus full rational 2-torsion
@@ -144,16 +148,14 @@ def check_instance(instance: FamilyInstance, checks=ALL_CHECKS) -> InstanceRepor
     if bound and N > bound:
         findings.append(f"{instance}: conductor {N} > bound {bound}")
 
-    exp = szpiro_exponent(name)
-    if not height**exp.q > N**exp.p:
-        findings.append(
-            f"{instance}: height^{exp.q} <= N^{exp.p} (ratio bound violated)"
-        )
+    p, q = fam.l.numerator, fam.l.denominator
+    if not height**q > N**p:
+        findings.append(f"{instance}: height^{q} <= N^{p} (ratio bound violated)")
 
     if (
         "height" in checks
         and delta is not None
-        and not verify_height_bound(delta, height, exp)
+        and not verify_height_bound(delta, height, fam.l)
     ):
         findings.append(f"{instance}: |delta|^l >= u^-12 max(|alpha^3|, beta^2)")
 

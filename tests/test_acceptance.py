@@ -181,7 +181,7 @@ class TestCriterion3:
             assert mm.scaling_u == 1, params
             assert mm.invariants.c4 % 2 == 1, params
             assert mm.delta_min % 2 == 0, params
-            assert families.delta_base("C2xC6", inst.delta_args) % 2 == 1, params
+            assert families.FAMILIES["C2xC6"].delta(*inst.delta_args) % 2 == 1, params
         assert over == expected_over
 
     def test_defect_is_exactly_characterized(self, sweep_results):
@@ -394,7 +394,7 @@ class TestCriterion7:
             scan = sharpness.convergence_scan(
                 T, 10**6, n_min=10**3, samples=200
             )
-            l = float(bounds.szpiro_exponent(T).value)
+            l = float(bounds.szpiro_exponent(T))
             assert scan.sieve_hits >= 10, (T, scan.warning)
             all_strict &= scan.strictly_above
             ok = abs(scan.intercept - l) <= 0.05

@@ -11,7 +11,6 @@ from szpirolab import bounds
 from szpirolab.bounds import (
     PhiSpec,
     PhiValue,
-    SzpiroExponent,
     all_phi_specs,
     exceeds,
     homogeneity_check,
@@ -27,9 +26,7 @@ from szpirolab.families import (
     FAMILIES,
     ValidationError,
     build_model,
-    delta_base,
     delta_eval,
-    model_coefficients,
     recover_uT,
     validate_params,
 )
@@ -70,8 +67,8 @@ class TestExponentTable:
         }
         for name, l in expected.items():
             exp = szpiro_exponent(name)
-            assert exp.value == l
-            assert math.gcd(exp.p, exp.q) == 1
+            assert exp == l
+            assert math.gcd(exp.numerator, exp.denominator) == 1
 
 
 class TestHeight:
@@ -116,7 +113,7 @@ class TestRatio:
             m = WeierstrassModel(*coeffs)
             try:
                 assert szpiro_ratio(m) > 1
-                assert exceeds(m, SzpiroExponent(1, 1))
+                assert exceeds(m, Fraction(1, 1))
             except SingularModelError:
                 continue
             checked += 1
@@ -124,12 +121,12 @@ class TestRatio:
 
 class TestExceeds:
     def test_c5_against_three(self):
-        assert exceeds(C5_11, SzpiroExponent(3, 1))
+        assert exceeds(C5_11, Fraction(3, 1))
 
     def test_c3_0_against_two(self):
         m = WeierstrassModel(0, 0, 1, 0, 0)
         assert height_of_minimal(minimal_model(m)) == 46656 > 27**2
-        assert exceeds(m, SzpiroExponent(2, 1))
+        assert exceeds(m, Fraction(2, 1))
 
     def test_agrees_with_float_away_from_threshold(self):
         rng = random.Random(21)
@@ -147,7 +144,7 @@ class TestExceeds:
                 for l in (Fraction(3, 2), Fraction(2), Fraction(3), Fraction(9, 2)):
                     if abs(sigma - float(l)) > 1e-9:
                         assert exceeds(
-                            m, SzpiroExponent(l.numerator, l.denominator)
+                            m, Fraction(l.numerator, l.denominator)
                         ) == (sigma > float(l))
                 done += 1
 
@@ -211,13 +208,14 @@ class TestPhi:
             float(fine.argmin) + (3 + math.sqrt(5)) / 8
         ) < 0.01
 
-    def test_parallel_scan_matches_serial(self):
+    def test_parallel_scan_matches_serial(self, pool_entries):
         spec = phi_spec("C6", 2)
-        serial = phi_scan(spec, 16, 4, jobs=1)
-        parallel = phi_scan(spec, 16, 4, jobs=2)
-        assert serial.argmin == parallel.argmin
-        assert serial.min_exact == parallel.min_exact
-        assert serial.violations == parallel.violations
+        serial = phi_scan(spec, 16, 10, jobs=1)
+        assert pool_entries == []
+        parallel = phi_scan(spec, 16, 10, jobs=2)
+        assert len(pool_entries) == 1
+        assert serial.points == 321
+        assert serial == parallel
 
     def test_tail_dominance_all_branches(self):
         for spec in all_phi_specs():
@@ -234,7 +232,7 @@ def _fraction_phi_eval(spec, x):
     alpha, beta, dbase = bounds._forms_at(bounds._pattern(spec.family, x))
     delta_u = spec.family.delta_scales[spec.u_key] * Fraction(dbase)
     big = spec.prefactor * max(abs(Fraction(alpha)) ** 3, Fraction(beta) ** 2)
-    p, q = spec.exponent.p, spec.exponent.q
+    p, q = spec.exponent.numerator, spec.exponent.denominator
     lhs_pow = big**q
     rhs_pow = abs(delta_u) ** p
     sign = (lhs_pow > rhs_pow) - (lhs_pow < rhs_pow)
@@ -282,7 +280,7 @@ class TestIntegerPhiEval:
         # prefactor, exponent and delta scale are read from the spec itself
         rescaled = dataclasses.replace(FAMILIES["C5"], delta_scales={1: Fraction(3, 5)})
         branches = ((FAMILIES["C5"], 1), (rescaled, 1), (FAMILIES["C2"], 4), (FAMILIES["C4"], "2c"))
-        exps = ((Fraction(3, 7), SzpiroExponent(7, 2)), (Fraction(-2), SzpiroExponent(2, 1)))
+        exps = ((Fraction(3, 7), Fraction(7, 2)), (Fraction(-2), Fraction(2, 1)))
         for fam, key in branches:
             for pre, exp in exps:
                 spec = PhiSpec(fam, key, pre, exp)
@@ -291,9 +289,9 @@ class TestIntegerPhiEval:
 
     def test_non_integral_coefficient_raises(self, monkeypatch):
         bounds._phi_polys.cache_clear()
-        monkeypatch.setattr(
-            bounds, "delta_base", lambda name, args: Fraction(1, 2) * delta_base(name, args)
-        )
+        c5 = FAMILIES["C5"]
+        halved = dataclasses.replace(c5, delta=lambda *a: Fraction(1, 2) * c5.delta(*a))
+        monkeypatch.setitem(FAMILIES, "C5", halved)
         try:
             with pytest.raises(CertificateError, match="non-integral"):
                 phi_eval(phi_spec("C5", 1), Fraction(1, 3))
@@ -304,7 +302,7 @@ class TestIntegerPhiEval:
 
 
 def _table_forms(name, x):
-    """Test-only reference: alpha, beta and delta_base along the pattern
+    """Test-only reference: alpha, beta and delta_T along the pattern
     from explicit per-family argument tables (delta order, then the model
     arguments a = c^3 d^2 e for C3 and a = c^2 d for C4)."""
     full = {"C2": (1, 1, x), "C3": (1, 1, 1, x), "C4": (1, 1, x), "C2xC2": (1, x, 1)}
@@ -317,8 +315,8 @@ def _table_forms(name, x):
         margs = (c * c * d, b)
     else:
         margs = full
-    inv = compute_invariants(WeierstrassModel(*model_coefficients(name, margs)))
-    return inv.c4, inv.c6, delta_base(name, full)
+    inv = compute_invariants(WeierstrassModel(*FAMILIES[name].model(*margs)))
+    return inv.c4, inv.c6, FAMILIES[name].delta(*full)
 
 
 class TestPattern:
@@ -391,7 +389,7 @@ def _family_model_height_holds(inst) -> bool:
     inv = compute_invariants(build_model(inst))
     big = max(abs(inv.c4) ** 3, inv.c6**2)
     exp = szpiro_exponent(name)
-    return abs(dv) ** exp.p * u ** (12 * exp.q) < big**exp.q
+    return abs(dv) ** exp.numerator * u ** (12 * exp.denominator) < big**exp.denominator
 
 
 class TestHeightBound:
@@ -406,10 +404,10 @@ class TestHeightBound:
         assert _height_holds(validate_params("C2xC6", 1, 2))
 
     def test_strict_inequality(self):
-        exp = SzpiroExponent(3, 2)
+        exp = Fraction(3, 2)
         assert verify_height_bound(-3, 6, exp)  # 27 < 36
         assert not verify_height_bound(6, 14, exp)  # 216 >= 196
-        assert not verify_height_bound(-4, 4, SzpiroExponent(1, 1))
+        assert not verify_height_bound(-4, 4, Fraction(1, 1))
 
     def test_matches_family_model_formula(self):
         # The minimal model is the family model scaled by u, so the family

@@ -115,14 +115,16 @@ class TestFamily:
         assert obj["instances"] > 0
         assert obj["min_sigma_m"] > 3
 
-    def test_verify_deterministic(self, capsys):
-        _, out1, _ = run_cli(
-            ["family", "verify", "--T", "C6", "--max", "5", "--jobs", "1"], capsys
+    def test_verify_deterministic(self, capsys, pool_entries):
+        serial = run_cli(
+            ["family", "verify", "--T", "C2", "--max", "5", "--jobs", "1"], capsys
         )
-        _, out2, _ = run_cli(
-            ["family", "verify", "--T", "C6", "--max", "5", "--jobs", "2"], capsys
+        assert pool_entries == []
+        pooled = run_cli(
+            ["family", "verify", "--T", "C2", "--max", "5", "--jobs", "2"], capsys
         )
-        assert out1 == out2
+        assert len(pool_entries) == 1
+        assert serial == pooled
 
     def test_verify_c2xc6_reports_defect(self, capsys):
         code, out, _ = run_cli(

@@ -13,9 +13,7 @@ from szpirolab.families import (
     ValidationError,
     build_model,
     decompose_a,
-    delta_base,
     delta_eval,
-    model_coefficients,
     recover_uT,
     u_value,
     validate_params,
@@ -91,7 +89,7 @@ class TestValidation:
 
 
 class TestSingularity:
-    """validate_params decides singularity from delta_base, so delta_base
+    """validate_params decides singularity from FamilyId.delta, so delta_T
     must vanish exactly where the family discriminant does."""
 
     def test_delta_base_has_the_discriminant_radical(self):
@@ -120,10 +118,10 @@ class TestSingularity:
                 gens = margs = dargs = (a, b, d)
             else:
                 gens = margs = dargs = (a, b)
-            coeffs = [sympy.Poly(x, *gens) for x in model_coefficients(name, margs)]
+            coeffs = [sympy.Poly(x, *gens) for x in FAMILIES[name].model(*margs)]
             disc = compute_invariants(WeierstrassModel(*coeffs)).delta.as_expr()
             rad_disc = radical(disc, gens)
-            rad_base = radical(delta_base(name, dargs), gens)
+            rad_base = radical(FAMILIES[name].delta(*dargs), gens)
             assert rad_base <= rad_disc, name
             assert rad_disc - rad_base == forced_nonzero, name
 

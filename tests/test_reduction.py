@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from szpirolab import reduction
-from szpirolab.bounds import SzpiroExponent, exceeds
+from szpirolab.bounds import exceeds
 from szpirolab.families import FAMILIES, ValidationError, build_model, validate_params
 from szpirolab.intarith import factorize, is_squarefree
 from szpirolab.reduction import (
@@ -334,7 +334,7 @@ class TestAnalyze:
             rec = ca.mm.iso
             assert all(type(c) is int for c in (rec.u, rec.r, rec.s, rec.t))
             assert transform(big, rec) == ca.mm.minimal
-            for l in (SzpiroExponent(1, 1), SzpiroExponent(3, 2), SzpiroExponent(4, 1)):
+            for l in (Fraction(1, 1), Fraction(3, 2), Fraction(4, 1)):
                 assert exceeds(big, l) == exceeds(m, l)
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from szpirolab import weierstrass
-from szpirolab.families import model_coefficients
+from szpirolab.families import FAMILIES
 from szpirolab.poly import Poly
 from szpirolab.reduction import analyze, conductor, height_of_minimal, minimal_model
 from szpirolab.sharpness import (
@@ -39,20 +39,10 @@ class TestBuild:
         assert build_FT("C1", 1) == WeierstrassModel(0, 0, 1, 4, 0)
 
     def test_parameter_table(self):
-        from szpirolab.families import model_coefficients
-
-        assert build_FT("C2", 3) == WeierstrassModel(
-            *model_coefficients("C2", (-1, 8, 3))
-        )
-        assert build_FT("C3", 2) == WeierstrassModel(
-            *model_coefficients("C3", (1, 2))
-        )
-        assert build_FT("C2xC8", 1) == WeierstrassModel(
-            *model_coefficients("C2xC8", (4, 2))
-        )
-        assert build_FT("C2xC2", 2) == WeierstrassModel(
-            *model_coefficients("C2xC2", (32, 9, 1))
-        )
+        assert build_FT("C2", 3) == WeierstrassModel(*FAMILIES["C2"].model(-1, 8, 3))
+        assert build_FT("C3", 2) == WeierstrassModel(*FAMILIES["C3"].model(1, 2))
+        assert build_FT("C2xC8", 1) == WeierstrassModel(*FAMILIES["C2xC8"].model(4, 2))
+        assert build_FT("C2xC2", 2) == WeierstrassModel(*FAMILIES["C2xC2"].model(32, 9, 1))
 
     def test_degenerate_flagged(self):
         with pytest.raises(ValueError, match="degenerate"):
@@ -73,13 +63,12 @@ class TestBuild:
                 coeffs = (0, 0, 1, Poly((1, 3)), 0)
             else:
                 args = tuple(Poly(c) for c in (spec.A, spec.B, spec.D) if c is not None)
-                coeffs = model_coefficients(T, args)
+                coeffs = FAMILIES[T].model(*args)
             disc = compute_invariants(WeierstrassModel(*coeffs)).delta
             f = math.prod((Poly(c) for c in spec.f_factors), start=Poly((1,)))
             assert radical(disc) == radical(f), T
 
     def test_torsion_point_carried_by_every_member(self):
-        from szpirolab.families import FAMILIES
         from szpirolab.weierstrass import AffinePoint, full_two_torsion, point_order
 
         origin = AffinePoint(Fraction(0), Fraction(0))

@@ -60,3 +60,19 @@ def test_cli_exit_code_2_decided_in_main():
     ]
     assert reads == [], f"cli.py: USAGE_ERROR read outside main on line(s) {reads}"
     assert catches == [], f"cli.py: ValidationError caught outside main on line(s) {catches}"
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in SOURCES if p.name not in ("families.py", "sweeps.py")],
+    ids=lambda path: path.name,
+)
+def test_c3_0_named_only_in_families_and_sweeps(path):
+    # Which families have a phi branch is decided by bounds.PHI_FAMILIES.
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value == "C3_0"
+    ]
+    assert lines == [], f"{path.name}: \"C3_0\" on line(s) {lines}"

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from szpirolab.bounds import SzpiroExponent, exceeds, szpiro_ratio
+from szpirolab.bounds import exceeds, szpiro_ratio
 from szpirolab.cli import build_parser, main
 from szpirolab.families import (
     FAMILIES,
@@ -106,11 +106,15 @@ class TestCheckInstance:
 
 
 class TestRunSweep:
-    def test_counts_and_order_stable_across_jobs(self):
-        one = run_sweep("C6", 5, jobs=1)
-        two = run_sweep("C6", 5, jobs=2)
+    def test_counts_and_order_stable_across_jobs(self, pool_entries):
+        # box 22 gives 599 candidate tuples, enough for the pool
+        assert len(list(iter_param_tuples("C2xC6", 22))) == 599
+        one = run_sweep("C2xC6", 22, jobs=1)
+        assert pool_entries == []
+        two = run_sweep("C2xC6", 22, jobs=2)
+        assert len(pool_entries) == 1
         assert one == two
-        assert one.ok and one.checked > 0
+        assert one.checked > 0 and len(one.findings) == 278
 
     def test_c30_override(self):
         from szpirolab.intarith import is_cubefree
@@ -283,7 +287,7 @@ class TestSingleMinimalModel:
             assert len(minimal_model_calls) == 1, name
 
     def test_one_build_per_exceeds(self, minimal_model_calls):
-        exceeds(WeierstrassModel(0, -1, -1, 0, 0), SzpiroExponent(3, 1))
+        exceeds(WeierstrassModel(0, -1, -1, 0, 0), Fraction(3, 1))
         assert len(minimal_model_calls) == 1
 
 
@@ -300,13 +304,13 @@ class TestOneSetOfInvariants:
     def test_two_per_ratio(self, compute_invariants_calls):
         # minimal_model's own invariants decide singularity; no pre-check.
         curve = WeierstrassModel(0, -1, -1, 0, 0)
-        assert exceeds(curve, SzpiroExponent(3, 1))
+        assert exceeds(curve, Fraction(3, 1))
         assert len(compute_invariants_calls) == 2
         compute_invariants_calls.clear()
         szpiro_ratio(curve)
         assert len(compute_invariants_calls) == 2
 
     def test_singular_model_still_rejected(self):
-        for call in (szpiro_ratio, lambda m: exceeds(m, SzpiroExponent(3, 1))):
+        for call in (szpiro_ratio, lambda m: exceeds(m, Fraction(3, 1))):
             with pytest.raises(SingularModelError, match="singular model"):
                 call(WeierstrassModel(0, 0, 0, 0, 0))

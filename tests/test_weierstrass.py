@@ -225,9 +225,7 @@ class TestGroupLaw:
         assert point_order(m, ORIGIN) == 2
 
     def test_point_order_c2xc8(self):
-        from szpirolab.families import model_coefficients
-
-        m = WeierstrassModel(*model_coefficients("C2xC8", (4, 2)))
+        m = WeierstrassModel(*FAMILIES["C2xC8"].model(4, 2))
         assert oracle_order(m, ORIGIN) == 8
         assert point_order(m, ORIGIN) == 8
 
