@@ -46,7 +46,6 @@ from szpirolab.families import (
     PaperContractViolation,
     ValidationError,
     build_model,
-    decompose_a,
     delta_eval,
     recover_uT,
     validate_params,
@@ -68,7 +67,6 @@ from szpirolab.sharpness import (
     build_FT,
     convergence_scan,
     degree_limit_check,
-    sharp_polynomials,
     verify_sharp_consistency,
 )
 from szpirolab.sweeps import (

@@ -19,7 +19,7 @@ from szpirolab.families import (
     FamilyId,
     FamilyInstance,
     build_model,
-    decompose_a,
+    family,
     u_value,
 )
 from szpirolab.poly import Poly, X
@@ -83,11 +83,10 @@ def exceeds(model: WeierstrassModel, bound: Fraction) -> bool:
 
 
 def _pattern(fam: FamilyId, x) -> FamilyInstance:
-    """Every parameter 1 except x (d for C2, b otherwise); a family with
-    symbolic u keys gets the all-ones decomposition of a = 1."""
+    """Every parameter 1 except x (d for C2, b otherwise); a family with a
+    power split gets the all-ones decomposition of a = 1."""
     params = (1, 1, x) if fam.name == "C2" else (1, x, 1)[: fam.arity]
-    symbolic = any(isinstance(key, str) for key in fam.delta_scales)
-    return FamilyInstance(fam, params, decompose_a(fam.name, 1) if symbolic else None)
+    return FamilyInstance(fam, params, fam.decompose(1))
 
 
 def _forms_at(instance: FamilyInstance):
@@ -119,7 +118,7 @@ class PhiSpec:
 
 
 def phi_spec(name: str, u_key) -> PhiSpec:
-    fam = FAMILIES[name]
+    fam = family(name)  # an unknown name raises ValidationError
     if name not in PHI_FAMILIES:
         raise ValueError(f"{name} has no phi branch; its bound is checked directly")
     if u_key not in fam.delta_scales:

@@ -29,7 +29,6 @@ __all__ = [
     "PaperContractViolation",
     "ValidationError",
     "build_model",
-    "decompose_a",
     "delta_eval",
     "recover_uT",
     "u_value",
@@ -262,13 +261,31 @@ class FamilyId:
     delta_scales: dict
     model: Callable  # model arguments -> (a1, a2, a3, a4, a6)
     delta: Callable  # delta arguments -> delta_T
+    # k of the power split of a that delta_T is written in (see decompose)
+    split: int | None = None
 
     def __str__(self):
         return self.name
 
+    def decompose(self, a: int):
+        """Split a > 0 per prime: a = c^3 d^2 e (gcd(d,e)=1, de squarefree)
+        for split 3 (C3), a = c^2 d (d squarefree) for split 2 (C4).  The
+        split is unique; None for a family without one."""
+        k = self.split
+        if k is None:
+            return None
+        if a <= 0:
+            raise ValueError("decomposition requires a > 0")
+        c = 1
+        parts = [1] * k  # parts[r]: the primes whose exponent is r mod k
+        for p, e in factorize(a):
+            c *= p ** (e // k)
+            parts[e % k] *= p
+        return (c, *parts[:0:-1])
 
-def _fam(name, arity, m, l, order, full2, scales, model, delta):
-    return FamilyId(name, arity, m, Fraction(l), order, full2, scales, model, delta)
+
+def _fam(name, arity, m, l, *rest):
+    return FamilyId(name, arity, m, Fraction(l), *rest)
 
 
 FAMILIES: dict[str, FamilyId] = {
@@ -276,10 +293,10 @@ FAMILIES: dict[str, FamilyId] = {
     for f in (
         _fam("C2", 3, 6, Fraction(3, 2), 2, False,
              {1: Fraction(256), 2: Fraction(4), 4: Fraction(1, 64)}, _m_C2, _d_C2),
-        _fam("C3", 2, 12, 2, 3, False, {"c2d": Fraction(1)}, _m_C3, _d_C3),
+        _fam("C3", 2, 12, 2, 3, False, {"c2d": Fraction(1)}, _m_C3, _d_C3, 3),
         _fam("C3_0", 1, None, 2, 3, False, {1: Fraction(1)}, _m_C3_0, _d_C3_0),
         _fam("C4", 2, 12, Fraction(12, 5), 4, False,
-             {"c": Fraction(2), "2c": Fraction(1, 16)}, _m_C4, _d_C4),
+             {"c": Fraction(2), "2c": Fraction(1, 16)}, _m_C4, _d_C4, 2),
         _fam("C5", 2, 12, 3, 5, False, {1: Fraction(1)}, _m_C5, _d_C5),
         _fam("C6", 2, 12, 3, 6, False, {1: Fraction(1), 2: Fraction(1, 8)},
              _m_C6, _d_C6),
@@ -315,32 +332,6 @@ def family(name: str) -> FamilyId:
         ) from None
 
 
-def decompose_a(name: str, a: int):
-    """Split a > 0 per prime: a = c^3 d^2 e (gcd(d,e)=1, de squarefree) for
-    C3, a = c^2 d (d squarefree) for C4.  The split is unique."""
-    if name not in ("C3", "C4"):
-        raise ValueError("decomposition applies to C3 and C4 only")
-    if a <= 0:
-        raise ValueError("decomposition requires a > 0")
-    c = d = e = 1
-    for p, k in factorize(a):
-        if name == "C4":
-            c *= p ** (k // 2)
-            if k % 2:
-                d *= p
-        else:
-            r = k % 3
-            if r == 0:
-                c *= p ** (k // 3)
-            elif r == 1:
-                c *= p ** ((k - 1) // 3)
-                e *= p
-            else:
-                c *= p ** ((k - 2) // 3)
-                d *= p
-    return (c, d) if name == "C4" else (c, d, e)
-
-
 @dataclass(frozen=True)
 class FamilyInstance:
     """A validated parameter tuple for one family.
@@ -355,14 +346,9 @@ class FamilyInstance:
 
     @property
     def delta_args(self) -> tuple[int, ...]:
-        name = self.family.name
-        if name == "C3":
-            c, d, e = self.decomposition
-            return (c, d, e, self.params[1])
-        if name == "C4":
-            c, d = self.decomposition
-            return (c, d, self.params[1])
-        return self.params
+        if self.decomposition is None:
+            return self.params
+        return (*self.decomposition, self.params[1])
 
     def __str__(self):
         return f"{self.family.name}{self.params}"
@@ -378,9 +364,8 @@ def validate_params(name: str, *params: int) -> FamilyInstance:
         raise ValidationError(
             f"{name} takes {fam.arity} parameter(s), got {len(params)}"
         )
-    if not all(isinstance(p, int) for p in params):
+    if not all(type(p) is int for p in params):
         raise ValidationError(f"{name} parameters must be integers")
-    decomposition = None
 
     if name == "C3_0":
         (a,) = params
@@ -413,10 +398,8 @@ def validate_params(name: str, *params: int) -> FamilyInstance:
             raise ValidationError("a must be positive")
         if math.gcd(a, b) != 1:
             raise ValidationError("a and b must be coprime")
-        if name in ("C3", "C4"):
-            decomposition = decompose_a(name, a)
 
-    instance = FamilyInstance(fam, tuple(params), decomposition)
+    instance = FamilyInstance(fam, tuple(params), fam.decompose(params[0]))
     # Once the conditions above hold, delta_T vanishes exactly where the
     # family discriminant does (for C3 the discriminant has one more factor,
     # c >= 1 of a = c^3 d^2 e).

@@ -24,6 +24,7 @@ from szpirolab.weierstrass import (
     ModelInvariants,
     SingularModelError,
     WeierstrassModel,
+    _translate,
     compute_invariants,
     transform,
 )
@@ -172,18 +173,6 @@ def _centered(x: int, modulus: int) -> int:
     if 2 * r > modulus:
         r -= modulus
     return r
-
-
-def _translate(a: tuple, r: int = 0, s: int = 0, t: int = 0) -> tuple:
-    """The coefficient tuple after x = x' + r, y = y' + s x' + t (u = 1)."""
-    a1, a2, a3, a4, a6 = a
-    return (
-        a1 + 2 * s,
-        a2 - s * a1 + 3 * r - s * s,
-        a3 + r * a1 + 2 * t,
-        a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t,
-        a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1,
-    )
 
 
 def _certify_step(ok: bool, p: int, work: tuple, claim: str) -> None:

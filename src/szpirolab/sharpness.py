@@ -28,7 +28,6 @@ __all__ = [
     "convergence_scan",
     "degree_limit_check",
     "fit_intercept",
-    "sharp_polynomials",
     "verify_sharp_consistency",
 ]
 
@@ -51,6 +50,9 @@ class SharpFamilySpec:
         return abs(32 * n) if self.w_const is None else self.w_const
 
     def height_value(self, n: int) -> int:
+        """H_T(n), the stored published height.  verify_sharp_consistency
+        refutes it for C2xC8 at odd n, where it is too large by 2^24 (the
+        true rescaling there is 256, not the stored w = 64)."""
         return math.prod(abs(evaluate(c, n)) ** e for c, e in self.height_factors)
 
     def f_value(self, n: int) -> int:
@@ -204,17 +206,6 @@ def build_FT(T: str, n: int) -> WeierstrassModel:
     return WeierstrassModel(*FAMILIES[T].model(*args))
 
 
-def sharp_polynomials(T: str, n: int) -> tuple[int, int]:
-    """(H_T(n), f_T(n)) from the stored table data.
-
-    H is the stored published height.  verify_sharp_consistency refutes it
-    for C2xC8 at odd n, where it is too large by 2^24 (the true rescaling
-    there is 256, not the stored w = 64).
-    """
-    spec = SHARP_FAMILIES[T]
-    return spec.height_value(n), spec.f_value(n)
-
-
 def degree_limit_check(T: str) -> bool:
     """deg H / deg f must equal the sharp exponent l exactly."""
     spec = SHARP_FAMILIES[T]
@@ -255,7 +246,7 @@ def verify_sharp_consistency(T: str, n: int) -> ConsistencyReport:
             f"discriminant ratio {ratio} is not w^12 = {w_expected}^12 for F_{T}({n})"
         )
 
-    H_expected, f_expected = sharp_polynomials(T, n)
+    H_expected, f_expected = spec.height_value(n), spec.f_value(n)
     height = ca.height
     if height != H_expected:
         findings.append(

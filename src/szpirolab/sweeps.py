@@ -121,17 +121,17 @@ def check_instance(instance: FamilyInstance, checks=ALL_CHECKS) -> InstanceRepor
     # delta stays None where delta_{T,u} is not needed or has no value; in
     # the latter case a finding already reports the instance
     delta = None
-    on_table = True
     try:
         u = recover_uT(instance, mm)
     except PaperContractViolation as exc:
         findings.append(str(exc))
-        u, on_table = mm.scaling_u, False
-    if "bounds" in checks or ("height" in checks and on_table):
-        try:
-            delta = abs(delta_eval(instance, u))
-        except (ValueError, PaperContractViolation) as exc:
-            findings.append(f"{instance}: {exc}")
+        u = mm.scaling_u
+    else:
+        if "bounds" in checks or "height" in checks:
+            try:
+                delta = abs(delta_eval(instance, u))
+            except PaperContractViolation as exc:
+                findings.append(f"{instance}: {exc}")
     bound = delta if "bounds" in checks and delta is not None else 0
 
     for d in ca.local:

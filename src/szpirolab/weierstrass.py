@@ -138,15 +138,23 @@ def _exact_div(value, den_power):
     return _norm(Fraction(value) / Fraction(den_power))
 
 
+def _translate(a: tuple, r=0, s=0, t=0) -> tuple:
+    """The coefficient tuple after x = x' + r, y = y' + s x' + t (u = 1);
+    Cremona, Algorithms for Modular Elliptic Curves, 3.2."""
+    a1, a2, a3, a4, a6 = a
+    return (
+        a1 + 2 * s,
+        a2 - s * a1 + 3 * r - s * s,
+        a3 + r * a1 + 2 * t,
+        a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t,
+        a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1,
+    )
+
+
 def transform(m: WeierstrassModel, iso: Isomorphism) -> WeierstrassModel:
     """Apply the substitution; c4' = u^-4 c4, c6' = u^-6 c6, delta' = u^-12 delta."""
-    a1, a2, a3, a4, a6 = m.coefficients()
-    u, r, s, t = iso.u, iso.r, iso.s, iso.t
-    na1 = a1 + 2 * s
-    na2 = a2 - s * a1 + 3 * r - s * s
-    na3 = a3 + r * a1 + 2 * t
-    na4 = a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t
-    na6 = a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1
+    u = iso.u
+    na1, na2, na3, na4, na6 = _translate(m.coefficients(), iso.r, iso.s, iso.t)
     return WeierstrassModel(
         _exact_div(na1, u),
         _exact_div(na2, u * u),
@@ -281,17 +289,19 @@ def _projective_add(a, P, Q):
     return _projective_normal(X3n * D, Y3, D2 * D * Z12)
 
 
-def point_order(
-    m: WeierstrassModel, point, cap: int = 16, *, nonsingular: bool = False
-) -> int | None:
-    """Exact order of a point if <= cap, else None.
+# point_order looks no further than this: it leaves slack above the largest
+# rational torsion order (12) while keeping runaway loops impossible.
+_ORDER_CAP = 16
+
+
+def point_order(m: WeierstrassModel, point, *, nonsingular: bool = False) -> int | None:
+    """Exact order of a point if <= _ORDER_CAP, else None.
 
     The multiples are computed in integer projective coordinates on an
     integral model isomorphic to m, so a rational model or point enters
-    only through its common denominators.  The cap of 16 leaves slack
-    above the largest rational torsion order (12) while keeping runaway
-    loops impossible.  nonsingular=True is for a caller that has already
-    shown delta != 0, and skips recomputing the discriminant.
+    only through its common denominators.  nonsingular=True is for a
+    caller that has already shown delta != 0, and skips recomputing the
+    discriminant.
     """
     if not nonsingular and compute_invariants(m).delta == 0:
         raise SingularModelError("point order undefined on a singular model")
@@ -299,7 +309,7 @@ def point_order(
     if not _projective_on_curve(a, P):
         raise ValueError(f"point {point} is not on the curve")
     acc = P  # invariant: acc == k * P at the top of iteration k
-    for k in range(1, cap + 1):
+    for k in range(1, _ORDER_CAP + 1):
         if acc[2] == 0:
             return k
         acc = _projective_add(a, acc, P)

@@ -367,7 +367,7 @@ class TestCriterion6:
                     mm = reduction.minimal_model(m)
                     ratio = compute_invariants(m).delta // mm.delta_min
                     assert ratio == 256**12
-                    H_table, _ = sharpness.sharp_polynomials(T, signed)
+                    H_table = sharpness.SHARP_FAMILIES[T].height_value(signed)
                     assert H_table == reduction.height_of_minimal(mm) * 2**24
         record_verdict(
             "[acceptance] criterion 6 companion: PASS - all 1470 pairs exact "

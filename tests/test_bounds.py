@@ -175,6 +175,9 @@ class TestPhi:
             phi_spec("C5", 2)
         with pytest.raises(ValueError):
             phi_spec("C3_0", 1)
+        for name in ("C1", "C2x6"):
+            with pytest.raises(ValidationError, match="unknown family"):
+                phi_spec(name, 1)
 
     def test_small_grids_nonnegative(self):
         for spec in all_phi_specs():

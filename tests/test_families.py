@@ -12,7 +12,6 @@ from szpirolab.families import (
     PaperContractViolation,
     ValidationError,
     build_model,
-    decompose_a,
     delta_eval,
     recover_uT,
     u_value,
@@ -80,6 +79,8 @@ class TestValidation:
             validate_params("C11", 1, 1)
         with pytest.raises(ValidationError, match="parameter"):
             validate_params("C5", 1)
+        with pytest.raises(ValidationError, match="parameters must be integers"):
+            validate_params("C5", True, 1)
 
     def test_c2_negative_d_allowed(self):
         assert validate_params("C2", 1, 2, -1).params == (1, 2, -1)
@@ -133,9 +134,9 @@ class TestSingularity:
 
 class TestDecomposition:
     def test_spec_values(self):
-        assert decompose_a("C3", 24) == (2, 1, 3)
-        assert decompose_a("C3", 1) == (1, 1, 1)
-        assert decompose_a("C4", 256) == (16, 1)
+        assert FAMILIES["C3"].decompose(24) == (2, 1, 3)
+        assert FAMILIES["C3"].decompose(1) == (1, 1, 1)
+        assert FAMILIES["C4"].decompose(256) == (16, 1)
 
     def test_exponent_splitting_oracle(self):
         # per prime: k = 3x + 2y + z with y, z in {0,1}, never both
@@ -143,26 +144,25 @@ class TestDecomposition:
             (1, (0, 0, 1)), (2, (0, 1, 0)), (3, (1, 0, 0)), (4, (1, 0, 1)),
             (5, (1, 1, 0)), (6, (2, 0, 0)), (7, (2, 0, 1)), (8, (2, 1, 0)),
         ]:
-            c, d, e = decompose_a("C3", 2**k)
+            c, d, e = FAMILIES["C3"].decompose(2**k)
             assert (c, d, e) == (2**x, 2**y, 2**z)
 
     def test_round_trip_random(self):
         rng = random.Random(99)
         for _ in range(300):
             a = rng.randrange(1, 10**6)
-            c, d, e = decompose_a("C3", a)
+            c, d, e = FAMILIES["C3"].decompose(a)
             assert c**3 * d * d * e == a
             assert is_squarefree(d * e) if d * e > 1 else True
             assert math.gcd(d, e) == 1
-            c2, d2 = decompose_a("C4", a)
+            c2, d2 = FAMILIES["C4"].decompose(a)
             assert c2 * c2 * d2 == a
             assert d2 == 1 or is_squarefree(d2)
 
     def test_preconditions(self):
+        assert FAMILIES["C5"].decompose(6) is None
         with pytest.raises(ValueError):
-            decompose_a("C5", 6)
-        with pytest.raises(ValueError):
-            decompose_a("C3", -4)
+            FAMILIES["C3"].decompose(-4)
 
 
 class TestModels:

@@ -16,7 +16,6 @@ from szpirolab.sharpness import (
     convergence_scan,
     degree_limit_check,
     fit_intercept,
-    sharp_polynomials,
     verify_sharp_consistency,
 )
 from szpirolab.weierstrass import WeierstrassModel, compute_invariants
@@ -85,9 +84,11 @@ class TestBuild:
 
 class TestTableValues:
     def test_spec_examples(self):
-        assert sharp_polynomials("C1", 1)[1] == 19 * 217 == 4123
-        assert sharp_polynomials("C2", 2) == (385**3, 254)
-        assert sharp_polynomials("C3", 2) == (793**2, 106)
+        assert SHARP_FAMILIES["C1"].f_value(1) == 19 * 217 == 4123
+        spec = SHARP_FAMILIES["C2"]
+        assert (spec.height_value(2), spec.f_value(2)) == (385**3, 254)
+        spec = SHARP_FAMILIES["C3"]
+        assert (spec.height_value(2), spec.f_value(2)) == (793**2, 106)
 
     def test_degree_limits_all_families(self):
         for T in SHARP_FAMILIES:
@@ -114,7 +115,7 @@ class TestConsistency:
         rep = verify_sharp_consistency("C2xC2", 3)
         assert rep.ok
         assert conductor(build_FT("C2xC2", 3)) == 1365
-        assert sharp_polynomials("C2xC2", 3)[1] == 3 * 13 * 35 == 1365
+        assert SHARP_FAMILIES["C2xC2"].f_value(3) == 3 * 13 * 35 == 1365
 
     def test_c2xc6_w16(self):
         rep = verify_sharp_consistency("C2xC6", 2)

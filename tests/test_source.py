@@ -76,3 +76,22 @@ def test_c3_0_named_only_in_families_and_sweeps(path):
         if isinstance(node, ast.Constant) and node.value == "C3_0"
     ]
     assert lines == [], f"{path.name}: \"C3_0\" on line(s) {lines}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_comparison_with_c3_or_c4(path):
+    # The C3 and C4 power split is FamilyId.split; nothing branches on the name.
+    tree = ast.parse(path.read_text(), filename=str(path))
+
+    def constants(node):
+        if isinstance(node, ast.Tuple):
+            return {value for elt in node.elts for value in constants(elt)}
+        return {node.value} if isinstance(node, ast.Constant) else set()
+
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and any(constants(op) & {"C3", "C4"} for op in (node.left, *node.comparators))
+    ]
+    assert lines == [], f"{path.name}: comparison with \"C3\"/\"C4\" on line(s) {lines}"

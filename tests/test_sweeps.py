@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+import itertools
 import json
 import math
 import sys
@@ -11,6 +12,7 @@ import pytest
 
 from szpirolab.bounds import exceeds, szpiro_ratio
 from szpirolab.cli import build_parser, main
+from szpirolab import families
 from szpirolab.families import (
     FAMILIES,
     ValidationError,
@@ -62,6 +64,24 @@ class TestEnumeration:
     def test_deterministic(self):
         assert list(iter_param_tuples("C6", 4)) == list(iter_param_tuples("C6", 4))
 
+    @pytest.mark.parametrize("name", list(FAMILIES))
+    def test_prefilters_drop_no_valid_tuple(self, name):
+        # The per-family prefilters and validate_params must never drift apart:
+        # the whole cube and the enumeration keep the same instances, in order.
+        def valid(tuples):
+            kept = []
+            for params in tuples:
+                try:
+                    kept.append(validate_params(name, *params))
+                except ValidationError:
+                    continue
+            return kept
+
+        arity = FAMILIES[name].arity
+        for bound in range(1, 31 if name == "C3_0" else 5):
+            cube = itertools.product(range(-bound, bound + 1), repeat=arity)
+            assert valid(cube) == valid(iter_param_tuples(name, bound)), bound
+
 
 class TestCheckInstance:
     def test_clean_instance(self):
@@ -91,6 +111,19 @@ class TestCheckInstance:
         assert rep.u == 1 and not rep.ok
         assert any("outside the allowed set" in f for f in rep.findings)
         assert rep.findings == check_instance(inst, checks=("bounds", "torsion")).findings
+
+    @pytest.mark.parametrize(
+        "checks",
+        [ALL_CHECKS, ("bounds", "torsion"), ("height", "torsion"), ("torsion",)],
+    )
+    def test_off_table_u_reported_once(self, monkeypatch, checks):
+        # A recovered u with no key has no delta_{T,u}: one finding, no bound.
+        inst = validate_params("C5", 1, 1)
+        monkeypatch.setattr(families, "_u_key", lambda instance, u: None)
+        rep = check_instance(inst, checks=checks)
+        assert len(rep.findings) == 1, rep.findings
+        assert "outside the allowed set" in rep.findings[0]
+        assert rep.delta_bound == 0
 
     def test_nonintegral_delta_reported_not_raised(self, monkeypatch):
         # With delta_{C5,1} scaled by 1/7 the bound polynomial is not
