@@ -131,17 +131,13 @@ def _grid_range(text: str) -> Fraction:
 
 
 def _family_params(args) -> list[int]:
-    fam = families.FAMILIES[args.T]
-    params = [args.a]
-    if fam.arity >= 2:
-        if args.b is None:
-            raise families.ValidationError(f"{args.T} requires --b")
-        params.append(args.b)
-    if fam.arity == 3:
-        if args.d is None:
-            raise families.ValidationError(f"{args.T} requires --d")
-        params.append(args.d)
-    return params
+    taken = ("b", "d")[: families.FAMILIES[args.T].arity - 1]
+    for flag in ("b", "d"):
+        given = getattr(args, flag) is not None
+        if given != (flag in taken):
+            verb = "takes no" if given else "requires"
+            raise families.ValidationError(f"{args.T} {verb} --{flag}")
+    return [args.a, *(getattr(args, flag) for flag in taken)]
 
 
 def cmd_family(args) -> int:

@@ -267,6 +267,10 @@ class FamilyId:
     def __str__(self):
         return self.name
 
+    def __hash__(self):
+        # delta_scales is a dict; the name alone identifies a family
+        return hash(self.name)
+
     def decompose(self, a: int):
         """Split a > 0 per prime: a = c^3 d^2 e (gcd(d,e)=1, de squarefree)
         for split 3 (C3), a = c^2 d (d squarefree) for split 2 (C4).  The

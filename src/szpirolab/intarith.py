@@ -1,7 +1,7 @@
 """Exact integer support: valuations, radicals, squarefree tests, factoring.
 
-Everything here is deterministic.  Factoring is trial division up to a
-configurable bound followed by Brent-cycle Pollard rho with a fixed
+Everything here is deterministic.  Factoring is trial division up to the
+fixed bound _TRIAL_BOUND followed by Brent-cycle Pollard rho with a fixed
 parameter schedule, so repeated runs (and parallel workers) always agree.
 """
 

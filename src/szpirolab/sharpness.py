@@ -295,9 +295,7 @@ class SharpnessRecord:
     n: int
     model: WeierstrassModel
     height: int
-    f_value: int
-    squarefree: bool
-    conductor: int | None  # |f| when squarefree, else None
+    f_value: int  # squarefree, so the conductor is |f_value|
     sigma_m: float
 
     def as_dict(self) -> dict:
@@ -307,8 +305,8 @@ class SharpnessRecord:
             "model": [str(a) for a in self.model.coefficients()],
             "height": str(self.height),
             "f": str(self.f_value),
-            "squarefree": self.squarefree,
-            "conductor": None if self.conductor is None else str(self.conductor),
+            "squarefree": True,
+            "conductor": str(abs(self.f_value)),
             "sigma_m": self.sigma_m,
         }
 
@@ -392,7 +390,7 @@ def convergence_scan(
         sigma = math.log(H) / math.log(abs(f))
         if not H**l.denominator > abs(f) ** l.numerator:
             strictly_above = False
-        records.append(SharpnessRecord(T, n, model, H, f, True, abs(f), sigma))
+        records.append(SharpnessRecord(T, n, model, H, f, sigma))
     warning = None
     intercept = slope = None
     if len(records) < 10:

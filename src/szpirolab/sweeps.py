@@ -11,12 +11,10 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 
-from szpirolab.bounds import verify_height_bound
+from szpirolab.bounds import fan_out, verify_height_bound
 from szpirolab.families import (
     FamilyInstance,
     PaperContractViolation,
@@ -81,8 +79,6 @@ def check_sweep_args(bound: int, c30_bound: int | None, jobs: int, checks) -> No
 
 @dataclass(frozen=True)
 class InstanceReport:
-    family: str
-    params: tuple[int, ...]
     u: int
     conductor: int
     delta_bound: int
@@ -112,7 +108,6 @@ def check_instance(instance: FamilyInstance, checks=ALL_CHECKS) -> InstanceRepor
     """
     _reject_unknown_checks(checks)
     findings: list[str] = []
-    name = instance.family.name
     fam = instance.family
     model = build_model(instance)
     ca = analyze(model)
@@ -170,19 +165,11 @@ def check_instance(instance: FamilyInstance, checks=ALL_CHECKS) -> InstanceRepor
             findings.append(f"{instance}: full rational 2-torsion not found")
 
     sigma = math.log(height) / math.log(N) if N > 1 else float("inf")
-    return InstanceReport(
-        name, instance.params, u, N, bound, height, sigma, tuple(findings)
-    )
+    return InstanceReport(u, N, bound, height, sigma, tuple(findings))
 
 
 # ---------------------------------------------------------------------------
 # Enumeration of the valid parameter space within a box.
-
-
-def _squarefree_range(bound: int, include_one: bool = False):
-    lo = 1 if include_one else 2
-    vals = [d for d in range(lo, bound + 1) if is_squarefree(d)]
-    return [-d for d in range(1, bound + 1) if is_squarefree(d)] + vals
 
 
 def iter_param_tuples(name: str, bound: int):
@@ -192,7 +179,7 @@ def iter_param_tuples(name: str, bound: int):
         for a in range(1, bound + 1):
             yield (a,)
     elif name == "C2":
-        sq = sorted(_squarefree_range(bound))
+        sq = [d for d in range(-bound, bound + 1) if d not in (0, 1) and is_squarefree(d)]
         for a in range(-bound, bound + 1):
             for b in range(-bound, bound + 1):
                 if b == 0:
@@ -200,7 +187,7 @@ def iter_param_tuples(name: str, bound: int):
                 for d in sq:
                     yield (a, b, d)
     elif name == "C2xC2":
-        sq = sorted(_squarefree_range(bound, include_one=True))
+        sq = [d for d in range(-bound, bound + 1) if d != 0 and is_squarefree(d)]
         for a in range(-bound, bound + 1):
             if a == 0 or a % 2 != 0:
                 continue
@@ -231,7 +218,7 @@ class SweepSummary:
         return not self.findings
 
 
-def _check_chunk(name: str, chunk: list[tuple[int, ...]], checks=ALL_CHECKS):
+def _check_chunk(name: str, checks, chunk: list[tuple[int, ...]]):
     checked = 0
     findings: list[str] = []
     max_sigma, min_sigma = -math.inf, math.inf
@@ -269,13 +256,9 @@ def run_sweep(
     else:
         bound_used = bound
     tuples = list(iter_param_tuples(name, bound_used))
-    if jobs <= 1 or len(tuples) < 512:
-        parts = [_check_chunk(name, tuples, checks)]
-    else:
-        step = -(-len(tuples) // (jobs * 8))
-        chunks = [tuples[i : i + step] for i in range(0, len(tuples), step)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_check_chunk, repeat(name), chunks, repeat(checks)))
+    # 8 parts per worker balance families whose per-tuple cost varies
+    workers = jobs if len(tuples) >= 512 else 1
+    parts = fan_out(_check_chunk, tuples, workers, 8 * jobs, name, checks)
     checked = sum(p[0] for p in parts)
     findings: list[str] = []
     for p in parts:

@@ -1,11 +1,9 @@
 """Shared pytest wiring: collect acceptance verdicts for the run summary,
 and record which process pools a test enters."""
 
-import concurrent.futures
-
 import pytest
 
-from szpirolab import sweeps
+from szpirolab import bounds
 
 ACCEPTANCE_VERDICTS: list[str] = []
 
@@ -23,15 +21,14 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture
 def pool_entries(monkeypatch):
-    """A list that gains one entry per process pool entered by phi_scan
-    (which imports the executor at call time) or run_sweep."""
+    """A list that gains one entry per process pool entered; every pool in
+    the library is started by bounds.fan_out (see test_source)."""
     entries = []
 
-    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+    class RecordingPool(bounds.ProcessPoolExecutor):
         def __enter__(self):
             entries.append(self)
             return super().__enter__()
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(bounds, "ProcessPoolExecutor", RecordingPool)
     return entries

@@ -213,12 +213,17 @@ class TestPhi:
 
     def test_parallel_scan_matches_serial(self, pool_entries):
         spec = phi_spec("C6", 2)
-        serial = phi_scan(spec, 16, 10, jobs=1)
+        serial = phi_scan(spec, 128, 10, jobs=1)
         assert pool_entries == []
-        parallel = phi_scan(spec, 16, 10, jobs=2)
+        parallel = phi_scan(spec, 128, 10, jobs=2)
         assert len(pool_entries) == 1
-        assert serial.points == 321
+        assert serial.points == 2561
         assert serial == parallel
+        # a small grid stays in process: one pool start costs more than it saves
+        small = phi_scan(spec, 16, 10, jobs=2)
+        assert len(pool_entries) == 1
+        assert small.points == 321
+        assert small == phi_scan(spec, 16, 10, jobs=1)
 
     def test_tail_dominance_all_branches(self):
         for spec in all_phi_specs():

@@ -169,6 +169,15 @@ class TestPhi:
         code, out, err = run_cli(["phi", "--T", "C5", "--u", u], capsys)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    def test_small_grids_enter_no_pool(self, capsys, pool_entries):
+        code, out, _ = run_cli(
+            ["phi", "--T", "all", "--den", "16", "--range", "10", "--jobs", "2"],
+            capsys,
+        )
+        assert code == 0
+        assert len(json_lines(out)) == 28
+        assert pool_entries == []
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_exit_2(self, jobs, capsys):
         code, out, err = run_cli(
@@ -266,6 +275,12 @@ def test_usage_error_exit_2(argv, message, capsys):
          (2, "", "error: Fraction(1, 0)\n")),
         (["curve", "minimal", "--model", "0,0,0,0,0"],
          (1, "", "error: singular model (discriminant zero)\n")),
+        (["family", "build", "--T", "C5", "--a", "1", "--b", "1", "--d", "7"],
+         (2, "", "error: C5 takes no --d\n")),
+        (["family", "build", "--T", "C3_0", "--a", "2", "--b", "5"],
+         (2, "", "error: C3_0 takes no --b\n")),
+        (["family", "build", "--T", "C3_0", "--a", "2", "--d", "5"],
+         (2, "", "error: C3_0 takes no --d\n")),
     ],
 )
 def test_error_exit_pinned(argv, expected, capsys):

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from szpirolab import families
+from szpirolab.bounds import phi_spec
 from szpirolab.families import (
     FAMILIES,
     PaperContractViolation,
@@ -87,6 +88,11 @@ class TestValidation:
 
     def test_c2xc2_d_one_allowed(self):
         assert validate_params("C2xC2", 2, 1, 1).params == (2, 1, 1)
+
+    def test_instances_and_phi_specs_hash(self):
+        # FamilyId holds a dict (delta_scales) and hashes on its name
+        assert len({validate_params("C5", 1, 1), validate_params("C5", 1, 1)}) == 1
+        assert hash(phi_spec("C4", "2c")) == hash(phi_spec("C4", "2c"))
 
 
 class TestSingularity:

@@ -200,9 +200,9 @@ class TestConvergence:
     def test_records_carry_conductor(self):
         scan = convergence_scan("C3", 50, n_min=2)
         for r in scan.records:
-            assert r.squarefree and r.conductor == abs(r.f_value)
             assert r.height == height_of_minimal(minimal_model(r.model))
             d = r.as_dict()
+            assert d["squarefree"] is True and d["conductor"] == str(abs(r.f_value))
             assert d["T"] == "C3" and isinstance(d["height"], str)
 
     def test_nmax_guard(self):

@@ -37,6 +37,19 @@ def test_symbolic_u_keys_only_in_families(path):
     assert lines == [], f"{path.name}: symbolic u key on line(s) {lines}"
 
 
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "bounds.py"], ids=lambda path: path.name
+)
+def test_process_pool_only_in_bounds(path):
+    # bounds.fan_out starts every pool, so one patch of it sees them all.
+    lines = [
+        number
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if "ProcessPoolExecutor" in line
+    ]
+    assert lines == [], f"{path.name}: ProcessPoolExecutor on line(s) {lines}"
+
+
 def test_cli_exit_code_2_decided_in_main():
     # Input errors raise; main alone turns them into a message and exit 2.
     path = next(p for p in SOURCES if p.name == "cli.py")
