@@ -18,6 +18,7 @@ from szpirolab.families import (
     FAMILIES,
     FamilyId,
     FamilyInstance,
+    ValidationError,
     build_model,
     family,
     u_value,
@@ -50,7 +51,7 @@ __all__ = [
 
 def szpiro_exponent(name: str) -> Fraction:
     """The sharp ratio bound l for a torsion structure ("C1" for trivial)."""
-    return Fraction(1) if name == "C1" else FAMILIES[name].l
+    return Fraction(1) if name == "C1" else family(name).l
 
 
 def _analyze_for_ratio(model: WeierstrassModel):
@@ -110,7 +111,6 @@ class PhiSpec:
     family: FamilyId
     u_key: object  # a key of family.delta_scales
     prefactor: Fraction
-    exponent: Fraction
 
     @property
     def label(self) -> str:
@@ -120,11 +120,11 @@ class PhiSpec:
 def phi_spec(name: str, u_key) -> PhiSpec:
     fam = family(name)  # an unknown name raises ValidationError
     if name not in PHI_FAMILIES:
-        raise ValueError(f"{name} has no phi branch; its bound is checked directly")
+        raise ValidationError(f"{name} has no phi branch; its bound is checked directly")
     if u_key not in fam.delta_scales:
-        raise ValueError(f"u = {u_key} is not admissible for {name}")
+        raise ValidationError(f"u = {u_key} is not admissible for {name}")
     pre = Fraction(1, u_value(u_key, _pattern(fam, 1).decomposition) ** 12)
-    return PhiSpec(fam, u_key, pre, fam.l)
+    return PhiSpec(fam, u_key, pre)
 
 
 def all_phi_specs() -> list[PhiSpec]:
@@ -222,7 +222,7 @@ def phi_eval(spec: PhiSpec, x) -> PhiValue:
     big_num, big_den = pre.numerator * m, pre.denominator * den**e
     del_num = abs(scale.numerator * dbase(k))
     del_den = scale.denominator * den**dbase.degree
-    p, q = spec.exponent.numerator, spec.exponent.denominator
+    p, q = spec.family.l.numerator, spec.family.l.denominator
     lhs = big_num**q * del_den**p
     rhs = del_num**p * big_den**q
     sign = (lhs > rhs) - (lhs < rhs)
@@ -302,12 +302,12 @@ def phi_scan(
     outcome never depends on scheduling.
     """
     if denominator < 1:
-        raise ValueError("denominator must be >= 1")
+        raise ValidationError("denominator must be >= 1")
     if jobs < 1:
-        raise ValueError("worker count must be >= 1")
+        raise ValidationError("worker count must be >= 1")
     x_range = Fraction(x_range)
     if x_range < 0:
-        raise ValueError("x_range must be >= 0")
+        raise ValidationError("x_range must be >= 0")
     k_max = int(x_range * denominator)
     ks = range(-k_max, k_max + 1)
     workers = jobs if len(ks) >= _PHI_POOL_MIN else 1
@@ -364,9 +364,9 @@ def _homogeneity_data(instance: FamilyInstance):
 def homogeneity_check(instance: FamilyInstance) -> bool:
     """Verify all three scaling identities exactly in rational arithmetic."""
     if instance.family.name not in PHI_FAMILIES:
-        raise ValueError(f"{instance.family.name} carries no homogeneity identities")
+        raise ValidationError(f"{instance.family.name} carries no homogeneity identities")
     if instance.params[0] == 0:
-        raise ValueError("leading parameter must be nonzero")
+        raise ValidationError("leading parameter must be nonzero")
     x, s_alpha, s_beta, s_delta = _homogeneity_data(instance)
     alpha_sub, beta_sub, delta_sub = _forms_at(_pattern(instance.family, x))
     alpha, beta, delta_val = _forms_at(instance)
@@ -415,8 +415,9 @@ def leading_dominance(spec: PhiSpec) -> DominanceReport:
         leads.append(Fraction(beta.leading) ** 2)
     lead_max = spec.prefactor * max(leads)
 
-    p, q = spec.exponent.numerator, spec.exponent.denominator
-    deg_bound = spec.exponent * dbase.degree
+    l = spec.family.l
+    p, q = l.numerator, l.denominator
+    deg_bound = l * dbase.degree
     lead_bound = abs(spec.family.delta_scales[spec.u_key] * Fraction(dbase.leading))
     if deg_max > deg_bound:
         dominant = True

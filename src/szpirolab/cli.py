@@ -30,20 +30,16 @@ USAGE_ERROR = 2
 CHECK_FAILED = 1
 
 
-class UsageError(Exception):
-    """Rejected command-line input; main reports it with exit code 2."""
-
-
 def _parse_model(text: str) -> WeierstrassModel:
     parts = text.split(",")
     if len(parts) != 5:
-        raise UsageError("--model expects five comma-separated coefficients")
+        raise families.ValidationError("--model expects five comma-separated coefficients")
     coeffs = []
     for part in parts:
         try:
             frac = Fraction(part.strip())
         except (ValueError, ZeroDivisionError) as exc:
-            raise UsageError(exc) from exc
+            raise families.ValidationError(exc) from exc
         coeffs.append(int(frac) if frac.denominator == 1 else frac)
     return WeierstrassModel(*coeffs)
 
@@ -120,14 +116,11 @@ def cmd_curve(args) -> int:
 
 
 def _grid_range(text: str) -> Fraction:
-    """--range: a nonnegative rational half-width of the phi grid."""
+    """--range: a rational half-width of the phi grid."""
     try:
-        value = Fraction(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return value
 
 
 def _family_params(args) -> list[int]:
@@ -143,9 +136,9 @@ def _family_params(args) -> list[int]:
 def cmd_family(args) -> int:
     if args.action == "build":
         if args.T == "all":
-            raise UsageError("family build requires a concrete --T")
+            raise families.ValidationError("family build requires a concrete --T")
         if args.a is None:
-            raise UsageError("family build requires --a")
+            raise families.ValidationError("family build requires --a")
         inst = families.validate_params(args.T, *_family_params(args))
         rep = sweeps.check_instance(inst)
         out = {
@@ -167,10 +160,6 @@ def cmd_family(args) -> int:
 
     names = list(families.FAMILIES) if args.T == "all" else [args.T]
     checks = tuple(args.checks.split(","))
-    try:
-        sweeps.check_sweep_args(args.max, args.c30_max, args.jobs, checks)
-    except ValueError as exc:
-        raise UsageError(exc) from exc
     failed = False
     for name in names:
         summary = sweeps.run_sweep(
@@ -190,56 +179,55 @@ def cmd_family(args) -> int:
     return CHECK_FAILED if failed else 0
 
 
-def _phi_u_keys(name: str, u_arg: str):
-    fam = families.FAMILIES[name]
-    if u_arg == "all":
-        return list(fam.delta_scales)
+def _parse_u(text: str):
+    """--u: a symbolic u key as written, or an integer u."""
     keys = (k for f in families.FAMILIES.values() for k in f.delta_scales)
-    if u_arg in {k for k in keys if isinstance(k, str)}:
-        key = u_arg
-    else:
-        try:
-            key = int(u_arg)
-        except ValueError:
-            raise UsageError(f"bad u value {u_arg!r}") from None
-    if key not in fam.delta_scales:
-        raise UsageError(f"u = {u_arg} is not admissible for {name}")
-    return [key]
+    if text in {k for k in keys if isinstance(k, str)}:
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise families.ValidationError(f"bad u value {text!r}") from None
 
 
 def cmd_phi(args) -> int:
-    if args.jobs < 1:
-        raise UsageError("worker count must be >= 1")
     names = list(bounds.PHI_FAMILIES) if args.T == "all" else [args.T]
+    u = None if args.u == "all" else _parse_u(args.u)
+    # every branch is built, and so checked, before the first line is printed
+    specs = [
+        bounds.phi_spec(name, key)
+        for name in names
+        for key in (families.FAMILIES[name].delta_scales if u is None else [u])
+    ]
     failed = False
-    for name in names:
-        for key in _phi_u_keys(name, args.u):
-            spec = bounds.phi_spec(name, key)
-            res = bounds.phi_scan(spec, args.den, args.range, jobs=args.jobs)
-            dom = bounds.leading_dominance(spec)
-            _emit({
-                "family": name,
-                "u": _s(key) if isinstance(key, int) else key,
-                "denominator": args.den,
-                "range": _s(args.range),
-                "points": res.points,
-                "violations": [_s(x) for x in res.violations],
-                "zeros": [_s(x) for x in res.zeros],
-                "min": res.min_approx,
-                "argmin": _s(res.argmin),
-                "tail_dominant": dom.dominant,
-            })
-            if res.violations or not dom.dominant:
-                failed = True
+    for spec in specs:
+        res = bounds.phi_scan(spec, args.den, args.range, jobs=args.jobs)
+        dom = bounds.leading_dominance(spec)
+        _emit({
+            "family": spec.family.name,
+            "u": _s(spec.u_key),
+            "denominator": args.den,
+            "range": _s(args.range),
+            "points": res.points,
+            "violations": [_s(x) for x in res.violations],
+            "zeros": [_s(x) for x in res.zeros],
+            "min": res.min_approx,
+            "argmin": _s(res.argmin),
+            "tail_dominant": dom.dominant,
+        })
+        if res.violations or not dom.dominant:
+            failed = True
     return CHECK_FAILED if failed else 0
 
 
 def cmd_sharp(args) -> int:
     names = list(sharpness.SHARP_FAMILIES) if args.T == "all" else [args.T]
+    # rejected arguments must leave --out untouched
+    sharpness.check_scan_args(args.nmax, args.samples)
     try:
         stream = open(args.out, "w") if args.out else sys.stdout
     except OSError as exc:
-        raise UsageError(exc) from exc
+        raise families.ValidationError(exc) from exc
     writer = None
     failed = False
     try:
@@ -346,21 +334,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "sharp":
-        if args.nmax < 10:
-            parser.error("--nmax must be >= 10")
-        if args.samples is not None and args.samples < 2:
-            parser.error("--samples must be >= 2")
-    if args.command == "phi" and args.den < 1:
-        parser.error("--den must be >= 1")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except FactorBudgetError as exc:
         print(f"error: {exc} (partial: {exc.partial.pairs})", file=sys.stderr)
         return CHECK_FAILED
-    except (SingularModelError, UsageError, families.ValidationError) as exc:
+    except (SingularModelError, families.ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CHECK_FAILED if isinstance(exc, SingularModelError) else USAGE_ERROR
 

@@ -37,7 +37,7 @@ __all__ = [
 
 
 class ValidationError(ValueError):
-    """A family parameter condition failed; the message names the condition."""
+    """Rejected input; the message names the rule."""
 
 
 class PaperContractViolation(AssertionError):
@@ -279,7 +279,7 @@ class FamilyId:
         if k is None:
             return None
         if a <= 0:
-            raise ValueError("decomposition requires a > 0")
+            raise ValidationError("decomposition requires a > 0")
         c = 1
         parts = [1] * k  # parts[r]: the primes whose exponent is r mod k
         for p, e in factorize(a):
@@ -462,7 +462,7 @@ def delta_eval(instance: FamilyInstance, u: int) -> int:
     fam = instance.family
     key = _u_key(instance, u)
     if key is None:
-        raise ValueError(f"u = {u} is not admissible for {fam.name}")
+        raise ValidationError(f"u = {u} is not admissible for {fam.name}")
     scaled = fam.delta_scales[key] * fam.delta(*instance.delta_args)
     if scaled.denominator != 1:
         raise PaperContractViolation(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from szpirolab.bounds import szpiro_exponent
-from szpirolab.families import FAMILIES
+from szpirolab.families import FAMILIES, ValidationError
 from szpirolab.intarith import FactorBudgetError, is_squarefree, radical
 from szpirolab.poly import evaluate
 from szpirolab.reduction import analyze, height_of_minimal, minimal_model
@@ -25,6 +25,7 @@ __all__ = [
     "SharpnessRecord",
     "ConsistencyReport",
     "build_FT",
+    "check_scan_args",
     "convergence_scan",
     "degree_limit_check",
     "fit_intercept",
@@ -191,15 +192,24 @@ SHARP_FAMILIES: dict[str, SharpFamilySpec] = {
 }
 
 
+def sharp_family(T: str) -> SharpFamilySpec:
+    try:
+        return SHARP_FAMILIES[T]
+    except KeyError:
+        raise ValidationError(
+            f"unknown sharpness family {T!r}; valid: {', '.join(SHARP_FAMILIES)}"
+        ) from None
+
+
 def build_FT(T: str, n: int) -> WeierstrassModel:
     """The n-th member of the sharpness sequence for T.
 
     disc(F_T(n)) and f(n) have the same radical as polynomials in n, so the
     model is singular exactly where f(n) = 0.
     """
-    spec = SHARP_FAMILIES[T]
+    spec = sharp_family(T)
     if spec.f_value(n) == 0:
-        raise ValueError(f"F_{T}({n}) is degenerate (discriminant zero)")
+        raise ValidationError(f"F_{T}({n}) is degenerate (discriminant zero)")
     if T == "C1":
         return WeierstrassModel(0, 0, 1, 3 * n + 1, 0)
     args = tuple(evaluate(c, n) for c in (spec.A, spec.B, spec.D) if c is not None)
@@ -208,7 +218,7 @@ def build_FT(T: str, n: int) -> WeierstrassModel:
 
 def degree_limit_check(T: str) -> bool:
     """deg H / deg f must equal the sharp exponent l exactly."""
-    spec = SHARP_FAMILIES[T]
+    spec = sharp_family(T)
     return Fraction(spec.height_degree, spec.f_degree) == szpiro_exponent(T)
 
 
@@ -233,8 +243,8 @@ def verify_sharp_consistency(T: str, n: int) -> ConsistencyReport:
     squarefree.  Each failure becomes a named finding.
     """
     if abs(n) <= 1:
-        raise ValueError("consistency checks require |n| > 1")
-    spec = SHARP_FAMILIES[T]
+        raise ValidationError("consistency checks require |n| > 1")
+    spec = sharp_family(T)
     findings: list[str] = []
     ca = analyze(build_FT(T, n))
 
@@ -315,14 +325,14 @@ def fit_intercept(points: list[tuple[float, float]]) -> tuple[float, float]:
     """(intercept, slope) of the least-squares line through (x, y) points."""
     n = len(points)
     if n < 2:
-        raise ValueError("need at least two points to fit")
+        raise ValidationError("need at least two points to fit")
     sx = sum(x for x, _ in points)
     sy = sum(y for _, y in points)
     sxx = sum(x * x for x, _ in points)
     sxy = sum(x * y for x, y in points)
     denom = n * sxx - sx * sx
     if denom == 0:
-        raise ValueError("degenerate abscissae")
+        raise ValidationError("degenerate abscissae")
     slope = (n * sxy - sx * sy) / denom
     intercept = (sy - slope * sx) / n
     return intercept, slope
@@ -351,6 +361,15 @@ def _sample_values(n_min: int, n_max: int, samples: int | None) -> list[int]:
     return [n for n in out if n_min <= n <= n_max]
 
 
+def check_scan_args(n_max: int, samples: int | None) -> None:
+    """The convergence_scan rules on n_max and samples; a front end calls
+    it before it writes anything."""
+    if n_max < 10:
+        raise ValidationError("n_max must be >= 10")
+    if samples is not None and samples < 2:
+        raise ValidationError("samples must be >= 2")
+
+
 def convergence_scan(
     T: str,
     n_max: int,
@@ -365,13 +384,11 @@ def convergence_scan(
     against 1/log|f(n)|; the intercept estimates the limiting ratio, since
     the convergence itself is logarithmic and never lands.  With samples
     set, candidate n are log-spaced across [n_min, n_max]; membership and
-    all comparisons stay exact.
+    all comparisons stay exact.  An unknown T and the arguments
+    check_scan_args rejects raise ValidationError.
     """
-    if n_max < 10:
-        raise ValueError("n_max must be >= 10")
-    if samples is not None and samples < 2:
-        raise ValueError("samples must be >= 2")
-    spec = SHARP_FAMILIES[T]
+    check_scan_args(n_max, samples)
+    spec = sharp_family(T)
     l = szpiro_exponent(T)
     records: list[SharpnessRecord] = []
     strictly_above = True

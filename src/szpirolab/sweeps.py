@@ -38,7 +38,6 @@ __all__ = [
     "InstanceReport",
     "SweepSummary",
     "check_instance",
-    "check_sweep_args",
     "default_jobs",
     "iter_param_tuples",
     "run_sweep",
@@ -64,17 +63,7 @@ def default_jobs() -> int:
 def _reject_unknown_checks(checks) -> None:
     unknown = set(checks) - set(ALL_CHECKS)
     if unknown:
-        raise ValueError(f"unknown checks: {sorted(unknown)}")
-
-
-def check_sweep_args(bound: int, c30_bound: int | None, jobs: int, checks) -> None:
-    """Raise ValueError on a bound or worker count below 1 or an unknown
-    check name; run_sweep calls it before it checks any instance."""
-    if bound < 1 or (c30_bound is not None and c30_bound < 1):
-        raise ValueError("parameter bounds must be positive")
-    if jobs < 1:
-        raise ValueError("worker count must be >= 1")
-    _reject_unknown_checks(checks)
+        raise ValidationError(f"unknown checks: {sorted(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -104,7 +93,7 @@ def check_instance(instance: FamilyInstance, checks=ALL_CHECKS) -> InstanceRepor
     the minimal model.
     "torsion": the expected order of (0, 0), plus full rational 2-torsion
     where the torsion structure demands it.
-    An unknown check name raises ValueError.
+    An unknown check name raises ValidationError.
     """
     _reject_unknown_checks(checks)
     findings: list[str] = []
@@ -174,7 +163,9 @@ def check_instance(instance: FamilyInstance, checks=ALL_CHECKS) -> InstanceRepor
 
 def iter_param_tuples(name: str, bound: int):
     """Raw candidate tuples in the box; validity is decided by
-    validate_params so the two never drift apart."""
+    validate_params so the two never drift apart.  An unknown family
+    raises ValidationError."""
+    family(name)
     if name == "C3_0":
         for a in range(1, bound + 1):
             yield (a,)
@@ -245,12 +236,15 @@ def run_sweep(
     """Verify every valid instance in the box; returns aggregate findings.
 
     c30_bound overrides the box for the cubefree one-parameter family when
-    sweeping "all" with a deeper range there.  An unknown family and the
-    arguments check_sweep_args rejects raise ValueError before any
-    instance is checked.
+    sweeping "all" with a deeper range there.  An unknown family, a bound
+    or worker count below 1 and an unknown check name raise
+    ValidationError before any instance is checked.
     """
-    family(name)
-    check_sweep_args(bound, c30_bound, jobs, checks)
+    if bound < 1 or (c30_bound is not None and c30_bound < 1):
+        raise ValidationError("parameter bounds must be positive")
+    if jobs < 1:
+        raise ValidationError("worker count must be >= 1")
+    _reject_unknown_checks(checks)
     if name == "C3_0" and c30_bound is not None:
         bound_used = c30_bound
     else:

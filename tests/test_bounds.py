@@ -240,7 +240,7 @@ def _fraction_phi_eval(spec, x):
     alpha, beta, dbase = bounds._forms_at(bounds._pattern(spec.family, x))
     delta_u = spec.family.delta_scales[spec.u_key] * Fraction(dbase)
     big = spec.prefactor * max(abs(Fraction(alpha)) ** 3, Fraction(beta) ** 2)
-    p, q = spec.exponent.numerator, spec.exponent.denominator
+    p, q = spec.family.l.numerator, spec.family.l.denominator
     lhs_pow = big**q
     rhs_pow = abs(delta_u) ** p
     sign = (lhs_pow > rhs_pow) - (lhs_pow < rhs_pow)
@@ -285,13 +285,14 @@ class TestIntegerPhiEval:
                 self._assert_same(spec, x)
 
     def test_hand_built_spec(self):
-        # prefactor, exponent and delta scale are read from the spec itself
+        # prefactor, exponent and delta scale are read from the spec and its
+        # family
         rescaled = dataclasses.replace(FAMILIES["C5"], delta_scales={1: Fraction(3, 5)})
         branches = ((FAMILIES["C5"], 1), (rescaled, 1), (FAMILIES["C2"], 4), (FAMILIES["C4"], "2c"))
         exps = ((Fraction(3, 7), Fraction(7, 2)), (Fraction(-2), Fraction(2, 1)))
         for fam, key in branches:
             for pre, exp in exps:
-                spec = PhiSpec(fam, key, pre, exp)
+                spec = PhiSpec(dataclasses.replace(fam, l=exp), key, pre)
                 for x in (0, Fraction(-5, 3), Fraction(7, 16), 40):
                     self._assert_same(spec, x)
 

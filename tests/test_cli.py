@@ -239,27 +239,43 @@ class TestSharp:
         assert "Traceback" not in err
 
     def test_nmax_guard(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["sharp", "--T", "C2", "--nmax", "5"])
-        assert exc.value.code == 2
+        code, out, err = run_cli(["sharp", "--T", "C2", "--nmax", "5"], capsys)
+        assert (code, out, err) == (2, "", "error: n_max must be >= 10\n")
+
+    def test_rejected_arguments_leave_out_file_untouched(self, tmp_path, capsys):
+        # --consistency would print C2xC8 findings before the first scan
+        out_path = tmp_path / "series.json"
+        out_path.write_bytes(b"earlier run\n")
+        code, out, err = run_cli(
+            ["sharp", "--T", "C2xC8", "--nmax", "5", "--consistency", "3",
+             "--out", str(out_path)],
+            capsys,
+        )
+        assert (code, out, err) == (2, "", "error: n_max must be >= 10\n")
+        assert out_path.read_bytes() == b"earlier run\n"
 
 
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["phi", "--T", "C5", "--den", "0"], "--den must be >= 1"),
-        (["phi", "--T", "C5", "--range", "abc"], "not a rational number"),
-        (["phi", "--T", "C5", "--range", "-1"], "must be >= 0"),
+        (["phi", "--T", "C5", "--den", "0"], "denominator must be >= 1"),
+        (["phi", "--T", "C5", "--range", "-1"], "x_range must be >= 0"),
         (["sharp", "--T", "C2", "--nmax", "100", "--samples", "1"],
-         "--samples must be >= 2"),
+         "samples must be >= 2"),
     ],
 )
 def test_usage_error_exit_2(argv, message, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert message in err and out == ""
+
+
+def test_parse_error_exits_through_argparse(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(argv)
+        main(["phi", "--T", "C5", "--range", "abc"])
     captured = capsys.readouterr()
     assert exc.value.code == 2
-    assert message in captured.err and captured.out == ""
+    assert "not a rational number" in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize(
@@ -281,6 +297,18 @@ def test_usage_error_exit_2(argv, message, capsys):
          (2, "", "error: C3_0 takes no --b\n")),
         (["family", "build", "--T", "C3_0", "--a", "2", "--d", "5"],
          (2, "", "error: C3_0 takes no --d\n")),
+        (["sharp", "--T", "C2", "--nmax", "5"],
+         (2, "", "error: n_max must be >= 10\n")),
+        (["sharp", "--T", "C2", "--nmax", "100", "--samples", "1"],
+         (2, "", "error: samples must be >= 2\n")),
+        (["phi", "--T", "C5", "--den", "0"],
+         (2, "", "error: denominator must be >= 1\n")),
+        (["phi", "--T", "C5", "--range", "-1"],
+         (2, "", "error: x_range must be >= 0\n")),
+        (["phi", "--T", "C2", "--u", "03"],
+         (2, "", "error: u = 3 is not admissible for C2\n")),
+        (["phi", "--T", "all", "--u", "2", "--den", "2", "--range", "1", "--jobs", "1"],
+         (2, "", "error: u = 2 is not admissible for C3\n")),
     ],
 )
 def test_error_exit_pinned(argv, expected, capsys):

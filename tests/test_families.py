@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from szpirolab import families
+from szpirolab import bounds, families, sharpness, sweeps
 from szpirolab.bounds import phi_spec
 from szpirolab.families import (
     FAMILIES,
@@ -93,6 +93,71 @@ class TestValidation:
         # FamilyId holds a dict (delta_scales) and hashes on its name
         assert len({validate_params("C5", 1, 1), validate_params("C5", 1, 1)}) == 1
         assert hash(phi_spec("C4", "2c")) == hash(phi_spec("C4", "2c"))
+
+
+def _c5(*params):
+    return validate_params("C5", *params)
+
+
+# (call, the message it must raise); each names one argument rule
+REJECTED_ARGUMENTS = {
+    "phi_scan den": (lambda: bounds.phi_scan(phi_spec("C5", 1), 0, 1),
+                     "denominator must be >= 1"),
+    "phi_scan jobs": (lambda: bounds.phi_scan(phi_spec("C5", 1), 8, 1, jobs=0),
+                      "worker count must be >= 1"),
+    "phi_scan x_range": (lambda: bounds.phi_scan(phi_spec("C5", 1), 8, -1),
+                         "x_range must be >= 0"),
+    "phi_spec u": (lambda: phi_spec("C5", 2), "u = 2 is not admissible for C5"),
+    "phi_spec branch": (lambda: phi_spec("C3_0", 1), "C3_0 has no phi branch"),
+    "phi_spec family": (lambda: phi_spec("C11", 1), "unknown family 'C11'"),
+    "szpiro_exponent family": (lambda: bounds.szpiro_exponent("C11"),
+                               "unknown family 'C11'"),
+    "homogeneity_check family": (
+        lambda: bounds.homogeneity_check(validate_params("C3_0", 2)),
+        "C3_0 carries no homogeneity identities"),
+    "convergence_scan n_max": (lambda: sharpness.convergence_scan("C2", 5),
+                               "n_max must be >= 10"),
+    "convergence_scan samples": (lambda: sharpness.convergence_scan("C2", 100, samples=1),
+                                 "samples must be >= 2"),
+    "convergence_scan family": (lambda: sharpness.convergence_scan("C11", 100),
+                                "unknown sharpness family 'C11'"),
+    "build_FT family": (lambda: sharpness.build_FT("C11", 2),
+                        "unknown sharpness family 'C11'"),
+    "build_FT degenerate": (lambda: sharpness.build_FT("C2", 0), "degenerate"),
+    "verify_sharp_consistency family": (
+        lambda: sharpness.verify_sharp_consistency("C11", 2),
+        "unknown sharpness family 'C11'"),
+    "verify_sharp_consistency n": (lambda: sharpness.verify_sharp_consistency("C2", 1),
+                                   r"\|n\| > 1"),
+    "degree_limit_check family": (lambda: sharpness.degree_limit_check("C3_0"),
+                                  "unknown sharpness family 'C3_0'"),
+    "fit_intercept points": (lambda: sharpness.fit_intercept([(1.0, 2.0)]),
+                             "at least two points"),
+    "run_sweep bound": (lambda: sweeps.run_sweep("C5", 0),
+                        "parameter bounds must be positive"),
+    "run_sweep c30_bound": (lambda: sweeps.run_sweep("C5", 3, c30_bound=0),
+                            "parameter bounds must be positive"),
+    "run_sweep jobs": (lambda: sweeps.run_sweep("C5", 3, jobs=0),
+                       "worker count must be >= 1"),
+    "run_sweep checks": (lambda: sweeps.run_sweep("C5", 3, checks=("foo",)),
+                         r"unknown checks: \['foo'\]"),
+    "run_sweep family": (lambda: sweeps.run_sweep("C11", 3), "unknown family 'C11'"),
+    "check_instance checks": (lambda: sweeps.check_instance(_c5(1, 1), ("foo",)),
+                              r"unknown checks: \['foo'\]"),
+    "iter_param_tuples family": (lambda: list(sweeps.iter_param_tuples("C11", 1)),
+                                 "unknown family 'C11'"),
+    "delta_eval u": (lambda: delta_eval(_c5(1, 1), 2), "u = 2 is not admissible for C5"),
+    "decompose a": (lambda: FAMILIES["C3"].decompose(-4), "requires a > 0"),
+}
+
+
+@pytest.mark.parametrize("case", REJECTED_ARGUMENTS)
+def test_rejected_argument_raises_validation_error(case):
+    # One exception type for rejected input, whatever the layer.
+    call, message = REJECTED_ARGUMENTS[case]
+    with pytest.raises(ValidationError, match=message) as exc:
+        call()
+    assert exc.type is ValidationError
 
 
 class TestSingularity:

@@ -75,6 +75,28 @@ def test_cli_exit_code_2_decided_in_main():
     assert catches == [], f"cli.py: ValidationError caught outside main on line(s) {catches}"
 
 
+def test_cli_has_one_usage_error_route():
+    # Rejected input raises families.ValidationError; the CLI defines no
+    # exception of its own and never exits through a parser's error().
+    path = next(p for p in SOURCES if p.name == "cli.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    classes = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(ast.unparse(base).endswith(("Error", "Exception")) for base in node.bases)
+    ]
+    error_calls = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "error"
+    ]
+    assert classes == [], f"cli.py: exception class on line(s) {classes}"
+    assert error_calls == [], f"cli.py: .error(...) call on line(s) {error_calls}"
+
+
 @pytest.mark.parametrize(
     "path",
     [p for p in SOURCES if p.name not in ("families.py", "sweeps.py")],
