@@ -57,7 +57,6 @@ from szpirolab.bounds import (
     homogeneity_check,
     phi_eval,
     phi_scan,
-    szpiro_exponent,
     szpiro_ratio,
     verify_height_bound,
 )

@@ -43,22 +43,9 @@ __all__ = [
     "phi_eval",
     "phi_scan",
     "phi_spec",
-    "szpiro_exponent",
     "szpiro_ratio",
     "verify_height_bound",
 ]
-
-
-def szpiro_exponent(name: str) -> Fraction:
-    """The sharp ratio bound l for a torsion structure ("C1" for trivial)."""
-    return Fraction(1) if name == "C1" else family(name).l
-
-
-def _analyze_for_ratio(model: WeierstrassModel):
-    ca = analyze(model)  # a singular model raises SingularModelError here
-    if ca.conductor <= 1:
-        raise ValueError("conductor 1 cannot occur over Q; ratio undefined")
-    return ca
 
 
 def szpiro_ratio(model: WeierstrassModel) -> float:
@@ -67,13 +54,13 @@ def szpiro_ratio(model: WeierstrassModel) -> float:
     The logs of exact integers are accurate to machine precision; for exact
     decisions against a rational threshold use exceeds() instead.
     """
-    ca = _analyze_for_ratio(model)
+    ca = analyze(model)  # a singular model raises SingularModelError here
     return math.log(ca.height) / math.log(ca.conductor)
 
 
 def exceeds(model: WeierstrassModel, bound: Fraction) -> bool:
     """Exact test of szpiro_ratio(model) > p/q, as height^q > N^p."""
-    ca = _analyze_for_ratio(model)
+    ca = analyze(model)
     return ca.height**bound.denominator > ca.conductor**bound.numerator
 
 

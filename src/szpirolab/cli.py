@@ -102,15 +102,11 @@ def cmd_curve(args) -> int:
         })
         return 0
     # ratio
-    height = ca.height
-    if N <= 1:
-        print("error: conductor 1; ratio undefined", file=sys.stderr)
-        return CHECK_FAILED
     _emit({
         "model": _model_json(model),
-        "height": _s(height),
+        "height": _s(ca.height),
         "conductor": _s(N),
-        "sigma_m": math.log(height) / math.log(N),
+        "sigma_m": math.log(ca.height) / math.log(N),
     })
     return 0
 
@@ -223,7 +219,7 @@ def cmd_phi(args) -> int:
 def cmd_sharp(args) -> int:
     names = list(sharpness.SHARP_FAMILIES) if args.T == "all" else [args.T]
     # rejected arguments must leave --out untouched
-    sharpness.check_scan_args(args.nmax, args.samples)
+    sharpness.check_scan_args(args.nmin, args.nmax, args.samples)
     try:
         stream = open(args.out, "w") if args.out else sys.stdout
     except OSError as exc:
@@ -262,7 +258,7 @@ def cmd_sharp(args) -> int:
                 "T": name,
                 "sieve_hits": scan.sieve_hits,
                 "strictly_above_l": scan.strictly_above,
-                "l": _s(bounds.szpiro_exponent(name)),
+                "l": _s(sharpness.SHARP_FAMILIES[name].l),
                 "fit_intercept": scan.intercept,
                 "fit_slope": scan.slope,
             }

@@ -367,7 +367,8 @@ def analyze(m: WeierstrassModel) -> CurveAnalysis:
 
     At a prime p dividing delta_min but not c4 the reduction is
     multiplicative, I_n with n = v_p(delta_min) and f_p = 1, so Tate's
-    algorithm runs only at the primes dividing c4 as well.
+    algorithm runs only at the primes dividing c4 as well.  No elliptic
+    curve over Q has conductor 1, so computing it raises CertificateError.
     """
     mm = minimal_model(m)
     c4 = mm.invariants.c4
@@ -381,6 +382,8 @@ def analyze(m: WeierstrassModel) -> CurveAnalysis:
             data = tate_local(mm.minimal, p, mm.invariants)
         local.append(data)
         N *= p**data.fp
+    if N == 1:
+        raise CertificateError(f"conductor 1 computed for {m}")
     return CurveAnalysis(mm, fac, tuple(local), N, height_of_minimal(mm))
 
 

@@ -9,10 +9,10 @@ so a transcription slip and an implementation slip cannot mask each other.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
-from szpirolab.bounds import szpiro_exponent
 from szpirolab.families import FAMILIES, ValidationError
 from szpirolab.intarith import FactorBudgetError, is_squarefree, radical
 from szpirolab.poly import evaluate
@@ -38,17 +38,15 @@ class SharpFamilySpec:
     """Static data for one sharpness sequence F_T(n)."""
 
     name: str
-    # Family parameters (A, B[, D]) as coefficient tuples in n; None for C1,
-    # whose model is written out directly.
-    A: tuple | None
-    B: tuple | None
-    D: tuple | None
-    w_const: int | None  # minimal-model rescaling; None means |32 n|
+    model: Callable  # model arguments -> (a1, a2, a3, a4, a6)
+    l: Fraction  # the sharp ratio bound the sequence approaches
+    args: tuple  # the model arguments as coefficient tuples in n
+    rescaling: tuple  # coefficients in n of w, the minimal-model rescaling, up to sign
     height_factors: tuple  # ((coeffs, exponent), ...): H = prod |P(n)|^e
     f_factors: tuple  # (coeffs, ...): f = prod P(n), signed
 
     def w(self, n: int) -> int:
-        return abs(32 * n) if self.w_const is None else self.w_const
+        return abs(evaluate(self.rescaling, n))
 
     def height_value(self, n: int) -> int:
         """H_T(n), the stored published height.  verify_sharp_consistency
@@ -71,41 +69,53 @@ class SharpFamilySpec:
         return sum(len(c) - 1 for c in self.f_factors)
 
 
+def _m_C1(a):
+    return (0, 0, 1, a, 0)
+
+
+def _row(name: str, args, rescaling, height_factors, f_factors) -> SharpFamilySpec:
+    """The sequence of a torsion family, with the family's model and bound."""
+    fam = FAMILIES[name]
+    return SharpFamilySpec(
+        name, fam.model, fam.l, args, rescaling, height_factors, f_factors
+    )
+
+
 SHARP_FAMILIES: dict[str, SharpFamilySpec] = {
     s.name: s
     for s in (
         SharpFamilySpec(
-            "C1", None, None, None, 1,
+            "C1", _m_C1, Fraction(1), ((1, 3),), (1,),
             (((48, 144), 3),),
             ((7, 12), (13, 60, 144)),
         ),
-        SharpFamilySpec(
-            "C2", (-1,), (8,), (0, 1), 2,
+        _row(
+            "C2", ((-1,), (8,), (0, 1)), (2,),
             (((1, 192), 3),),
             ((0, 1), (-1, 64)),
         ),
-        SharpFamilySpec(
-            "C3", (1,), (0, 1), None, 1,
+        _row(
+            "C3", ((1,), (0, 1)), (1,),
             (((1, -36, 216), 2),),
             ((0, 1), (-1, 27)),
         ),
-        SharpFamilySpec(
-            "C4", (0, 0, 256), (-1, 0, 4), None, None,
+        _row(
+            "C4", ((0, 0, 256), (-1, 0, 4)), (0, 32),
             (((1, 0, -264, 0, 5136), 3),),
             ((0, 1), (-1, 2), (1, 2), (-1, 0, 20)),
         ),
-        SharpFamilySpec(
-            "C5", (1, 2), (0, 1), None, 1,
+        _row(
+            "C5", ((1, 2), (0, 1)), (1,),
             (((1, 26, 206, 526, 421), 2), ((1, 4, 5), 2)),
             ((0, 1), (1, 2), (1, 15, 25)),
         ),
-        SharpFamilySpec(
-            "C6", (1, 3), (0, 1), None, 1,
+        _row(
+            "C6", ((1, 3), (0, 1)), (1,),
             (((1, 18, 84, 120), 3), ((1, 6), 3)),
             ((0, 1), (1, 12), (1, 3), (1, 4)),
         ),
-        SharpFamilySpec(
-            "C7", (1, 3), (0, 1), None, 1,
+        _row(
+            "C7", ((1, 3), (0, 1)), (1,),
             (
                 (
                     (1, 42, 777, 8414, 59682, 293286, 1027173, 2590434,
@@ -115,16 +125,16 @@ SHARP_FAMILIES: dict[str, SharpFamilySpec] = {
             ),
             ((0, 1), (1, 2), (1, 3), (1, 14, 49, 49)),
         ),
-        SharpFamilySpec(
-            "C8", (1, 4), (0, 1), None, 1,
+        _row(
+            "C8", ((1, 4), (0, 1)), (1,),
             (
                 ((-1, -16, -96, -224, 184, 2272, 5424, 5984, 2696), 2),
                 ((-1, -8, -16, 16, 56), 2),
             ),
             ((0, 1), (1, 4), (1, 2), (1, 3), (-1, 0, 8)),
         ),
-        SharpFamilySpec(
-            "C9", (1, 2), (0, 1), None, 1,
+        _row(
+            "C9", ((1, 2), (0, 1)), (1,),
             (
                 (
                     (1, 36, 594, 5994, 41607, 211626, 819423, 2474496,
@@ -135,8 +145,8 @@ SHARP_FAMILIES: dict[str, SharpFamilySpec] = {
             ),
             ((0, 1), (1, 1), (1, 2), (1, 3, 3), (1, 9, 18, 9)),
         ),
-        SharpFamilySpec(
-            "C10", (1, 4), (0, 1), None, 1,
+        _row(
+            "C10", ((1, 4), (0, 1)), (1,),
             (
                 (
                     (1, 40, 720, 7720, 54960, 273840, 979520, 2534880,
@@ -146,8 +156,8 @@ SHARP_FAMILIES: dict[str, SharpFamilySpec] = {
             ),
             ((0, 1), (1, 2), (1, 4), (1, 3), (1, 10, 20), (1, 5, 5)),
         ),
-        SharpFamilySpec(
-            "C12", (1, 6), (0, 1), None, 1,
+        _row(
+            "C12", ((1, 6), (0, 1)), (1,),
             (
                 (
                     (1, 54, 1332, 19836, 198498, 1405032, 7205496, 26936592,
@@ -158,26 +168,26 @@ SHARP_FAMILIES: dict[str, SharpFamilySpec] = {
             ),
             ((0, 1), (1, 6), (1, 4), (1, 5), (1, 6, 6), (1, 10, 26), (1, 9, 21)),
         ),
-        SharpFamilySpec(
-            "C2xC2", (0, 16), (1, 4), (1,), 2,
+        _row(
+            "C2xC2", ((0, 16), (1, 4), (1,)), (2,),
             (((1, -8, 208), 3),),
             ((0, 1), (1, 4), (-1, 12)),
         ),
-        SharpFamilySpec(
-            "C2xC4", (1, 2), (0, 1), None, 1,
+        _row(
+            "C2xC4", ((1, 2), (0, 1)), (1,),
             (((1, 24, 200, 672, 976), 3),),
             ((0, 1), (1, 2), (1, 10), (1, 6)),
         ),
-        SharpFamilySpec(
-            "C2xC6", (3, 8), (-1,), None, 16,
+        _row(
+            "C2xC6", ((3, 8), (-1,)), (16,),
             (
                 ((1333, 21078, 138720, 486360, 958080, 1005408, 439104), 3),
                 ((13, 66, 84), 3),
             ),
             ((1, 3), (5, 12), (7, 18), (1, 2), (2, 5), (3, 8)),
         ),
-        SharpFamilySpec(
-            "C2xC8", (0, 4), (1, 1), None, 64,
+        _row(
+            "C2xC8", ((0, 4), (1, 1)), (64,),
             (
                 (
                     (1, 32, 472, 4256, 26220, 116768, 387560, 973088,
@@ -210,16 +220,13 @@ def build_FT(T: str, n: int) -> WeierstrassModel:
     spec = sharp_family(T)
     if spec.f_value(n) == 0:
         raise ValidationError(f"F_{T}({n}) is degenerate (discriminant zero)")
-    if T == "C1":
-        return WeierstrassModel(0, 0, 1, 3 * n + 1, 0)
-    args = tuple(evaluate(c, n) for c in (spec.A, spec.B, spec.D) if c is not None)
-    return WeierstrassModel(*FAMILIES[T].model(*args))
+    return WeierstrassModel(*spec.model(*(evaluate(c, n) for c in spec.args)))
 
 
 def degree_limit_check(T: str) -> bool:
     """deg H / deg f must equal the sharp exponent l exactly."""
     spec = sharp_family(T)
-    return Fraction(spec.height_degree, spec.f_degree) == szpiro_exponent(T)
+    return Fraction(spec.height_degree, spec.f_degree) == spec.l
 
 
 @dataclass(frozen=True)
@@ -361,11 +368,13 @@ def _sample_values(n_min: int, n_max: int, samples: int | None) -> list[int]:
     return [n for n in out if n_min <= n <= n_max]
 
 
-def check_scan_args(n_max: int, samples: int | None) -> None:
-    """The convergence_scan rules on n_max and samples; a front end calls
-    it before it writes anything."""
+def check_scan_args(n_min: int, n_max: int, samples: int | None) -> None:
+    """The convergence_scan rules on the range and samples; a front end
+    calls it before it writes anything."""
     if n_max < 10:
         raise ValidationError("n_max must be >= 10")
+    if n_min > n_max:
+        raise ValidationError("n_min must be <= n_max")
     if samples is not None and samples < 2:
         raise ValidationError("samples must be >= 2")
 
@@ -387,9 +396,9 @@ def convergence_scan(
     all comparisons stay exact.  An unknown T and the arguments
     check_scan_args rejects raise ValidationError.
     """
-    check_scan_args(n_max, samples)
+    check_scan_args(n_min, n_max, samples)
     spec = sharp_family(T)
-    l = szpiro_exponent(T)
+    l = spec.l
     records: list[SharpnessRecord] = []
     strictly_above = True
     budget_skipped: list[int] = []

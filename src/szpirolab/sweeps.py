@@ -153,7 +153,7 @@ def check_instance(instance: FamilyInstance, checks=ALL_CHECKS) -> InstanceRepor
         if fam.has_full_two_torsion and len(full_two_torsion(model)) != 4:
             findings.append(f"{instance}: full rational 2-torsion not found")
 
-    sigma = math.log(height) / math.log(N) if N > 1 else float("inf")
+    sigma = math.log(height) / math.log(N)
     return InstanceReport(u, N, bound, height, sigma, tuple(findings))
 
 

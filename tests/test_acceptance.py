@@ -345,7 +345,7 @@ class TestCriterion6:
             if rep.T == "C2xC8":
                 # The class is where the parameters (4n, n + 1) share a
                 # factor, so the model is not primitive in (a, b).
-                g = math.gcd(_poly_at(spec.A, rep.n), _poly_at(spec.B, rep.n))
+                g = math.gcd(_poly_at(spec.args[0], rep.n), _poly_at(spec.args[1], rep.n))
                 assert g in ((2, 4) if odd_c2xc8 else (1,)), (rep.n, g)
 
     def test_defect_is_exactly_characterized(self):
@@ -394,7 +394,7 @@ class TestCriterion7:
             scan = sharpness.convergence_scan(
                 T, 10**6, n_min=10**3, samples=200
             )
-            l = float(bounds.szpiro_exponent(T))
+            l = float(sharpness.SHARP_FAMILIES[T].l)
             assert scan.sieve_hits >= 10, (T, scan.warning)
             all_strict &= scan.strictly_above
             ok = abs(scan.intercept - l) <= 0.05

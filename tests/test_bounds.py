@@ -18,7 +18,6 @@ from szpirolab.bounds import (
     phi_eval,
     phi_scan,
     phi_spec,
-    szpiro_exponent,
     szpiro_ratio,
     verify_height_bound,
 )
@@ -32,7 +31,7 @@ from szpirolab.families import (
 )
 from szpirolab.poly import X
 from szpirolab.reduction import analyze, height_of_minimal, minimal_model
-from szpirolab.sharpness import build_FT
+from szpirolab.sharpness import SHARP_FAMILIES, build_FT
 from szpirolab.sweeps import check_instance, iter_param_tuples
 from szpirolab.weierstrass import (
     CertificateError,
@@ -66,9 +65,12 @@ class TestExponentTable:
             "C2xC8": Fraction(24, 5),
         }
         for name, l in expected.items():
-            exp = szpiro_exponent(name)
-            assert exp == l
-            assert math.gcd(exp.numerator, exp.denominator) == 1
+            # C1 has a sharpness sequence only; the others have both records
+            exps = [t[name].l for t in (FAMILIES, SHARP_FAMILIES) if name in t]
+            assert len(exps) == (1 if name in ("C1", "C3_0") else 2), name
+            for exp in exps:
+                assert exp == l
+                assert math.gcd(exp.numerator, exp.denominator) == 1
 
 
 class TestHeight:
@@ -379,7 +381,7 @@ def _height_holds(inst) -> bool:
     """check_instance's height verdict, which must equal verify_height_bound
     on the bound and the height its report holds."""
     rep = check_instance(inst, checks=("bounds", "height"))
-    exp = szpiro_exponent(inst.family.name)
+    exp = FAMILIES[inst.family.name].l
     direct = verify_height_bound(rep.delta_bound, rep.height, exp)
     assert direct == (not any(_HEIGHT_FINDING in f for f in rep.findings))
     return direct
@@ -397,7 +399,7 @@ def _family_model_height_holds(inst) -> bool:
     dv = delta_eval(inst, u)
     inv = compute_invariants(build_model(inst))
     big = max(abs(inv.c4) ** 3, inv.c6**2)
-    exp = szpiro_exponent(name)
+    exp = FAMILIES[name].l
     return abs(dv) ** exp.numerator * u ** (12 * exp.denominator) < big**exp.denominator
 
 

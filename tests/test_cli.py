@@ -254,6 +254,18 @@ class TestSharp:
         assert (code, out, err) == (2, "", "error: n_max must be >= 10\n")
         assert out_path.read_bytes() == b"earlier run\n"
 
+    def test_inverted_range_exit_2(self, tmp_path, capsys):
+        # an empty scan range is rejected, not reported as a clean scan
+        out_path = tmp_path / "series.json"
+        out_path.write_bytes(b"earlier run\n")
+        code, out, err = run_cli(
+            ["sharp", "--T", "C2", "--nmax", "100", "--nmin", "200",
+             "--out", str(out_path)],
+            capsys,
+        )
+        assert (code, out, err) == (2, "", "error: n_min must be <= n_max\n")
+        assert out_path.read_bytes() == b"earlier run\n"
+
 
 @pytest.mark.parametrize(
     "argv, message",
@@ -309,6 +321,8 @@ def test_parse_error_exits_through_argparse(capsys):
          (2, "", "error: u = 3 is not admissible for C2\n")),
         (["phi", "--T", "all", "--u", "2", "--den", "2", "--range", "1", "--jobs", "1"],
          (2, "", "error: u = 2 is not admissible for C3\n")),
+        (["sharp", "--T", "C2", "--nmax", "100", "--nmin", "200"],
+         (2, "", "error: n_min must be <= n_max\n")),
     ],
 )
 def test_error_exit_pinned(argv, expected, capsys):

@@ -110,8 +110,6 @@ REJECTED_ARGUMENTS = {
     "phi_spec u": (lambda: phi_spec("C5", 2), "u = 2 is not admissible for C5"),
     "phi_spec branch": (lambda: phi_spec("C3_0", 1), "C3_0 has no phi branch"),
     "phi_spec family": (lambda: phi_spec("C11", 1), "unknown family 'C11'"),
-    "szpiro_exponent family": (lambda: bounds.szpiro_exponent("C11"),
-                               "unknown family 'C11'"),
     "homogeneity_check family": (
         lambda: bounds.homogeneity_check(validate_params("C3_0", 2)),
         "C3_0 carries no homogeneity identities"),
@@ -119,6 +117,8 @@ REJECTED_ARGUMENTS = {
                                "n_max must be >= 10"),
     "convergence_scan samples": (lambda: sharpness.convergence_scan("C2", 100, samples=1),
                                  "samples must be >= 2"),
+    "convergence_scan n_min": (lambda: sharpness.convergence_scan("C2", 100, n_min=200),
+                               "n_min must be <= n_max"),
     "convergence_scan family": (lambda: sharpness.convergence_scan("C11", 100),
                                 "unknown sharpness family 'C11'"),
     "build_FT family": (lambda: sharpness.build_FT("C11", 2),

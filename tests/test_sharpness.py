@@ -58,14 +58,27 @@ class TestBuild:
             return poly.sqf_part().monic()
 
         for T, spec in SHARP_FAMILIES.items():
-            if spec.A is None:
-                coeffs = (0, 0, 1, Poly((1, 3)), 0)
-            else:
-                args = tuple(Poly(c) for c in (spec.A, spec.B, spec.D) if c is not None)
-                coeffs = FAMILIES[T].model(*args)
+            coeffs = spec.model(*(Poly(c) for c in spec.args))
             disc = compute_invariants(WeierstrassModel(*coeffs)).delta
             f = math.prod((Poly(c) for c in spec.f_factors), start=Poly((1,)))
             assert radical(disc) == radical(f), T
+
+    def test_every_row_builds_through_its_model(self):
+        # One path for all fifteen rows, C1 included: the model of Poly(n)
+        # arguments, evaluated at n, is the member build_FT makes.
+        for T, spec in SHARP_FAMILIES.items():
+            coeffs = spec.model(*(Poly(c) for c in spec.args))
+            for n in (2, 3, 7, 40, -2, -3, -11):
+                at_n = [c(n) if isinstance(c, Poly) else c for c in coeffs]
+                assert WeierstrassModel(*at_n) == build_FT(T, n), (T, n)
+
+    def test_rows_read_family_data(self):
+        for T, spec in SHARP_FAMILIES.items():
+            if T == "C1":
+                assert spec.l == 1 and spec.model(5) == (0, 0, 1, 5, 0)
+                continue
+            assert (spec.model, spec.l) == (FAMILIES[T].model, FAMILIES[T].l), T
+            assert len(spec.args) == FAMILIES[T].arity, T
 
     def test_torsion_point_carried_by_every_member(self):
         from szpirolab.weierstrass import AffinePoint, full_two_torsion, point_order

@@ -113,9 +113,9 @@ def test_c3_0_named_only_in_families_and_sweeps(path):
     assert lines == [], f"{path.name}: \"C3_0\" on line(s) {lines}"
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
-def test_no_comparison_with_c3_or_c4(path):
-    # The C3 and C4 power split is FamilyId.split; nothing branches on the name.
+def _compared_with(path, names) -> list[int]:
+    """Lines of an ast.Compare with one of the string constants names among
+    its operands, tuples included."""
     tree = ast.parse(path.read_text(), filename=str(path))
 
     def constants(node):
@@ -123,10 +123,24 @@ def test_no_comparison_with_c3_or_c4(path):
             return {value for elt in node.elts for value in constants(elt)}
         return {node.value} if isinstance(node, ast.Constant) else set()
 
-    lines = [
+    return [
         node.lineno
         for node in ast.walk(tree)
         if isinstance(node, ast.Compare)
-        and any(constants(op) & {"C3", "C4"} for op in (node.left, *node.comparators))
+        and any(constants(op) & names for op in (node.left, *node.comparators))
     ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_comparison_with_c3_or_c4(path):
+    # The C3 and C4 power split is FamilyId.split; nothing branches on the name.
+    lines = _compared_with(path, {"C3", "C4"})
     assert lines == [], f"{path.name}: comparison with \"C3\"/\"C4\" on line(s) {lines}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_comparison_with_c1(path):
+    # The C1 sequence is a SharpFamilySpec row like the other fourteen, with
+    # its own model and bound; nothing branches on its name.
+    lines = _compared_with(path, {"C1"})
+    assert lines == [], f"{path.name}: comparison with \"C1\" on line(s) {lines}"

@@ -12,7 +12,7 @@ import pytest
 
 from szpirolab.bounds import exceeds, szpiro_ratio
 from szpirolab.cli import build_parser, main
-from szpirolab import families
+from szpirolab import families, reduction
 from szpirolab.families import (
     FAMILIES,
     ValidationError,
@@ -21,7 +21,7 @@ from szpirolab.families import (
     recover_uT,
     validate_params,
 )
-from szpirolab.intarith import is_cubefree
+from szpirolab.intarith import Factorization, is_cubefree
 from szpirolab.reduction import analyze
 from szpirolab.sweeps import (
     ALL_CHECKS,
@@ -30,7 +30,7 @@ from szpirolab.sweeps import (
     iter_param_tuples,
     run_sweep,
 )
-from szpirolab.weierstrass import SingularModelError, WeierstrassModel
+from szpirolab.weierstrass import CertificateError, SingularModelError, WeierstrassModel
 
 
 def _first_instance(name):
@@ -100,6 +100,20 @@ class TestCheckInstance:
         assert not rep.ok
         assert any("v_2(N)" in f for f in rep.findings)
         assert any("> bound" in f or "conductor" in f for f in rep.findings)
+
+    @pytest.mark.parametrize(
+        "call",
+        [check_instance, lambda inst: szpiro_ratio(build_model(inst)),
+         lambda inst: exceeds(build_model(inst), Fraction(3))],
+        ids=["check_instance", "szpiro_ratio", "exceeds"],
+    )
+    def test_conductor_one_raises(self, call, monkeypatch):
+        # No elliptic curve over Q has conductor 1, so a conductor bug that
+        # computes it must raise, not pass as a clean instance.
+        inst = validate_params("C5", 1, 1)
+        monkeypatch.setattr(reduction, "factorize", lambda n: Factorization(()))
+        with pytest.raises(CertificateError, match="conductor 1"):
+            call(inst)
 
     def test_u_outside_set_reported_not_raised(self, monkeypatch):
         # With u = 1 barred, delta_{C5,u} has no branch for the recovered u;
