@@ -18,7 +18,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
-from szpirolab.intarith import factorize, is_cubefree, is_squarefree
+from szpirolab.intarith import ValidationError, factorize, is_cubefree, is_squarefree
 from szpirolab.reduction import MinimalModelResult, minimal_model
 from szpirolab.weierstrass import WeierstrassModel
 
@@ -34,10 +34,6 @@ __all__ = [
     "u_value",
     "validate_params",
 ]
-
-
-class ValidationError(ValueError):
-    """Rejected input; the message names the rule."""
 
 
 class PaperContractViolation(AssertionError):

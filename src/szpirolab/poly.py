@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from szpirolab.intarith import ValidationError
+
 __all__ = ["Poly", "X", "evaluate"]
 
 Scalar = (int, Fraction)
@@ -93,7 +95,7 @@ class Poly:
 
     def __pow__(self, k: int):
         if k < 0:
-            raise ValueError("negative polynomial power")
+            raise ValidationError("negative polynomial power")
         result = Poly([1])
         base = self
         while k:

@@ -17,7 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from szpirolab.intarith import Factorization, factorize, p_adic_valuation
+from szpirolab.intarith import (
+    Factorization,
+    ValidationError,
+    factorize,
+    p_adic_valuation,
+)
 from szpirolab.weierstrass import (
     CertificateError,
     Isomorphism,
@@ -134,7 +139,7 @@ def minimal_model(m: WeierstrassModel) -> MinimalModelResult:
     model onto the minimal one.
     """
     if not m.is_integral():
-        raise ValueError("minimal_model requires integral coefficients")
+        raise ValidationError("minimal_model requires integral coefficients")
     inv = compute_invariants(m)
     c4, c6, delta = inv.c4, inv.c6, inv.delta
     if delta == 0:
@@ -204,7 +209,7 @@ def tate_local(
     (Cremona, Algorithms for Modular Elliptic Curves, 3.2).
     """
     if not m.is_integral():
-        raise ValueError("tate_local requires an integral model")
+        raise ValidationError("tate_local requires an integral model")
     if inv is None:
         inv = compute_invariants(m)
     if inv.delta == 0:

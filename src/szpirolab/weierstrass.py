@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from szpirolab.intarith import ValidationError
+
 __all__ = [
     "AffinePoint",
     "CertificateError",
@@ -113,7 +115,7 @@ class Isomorphism:
 
     def __post_init__(self):
         if self.u == 0:
-            raise ValueError("isomorphism scale u must be nonzero")
+            raise ValidationError("isomorphism scale u must be nonzero")
 
     def inverse(self) -> "Isomorphism":
         u, r, s, t = self.u, self.r, self.s, self.t
@@ -307,7 +309,7 @@ def point_order(m: WeierstrassModel, point, *, nonsingular: bool = False) -> int
         raise SingularModelError("point order undefined on a singular model")
     a, P = _integral_projective(m, point)
     if not _projective_on_curve(a, P):
-        raise ValueError(f"point {point} is not on the curve")
+        raise ValidationError(f"point {point} is not on the curve")
     acc = P  # invariant: acc == k * P at the top of iteration k
     for k in range(1, _ORDER_CAP + 1):
         if acc[2] == 0:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from szpirolab import bounds, families, sharpness, sweeps
+from szpirolab import bounds, families, intarith, reduction, sharpness, sweeps
 from szpirolab.bounds import phi_spec
 from szpirolab.families import (
     FAMILIES,
@@ -19,10 +19,12 @@ from szpirolab.families import (
     validate_params,
 )
 from szpirolab.intarith import factorize, is_squarefree, p_adic_valuation
+from szpirolab.poly import X
 from szpirolab.reduction import analyze, minimal_model
 from szpirolab.sweeps import check_instance, iter_param_tuples
 from szpirolab.weierstrass import (
     AffinePoint,
+    Isomorphism,
     WeierstrassModel,
     compute_invariants,
     point_order,
@@ -148,6 +150,21 @@ REJECTED_ARGUMENTS = {
                                  "unknown family 'C11'"),
     "delta_eval u": (lambda: delta_eval(_c5(1, 1), 2), "u = 2 is not admissible for C5"),
     "decompose a": (lambda: FAMILIES["C3"].decompose(-4), "requires a > 0"),
+    "point_order point": (lambda: point_order(WeierstrassModel(0, -1, -1, 0, 0),
+                                              AffinePoint(2, 1)), "not on the curve"),
+    "Isomorphism u": (lambda: Isomorphism(0), "u must be nonzero"),
+    "minimal_model model": (
+        lambda: minimal_model(WeierstrassModel(Fraction(1, 2), 0, 0, 0, 1)),
+        "requires integral coefficients"),
+    "tate_local model": (
+        lambda: reduction.tate_local(WeierstrassModel(Fraction(1, 2), 0, 0, 0, 1), 2),
+        "requires an integral model"),
+    "p_adic_valuation n": (lambda: p_adic_valuation(0, 2), "valuation undefined"),
+    "p_adic_valuation p": (lambda: p_adic_valuation(12, 6), "must be prime"),
+    "radical n": (lambda: intarith.radical(0), "radical undefined"),
+    "is_squarefree n": (lambda: is_squarefree(0), "squarefree test undefined"),
+    "is_cubefree n": (lambda: intarith.is_cubefree(0), "cubefree test undefined"),
+    "Poly power": (lambda: X ** -1, "negative polynomial power"),
 }
 
 
@@ -158,6 +175,12 @@ def test_rejected_argument_raises_validation_error(case):
     with pytest.raises(ValidationError, match=message) as exc:
         call()
     assert exc.type is ValidationError
+
+
+def test_validation_error_is_defined_once():
+    # families re-exports the class that the lowest module defines.
+    assert families.ValidationError is intarith.ValidationError
+    assert issubclass(ValidationError, ValueError)
 
 
 class TestSingularity:

@@ -200,6 +200,112 @@ class TestFactorize:
         assert exc.value.partial.pairs == ((2, 2), (3, 1))
 
 
+# 90 bits with a 40-bit least factor: the slowest input of the sharp_tail
+# benchmark workload while the hard cofactors were split by rho alone.
+PINNED = (667654460339, 1467333083296009)
+
+# Semiprimes p * q with a least factor of 32, 40 and 44 bits: p and q are
+# the primes after random b-bit and (b + 12)-bit numbers from random.Random(16).
+HARD_SEMIPRIMES = (
+    (3700212151, 17250603956387),
+    (3371263451, 12783613470839),
+    (4066300103, 15998778318569),
+    (725222994647, 3417581545599251),
+    (696806297147, 2297413321698707),
+    (881742171671, 3760792828511393),
+    (11294332540633, 53568644384383111),
+    (14253287522099, 56870877537350693),
+    (16820038330093, 54295832388733877),
+)
+
+# Cofactors past trial division whose least factor has 14 to 24 bits.
+SMALL_COFACTORS = (
+    (10007, 10009),
+    (1000003, 1000033),
+    (1048583, 1099511627791),
+    (16777259, 4294967311),
+)
+
+
+def _split(p, q):
+    return intarith._factorize_uncached(p * q).pairs == ((p, 1), (q, 1))
+
+
+class TestFactoringMethods:
+    """Rho's short pass and the ECM curves behind it, each on its own."""
+
+    def test_pinned_hard_input(self):
+        assert _split(*PINNED)
+
+    @pytest.mark.parametrize(
+        "p, q",
+        HARD_SEMIPRIMES,
+        ids=[f"p{p.bit_length()}bit_{i % 3}" for i, (p, _) in enumerate(HARD_SEMIPRIMES)],
+    )
+    def test_hard_semiprime(self, p, q):
+        assert _split(p, q)
+
+    def test_ecm_alone_splits_the_pinned_input(self, monkeypatch):
+        monkeypatch.setattr(intarith, "_brent_rho", lambda n, c, max_iter: n)
+        assert _split(*PINNED)
+
+    def test_rho_alone_splits_small_cofactors(self, monkeypatch):
+        monkeypatch.setattr(intarith, "_ecm", lambda n, sigma, b1, b2: n)
+        for p, q in SMALL_COFACTORS:
+            assert _split(p, q), (p, q)
+
+    def test_stage_2_finds_what_stage_1_misses(self):
+        # sigma = 8 at b1 = 500: stage 1 alone misses p, stage 2 to 50,000 finds it.
+        p, q = PINNED
+        assert intarith._ecm(p * q, 8, 500, 500) == 1
+        assert intarith._ecm(p * q, 8, 500, 50_000) == p
+
+    def test_zero_attempts_split_nothing(self, monkeypatch):
+        monkeypatch.setattr(intarith, "_RHO_ATTEMPTS", 0)
+        with pytest.raises(FactorBudgetError) as exc:
+            intarith._factorize_uncached(10007 * 10009)
+        assert exc.value.cofactor == 10007 * 10009
+
+    def test_iteration_cap_also_caps_ecm(self, monkeypatch):
+        monkeypatch.setattr(intarith, "_RHO_MAX_ITER", 4)
+        p, q = PINNED
+        with pytest.raises(FactorBudgetError) as exc:
+            intarith._factorize_uncached(p * q)
+        assert exc.value.cofactor == p * q
+
+
+class TestSympyOracle:
+    """factorize and is_probable_prime against sympy (a test-only dependency)."""
+
+    def test_factorize_random(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(1987)
+        for _ in range(300):
+            n = rng.randrange(2, 1 << rng.randrange(2, 72))
+            n *= rng.randrange(1, 1 << 20) ** rng.randrange(1, 4)
+            assert dict(factorize(n).pairs) == sympy.factorint(n), n
+
+    def test_factorize_hard_cofactors(self):
+        sympy = pytest.importorskip("sympy")
+        assert dict(factorize(math.prod(PINNED)).pairs) == sympy.factorint(math.prod(PINNED))
+        # factorint needs seconds on each of these; its answer is unique, so
+        # a product of sympy-certified primes is the same check.
+        for p, q in HARD_SEMIPRIMES + SMALL_COFACTORS:
+            pairs = factorize(3 * p * q * q).pairs
+            assert math.prod(r**e for r, e in pairs) == 3 * p * q * q
+            assert all(sympy.isprime(r) for r, _ in pairs), (p, q)
+            assert pairs == ((3, 1), (p, 1), (q, 2))
+
+    def test_is_probable_prime(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(1980)
+        values = [rng.randrange(2, 1 << rng.randrange(2, 100)) | 1 for _ in range(3000)]
+        values += [p for pair in HARD_SEMIPRIMES + SMALL_COFACTORS for p in pair]
+        values += [math.prod(PINNED), 3825123056546413051, 318665857834031151167461]
+        for n in values:
+            assert is_probable_prime(n) == sympy.isprime(n), n
+
+
 class TestPrimality:
     def test_small(self):
         known = set(small_primes(200))

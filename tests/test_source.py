@@ -144,3 +144,27 @@ def test_no_comparison_with_c1(path):
     # its own model and bound; nothing branches on its name.
     lines = _compared_with(path, {"C1"})
     assert lines == [], f"{path.name}: comparison with \"C1\" on line(s) {lines}"
+
+
+SRC_FILES = sorted((Path(__file__).resolve().parents[1] / "src").rglob("*.py"))
+
+
+@pytest.mark.parametrize("path", SRC_FILES, ids=lambda path: path.name)
+def test_no_sympy_import(path):
+    # sympy is a test-only oracle and must never become a runtime dependency:
+    # no import statement, and no module name in a string for a dynamic import.
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            modules.append((node.lineno, node.module))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            modules.append((node.lineno, node.value))
+    lines = [line for line, name in modules if name.split(".")[0] == "sympy"]
+    assert lines == [], f"{path.name}: sympy on line(s) {lines}"
+
+
+def test_src_files_found():
+    assert {"intarith.py", "cli.py"} <= {path.name for path in SRC_FILES}
