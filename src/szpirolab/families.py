@@ -1,10 +1,10 @@
 """The fifteen parameterized torsion families over Q.
 
 Holds the family models (one per torsion structure containing a point of
-the given order), their validity conditions, the conductor-bound
-polynomials delta for each admissible minimal-scaling value u, and the
-empirical recovery of u by comparing the model discriminant against the
-computed minimal discriminant.
+the given order), their parameter rules, the conductor-bound polynomials
+delta for each admissible minimal-scaling value u, and the empirical
+recovery of u by comparing the model discriminant against the computed
+minimal discriminant.
 
 alpha/beta/gamma for a family instance are *defined* as the c4, c6, delta
 of the family model, so no transcription of external invariant tables is
@@ -242,6 +242,24 @@ def _d_C2xC8(a, b):
     )
 
 
+# ---------------------------------------------------------------------------
+# Parameter rules, checked in order: (position, predicate, message).  The
+# predicate gets params[position], or the whole tuple for position None.
+
+_A_POSITIVE = (0, lambda a: a > 0, "a must be positive")
+_COPRIME = (None, lambda a, b, *_: math.gcd(a, b) == 1, "a and b must be coprime")
+_D_SQUAREFREE = (2, lambda d: d != 0 and is_squarefree(d), "d must be squarefree")
+_AB_RULES = (_A_POSITIVE, _COPRIME)
+_C3_0_RULES = (_A_POSITIVE, (0, is_cubefree, "a must be cubefree"))
+_C2_RULES = (
+    (1, lambda b: b != 0, "b must be nonzero"),
+    (2, lambda d: d != 1, "d must not equal 1"),
+    _D_SQUAREFREE,
+    (None, lambda a, b, d: is_squarefree(math.gcd(a, b)), "gcd(a, b) must be squarefree"),
+)
+_C2xC2_RULES = (_COPRIME, _D_SQUAREFREE, (0, lambda a: a % 2 == 0, "a must be even"))
+
+
 @dataclass(frozen=True)
 class FamilyId:
     """Static data for one torsion family."""
@@ -259,6 +277,8 @@ class FamilyId:
     delta: Callable  # delta arguments -> delta_T
     # k of the power split of a that delta_T is written in (see decompose)
     split: int | None = None
+    # what validate_params checks and iter_param_tuples enumerates
+    rules: tuple = _AB_RULES
 
     def __str__(self):
         return self.name
@@ -266,6 +286,10 @@ class FamilyId:
     def __hash__(self):
         # delta_scales is a dict; the name alone identifies a family
         return hash(self.name)
+
+    def __reduce__(self):
+        # The rules are lambdas; a worker process looks the record up by name.
+        return family, (self.name,)
 
     def decompose(self, a: int):
         """Split a > 0 per prime: a = c^3 d^2 e (gcd(d,e)=1, de squarefree)
@@ -284,17 +308,19 @@ class FamilyId:
         return (c, *parts[:0:-1])
 
 
-def _fam(name, arity, m, l, *rest):
-    return FamilyId(name, arity, m, Fraction(l), *rest)
+def _fam(name, arity, m, l, *rest, **kw):
+    return FamilyId(name, arity, m, Fraction(l), *rest, **kw)
 
 
 FAMILIES: dict[str, FamilyId] = {
     f.name: f
     for f in (
         _fam("C2", 3, 6, Fraction(3, 2), 2, False,
-             {1: Fraction(256), 2: Fraction(4), 4: Fraction(1, 64)}, _m_C2, _d_C2),
+             {1: Fraction(256), 2: Fraction(4), 4: Fraction(1, 64)}, _m_C2, _d_C2,
+             rules=_C2_RULES),
         _fam("C3", 2, 12, 2, 3, False, {"c2d": Fraction(1)}, _m_C3, _d_C3, 3),
-        _fam("C3_0", 1, None, 2, 3, False, {1: Fraction(1)}, _m_C3_0, _d_C3_0),
+        _fam("C3_0", 1, None, 2, 3, False, {1: Fraction(1)}, _m_C3_0, _d_C3_0,
+             rules=_C3_0_RULES),
         _fam("C4", 2, 12, Fraction(12, 5), 4, False,
              {"c": Fraction(2), "2c": Fraction(1, 16)}, _m_C4, _d_C4, 2),
         _fam("C5", 2, 12, 3, 5, False, {1: Fraction(1)}, _m_C5, _d_C5),
@@ -309,7 +335,7 @@ FAMILIES: dict[str, FamilyId] = {
         _fam("C12", 2, 48, Fraction(24, 5), 12, False,
              {1: Fraction(1), 2: Fraction(1, 8)}, _m_C12, _d_C12),
         _fam("C2xC2", 3, 6, 2, 2, True, {1: Fraction(64), 2: Fraction(1)},
-             _m_C2xC2, _d_C2xC2),
+             _m_C2xC2, _d_C2xC2, rules=_C2xC2_RULES),
         _fam("C2xC4", 2, 12, 3, 4, True,
              {1: Fraction(8), 2: Fraction(1, 2), 4: Fraction(1, 32)},
              _m_C2xC4, _d_C2xC4),
@@ -355,9 +381,9 @@ class FamilyInstance:
 
 
 def validate_params(name: str, *params: int) -> FamilyInstance:
-    """Check the family's parameter conditions and normalize the instance.
+    """Check the family's parameter rules in order and normalize the instance.
 
-    Violations raise ValidationError naming the failed condition.
+    The first rule that fails raises ValidationError with its message.
     """
     fam = family(name)
     if len(params) != fam.arity:
@@ -366,43 +392,14 @@ def validate_params(name: str, *params: int) -> FamilyInstance:
         )
     if not all(type(p) is int for p in params):
         raise ValidationError(f"{name} parameters must be integers")
-
-    if name == "C3_0":
-        (a,) = params
-        if a <= 0:
-            raise ValidationError("a must be positive")
-        if not is_cubefree(a):
-            raise ValidationError("a must be cubefree")
-    elif name == "C2":
-        a, b, d = params
-        if b == 0:
-            raise ValidationError("b must be nonzero")
-        if d == 1:
-            raise ValidationError("d must not equal 1")
-        if d == 0 or not is_squarefree(d):
-            raise ValidationError("d must be squarefree")
-        g = math.gcd(a, b)
-        if not is_squarefree(g):
-            raise ValidationError("gcd(a, b) must be squarefree")
-    elif name == "C2xC2":
-        a, b, d = params
-        if math.gcd(a, b) != 1:
-            raise ValidationError("a and b must be coprime")
-        if d == 0 or not is_squarefree(d):
-            raise ValidationError("d must be squarefree")
-        if a % 2 != 0:
-            raise ValidationError("a must be even")
-    else:
-        a, b = params
-        if a <= 0:
-            raise ValidationError("a must be positive")
-        if math.gcd(a, b) != 1:
-            raise ValidationError("a and b must be coprime")
+    for pos, ok, message in fam.rules:
+        if not (ok(*params) if pos is None else ok(params[pos])):
+            raise ValidationError(message)
 
     instance = FamilyInstance(fam, tuple(params), fam.decompose(params[0]))
-    # Once the conditions above hold, delta_T vanishes exactly where the
-    # family discriminant does (for C3 the discriminant has one more factor,
-    # c >= 1 of a = c^3 d^2 e).
+    # Once the rules hold, delta_T vanishes exactly where the family
+    # discriminant does (for C3 the discriminant has one more factor, c >= 1
+    # of a = c^3 d^2 e).
     if fam.delta(*instance.delta_args) == 0:
         raise ValidationError("parameters give a singular curve (discriminant zero)")
     return instance

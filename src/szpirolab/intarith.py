@@ -2,8 +2,9 @@
 
 Everything here is deterministic.  Factoring is trial division up to the
 fixed bound _TRIAL_BOUND.  A cofactor past it gets up to _RHO_ATTEMPTS
-attempts: the first starts with a short Brent-cycle Pollard rho pass, and
-each runs one elliptic-curve (ECM) curve with fixed parameters until a
+attempts: the first starts with a short Brent-cycle Pollard rho pass
+(which moves to the next constant when it meets every prime in one step),
+and each runs one elliptic-curve (ECM) curve with fixed parameters until a
 factor is found.  So repeated runs (and parallel workers) always agree.
 
 The module imports nothing from the package, so ValidationError, the one
@@ -171,34 +172,39 @@ def _perfect_power(n: int) -> tuple[int, int] | None:
 
 
 def _brent_rho(n: int, c: int, max_iter: int) -> int:
-    """One Brent-cycle rho attempt on odd composite n; returns a factor or n."""
-    y, r, q, g = 2, 1, 1, 1
-    x = ys = y
+    """Brent-cycle rho on odd composite n, iterating y -> y^2 + c; returns
+    a factor, or n once max_iter iterations are spent.  When the cycles
+    mod every prime of n close in the same step, it goes on with c + 1."""
     iterations = 0
-    while g == 1:
-        x = y
-        for _ in range(r):
-            y = (y * y + c) % n
-        k = 0
-        while k < r and g == 1:
-            ys = y
-            batch = min(128, r - k)
-            for _ in range(batch):
-                y = (y * y + c) % n
-                q = q * abs(x - y) % n
-            g = math.gcd(q, n)
-            k += batch
-        iterations += 2 * r
-        r *= 2
-        if g == 1 and iterations > max_iter:
-            return n
-    if g == n:
-        # Batched gcd overshot; replay one step at a time.
-        g = 1
+    while True:
+        y, r, q, g = 2, 1, 1, 1
+        x = ys = y
         while g == 1:
-            ys = (ys * ys + c) % n
-            g = math.gcd(abs(x - ys), n)
-    return g
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                batch = min(128, r - k)
+                for _ in range(batch):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += batch
+            iterations += 2 * r
+            r *= 2
+            if g == 1 and iterations > max_iter:
+                return n
+        if g == n:
+            # Batched gcd overshot; replay one step at a time.
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n or iterations > max_iter:
+            return g
+        c += 1
 
 
 def _xadd(xp: int, zp: int, xq: int, zq: int, xd: int, zd: int, n: int):

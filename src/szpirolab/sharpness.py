@@ -373,6 +373,8 @@ def check_scan_args(n_min: int, n_max: int, samples: int | None) -> None:
     calls it before it writes anything."""
     if n_max < 10:
         raise ValidationError("n_max must be >= 10")
+    if n_min < 2:
+        raise ValidationError("n_min must be >= 2")
     if n_min > n_max:
         raise ValidationError("n_min must be <= n_max")
     if samples is not None and samples < 2:
@@ -402,7 +404,7 @@ def convergence_scan(
     records: list[SharpnessRecord] = []
     strictly_above = True
     budget_skipped: list[int] = []
-    for n in _sample_values(max(n_min, 2), n_max, samples):
+    for n in _sample_values(n_min, n_max, samples):
         values = spec.f_factor_values(n)
         try:
             if not _f_is_squarefree(values):

@@ -9,6 +9,7 @@ depends on worker scheduling.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ from szpirolab.families import (
     recover_uT,
     validate_params,
 )
-from szpirolab.intarith import is_squarefree, p_adic_valuation
+from szpirolab.intarith import p_adic_valuation
 from szpirolab.reduction import analyze
 from szpirolab.weierstrass import (
     AffinePoint,
@@ -162,37 +163,22 @@ def check_instance(instance: FamilyInstance, checks=ALL_CHECKS) -> InstanceRepor
 
 
 def iter_param_tuples(name: str, bound: int):
-    """Raw candidate tuples in the box; validity is decided by
-    validate_params so the two never drift apart.  An unknown family
-    raises ValidationError."""
-    family(name)
-    if name == "C3_0":
-        for a in range(1, bound + 1):
-            yield (a,)
-    elif name == "C2":
-        sq = [d for d in range(-bound, bound + 1) if d not in (0, 1) and is_squarefree(d)]
-        for a in range(-bound, bound + 1):
-            for b in range(-bound, bound + 1):
-                if b == 0:
-                    continue
-                for d in sq:
-                    yield (a, b, d)
-    elif name == "C2xC2":
-        sq = [d for d in range(-bound, bound + 1) if d != 0 and is_squarefree(d)]
-        for a in range(-bound, bound + 1):
-            if a == 0 or a % 2 != 0:
-                continue
-            for b in range(-bound, bound + 1):
-                if math.gcd(a, b) != 1:
-                    continue
-                for d in sq:
-                    yield (a, b, d)
-    else:
-        for a in range(1, bound + 1):
-            for b in range(-bound, bound + 1):
-                if math.gcd(a, b) != 1:
-                    continue
-                yield (a, b)
+    """The tuples in the box [-bound, bound]^arity that pass the family's
+    rules, in a-major order: single-position rules filter each coordinate's
+    range once, whole-tuple rules filter the product.  validate_params
+    reads the same rules and rejects what is left only as singular.  An
+    unknown family raises ValidationError."""
+    fam = family(name)
+    axes = [range(-bound, bound + 1)] * fam.arity
+    whole = []
+    for pos, ok, _ in fam.rules:
+        if pos is None:
+            whole.append(ok)
+        else:
+            axes[pos] = [v for v in axes[pos] if ok(v)]
+    for params in itertools.product(*axes):
+        if all(ok(*params) for ok in whole):
+            yield params
 
 
 @dataclass(frozen=True)
@@ -245,10 +231,8 @@ def run_sweep(
     if jobs < 1:
         raise ValidationError("worker count must be >= 1")
     _reject_unknown_checks(checks)
-    if name == "C3_0" and c30_bound is not None:
-        bound_used = c30_bound
-    else:
-        bound_used = bound
+    one_param = family(name).arity == 1
+    bound_used = c30_bound if one_param and c30_bound is not None else bound
     tuples = list(iter_param_tuples(name, bound_used))
     # 8 parts per worker balance families whose per-tuple cost varies
     workers = jobs if len(tuples) >= 512 else 1

@@ -323,6 +323,8 @@ def test_parse_error_exits_through_argparse(capsys):
          (2, "", "error: u = 2 is not admissible for C3\n")),
         (["sharp", "--T", "C2", "--nmax", "100", "--nmin", "200"],
          (2, "", "error: n_min must be <= n_max\n")),
+        (["sharp", "--T", "C2", "--nmax", "100", "--nmin", "-5"],
+         (2, "", "error: n_min must be >= 2\n")),
     ],
 )
 def test_error_exit_pinned(argv, expected, capsys):

@@ -1,6 +1,7 @@
 """Torsion family construction, validation, bound polynomials, u recovery."""
 
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -95,6 +96,12 @@ class TestValidation:
         # FamilyId holds a dict (delta_scales) and hashes on its name
         assert len({validate_params("C5", 1, 1), validate_params("C5", 1, 1)}) == 1
         assert hash(phi_spec("C4", "2c")) == hash(phi_spec("C4", "2c"))
+
+    @pytest.mark.parametrize("name", list(FAMILIES))
+    def test_record_pickles_by_name(self, name):
+        # The rules are lambdas; a worker process gets the registry's record.
+        fam = FAMILIES[name]
+        assert pickle.loads(pickle.dumps(fam)) is fam
 
 
 def _c5(*params):

@@ -224,7 +224,12 @@ SMALL_COFACTORS = (
     (1000003, 1000033),
     (1048583, 1099511627791),
     (16777259, 4294967311),
+    (10723, 24967),
 )
+
+# Products whose rho sequence with c = 1 meets both primes in the same step,
+# so the gcd is n itself; every ECM curve of the budget finds both at once too.
+RHO_COLLISIONS = ((10723, 24967), (12301, 30089), (13537, 17443))
 
 
 def _split(p, q):
@@ -253,6 +258,12 @@ class TestFactoringMethods:
         monkeypatch.setattr(intarith, "_ecm", lambda n, sigma, b1, b2: n)
         for p, q in SMALL_COFACTORS:
             assert _split(p, q), (p, q)
+
+    @pytest.mark.parametrize("p, q", RHO_COLLISIONS)
+    def test_rho_collision_goes_on_with_next_constant(self, p, q):
+        assert intarith._brent_rho(p * q, 1, 1 << 14) in (p, q)
+        assert factorize(p * q).pairs == ((p, 1), (q, 1))
+        assert is_squarefree(p * q) and radical(p * q) == p * q
 
     def test_stage_2_finds_what_stage_1_misses(self):
         # sigma = 8 at b1 = 500: stage 1 alone misses p, stage 2 to 50,000 finds it.

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from szpirolab import weierstrass
-from szpirolab.families import FAMILIES
+from szpirolab.families import FAMILIES, ValidationError
 from szpirolab.poly import Poly
 from szpirolab.reduction import analyze, conductor, height_of_minimal, minimal_model
 from szpirolab.sharpness import (
@@ -178,12 +178,9 @@ class TestSieve:
         assert record_ns("C2", 10) == expected
 
     def test_negative_range(self):
-        # n_min below 2 is raised to 2: |n| <= 1 and negative n never scan
-        spec = SHARP_FAMILIES["C1"]
-        expected = [
-            n for n in range(2, 11) if oracle_squarefree(spec.f_value(n))
-        ]
-        assert record_ns("C1", 10, n_min=-2) == expected
+        # |n| <= 1 and negative n never scan: n_min below 2 is rejected
+        with pytest.raises(ValidationError, match="n_min must be >= 2"):
+            convergence_scan("C1", 10, n_min=-2)
 
     def test_square_n_excluded(self):
         # n = k^2 > 1 makes n | f with a square factor for every family

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import szpirolab
+from szpirolab.families import FAMILIES
 
 SOURCES = sorted(Path(szpirolab.__file__).parent.glob("*.py"))
 
@@ -144,6 +145,31 @@ def test_no_comparison_with_c1(path):
     # its own model and bound; nothing branches on its name.
     lines = _compared_with(path, {"C1"})
     assert lines == [], f"{path.name}: comparison with \"C1\" on line(s) {lines}"
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in SOURCES if p.name in ("families.py", "sweeps.py")],
+    ids=lambda path: path.name,
+)
+def test_no_comparison_with_family_name(path):
+    # A family's parameter rules are FamilyId.rules, which validate_params
+    # and the sweep box both read; neither module branches on the name.
+    lines = _compared_with(path, set(FAMILIES))
+    assert lines == [], f"{path.name}: comparison with a family name on line(s) {lines}"
+
+
+def test_c3_0_not_named_in_sweeps():
+    # run_sweep tells the one-parameter family by its arity, so "C3_0" is
+    # named in families.py alone.
+    path = next(p for p in SOURCES if p.name == "sweeps.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value == "C3_0"
+    ]
+    assert lines == [], f"sweeps.py: \"C3_0\" on line(s) {lines}"
 
 
 SRC_FILES = sorted((Path(__file__).resolve().parents[1] / "src").rglob("*.py"))

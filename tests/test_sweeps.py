@@ -55,7 +55,10 @@ class TestEnumeration:
 
     def test_c2xc2_box(self):
         tuples = list(iter_param_tuples("C2xC2", 3))
-        assert all(a % 2 == 0 and a != 0 for a, _, _ in tuples)
+        assert all(a % 2 == 0 for a, _, _ in tuples)
+        # a = 0 is coprime to b only for b = +-1, a singular curve that
+        # validate_params rejects
+        assert {(a, b) for a, b, _ in tuples if a == 0} == {(0, -1), (0, 1)}
         assert any(d == 1 for _, _, d in tuples)
 
     def test_c3_0_box(self):
