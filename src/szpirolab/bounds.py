@@ -13,6 +13,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
+from operator import itemgetter
 
 from szpirolab.families import (
     FAMILIES,
@@ -23,7 +24,7 @@ from szpirolab.families import (
     family,
     u_value,
 )
-from szpirolab.poly import Poly, X
+from szpirolab.poly import Poly, X, evaluate
 from szpirolab.reduction import analyze
 from szpirolab.weierstrass import (
     CertificateError,
@@ -129,26 +130,6 @@ class PhiValue:
     exact: Fraction | None  # rational value when l is an integer
 
 
-def _safe_float(value: Fraction) -> float:
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
-
-
-def _float_power(base: Fraction, p: int, q: int) -> float:
-    if base == 0:
-        return 0.0
-    try:
-        logv = math.log(base.numerator) - math.log(base.denominator)
-    except ValueError:
-        return math.inf
-    try:
-        return math.exp(logv * p / q)
-    except OverflowError:
-        return math.inf
-
-
 def _integral(poly, what: str, name: str) -> Poly:
     """poly (or a constant) as a Poly with int coefficients; a non-integral
     coefficient raises instead of being truncated."""
@@ -165,22 +146,16 @@ def _integral(poly, what: str, name: str) -> Poly:
     return Poly(out)
 
 
-@lru_cache(maxsize=1024)
-def _phi_polys(name: str, den: int) -> tuple[Poly, Poly, Poly]:
-    """alpha(X), beta(X) and delta_T(X) of a family along its pattern,
-    homogenized at den: coefficient i is multiplied by den^(deg - i), so
-    evaluating the result at k gives den^deg * poly(k/den) in integers.
+@lru_cache(maxsize=None)
+def _phi_polys(name: str) -> tuple[Poly, Poly, Poly]:
+    """alpha(X), beta(X) and delta_T(X) of a family along its pattern, with
+    int coefficients.
 
     The polynomials are derived once per family by pushing X through the
     model and invariant formulas; compute_invariants then checks
     c4^3 - c6^2 = 1728*delta as an identity of polynomials, which implies
     it at every x.
     """
-    if den != 1:
-        return tuple(
-            Poly([c * den ** (poly.degree - i) for i, c in enumerate(poly.coeffs)])
-            for poly in _phi_polys(name, 1)
-        )
     alpha, beta, dbase = _forms_at(_pattern(FAMILIES[name], X))
     return (
         _integral(alpha, "alpha", name),
@@ -189,44 +164,101 @@ def _phi_polys(name: str, den: int) -> tuple[Poly, Poly, Poly]:
     )
 
 
+def _to_float(num: int, den: int) -> float:
+    """num/den for den > 0, correctly rounded (as float(Fraction(num, den))
+    is); a value beyond the float range gives +-inf."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
+
+
+class _PhiKernel:
+    """phi of one branch on the grid {k/den : k an integer}, in integers.
+
+    Coefficient i of alpha, beta and delta_T is multiplied by den^(deg - i)
+    once, so that at x = k/den, with e = max(3 deg alpha, 2 deg beta),
+    big = prefactor * max(|alpha|^3, beta^2) = big_num / big_den and
+    |delta_u| = del_num / del_den, where big_den and del_den are the same at
+    every k.  With l = p/q, phi has the sign of the integer
+    gap = big_num^q * del_den^p - del_num^p * big_den^q, and when q == 1,
+    phi = gap / (big_den * del_den^p).
+    """
+
+    __slots__ = (
+        "den", "alpha", "beta", "dbase", "pad_a", "pad_b", "pre_num", "scale_num",
+        "p", "q", "big_den", "del_den", "big_den_q", "del_den_p",
+    )
+
+    def __init__(self, spec: PhiSpec, den: int):
+        polys = _phi_polys(spec.family.name)
+        self.den = den
+        self.alpha, self.beta, self.dbase = (
+            tuple(c * den ** (poly.degree - i) for i, c in enumerate(poly.coeffs))
+            for poly in polys
+        )
+        da, db, dd = (poly.degree for poly in polys)
+        e = max(3 * da, 2 * db)
+        self.pad_a, self.pad_b = den ** (e - 3 * da), den ** (e - 2 * db)
+        scale = spec.family.delta_scales[spec.u_key]
+        self.pre_num, self.scale_num = spec.prefactor.numerator, scale.numerator
+        self.p, self.q = spec.family.l.numerator, spec.family.l.denominator
+        self.big_den = spec.prefactor.denominator * den**e
+        self.del_den = scale.denominator * den**dd
+        self.big_den_q = self.big_den**self.q
+        self.del_den_p = self.del_den**self.p
+
+    def terms(self, k: int) -> tuple[int, int]:
+        """(big_num, del_num) at x = k/den."""
+        a = evaluate(self.alpha, k)
+        b = evaluate(self.beta, k)
+        m = max(abs(a) ** 3 * self.pad_a, b * b * self.pad_b)
+        return self.pre_num * m, abs(self.scale_num * evaluate(self.dbase, k))
+
+    def gap(self, big_num: int, del_num: int) -> int:
+        return big_num**self.q * self.del_den_p - del_num**self.p * self.big_den_q
+
+    def approx(self, big_num: int, del_num: int) -> float:
+        """big - |delta_u|^l in floats.  The power comes from the logs of
+        del_num/del_den in lowest terms, so it depends on x alone and not
+        on den."""
+        power = 0.0
+        if del_num:
+            g = math.gcd(del_num, self.del_den)
+            logv = math.log(del_num // g) - math.log(self.del_den // g)
+            try:
+                power = math.exp(logv * self.p / self.q)
+            except OverflowError:
+                power = math.inf
+        return _to_float(big_num, self.big_den) - power
+
+    def value(self, k: int) -> PhiValue:
+        big_num, del_num = self.terms(k)
+        gap = self.gap(big_num, del_num)
+        exact = Fraction(gap, self.big_den * self.del_den_p) if self.q == 1 else None
+        sign = (gap > 0) - (gap < 0)
+        return PhiValue(Fraction(k, self.den), sign, self.approx(big_num, del_num), exact)
+
+
 def phi_eval(spec: PhiSpec, x) -> PhiValue:
     """Exact sign (and float size) of phi at the rational x.
 
     phi(x) = prefactor * max(|alpha(x)|^3, beta(x)^2) - |delta_u(x)|^l,
-    decided by comparing q-th powers.  With x = k/den in lowest terms,
-    big = prefactor * M / den^E and |delta_u| = |scale * D| / den^deg(delta)
-    for the integers M and D of the homogenized polynomials, so the
-    comparison is one between integers.
+    decided by comparing q-th powers of integers: the one-point case of
+    the kernel phi_scan runs on its grid.
     """
     x = Fraction(x)
-    k, den = x.numerator, x.denominator
-    alpha, beta, dbase = _phi_polys(spec.family.name, den)
-    da, db = alpha.degree, beta.degree
-    e = max(3 * da, 2 * db)
-    m = max(abs(alpha(k)) ** 3 * den ** (e - 3 * da), beta(k) ** 2 * den ** (e - 2 * db))
-    pre = spec.prefactor
-    scale = spec.family.delta_scales[spec.u_key]
-    big_num, big_den = pre.numerator * m, pre.denominator * den**e
-    del_num = abs(scale.numerator * dbase(k))
-    del_den = scale.denominator * den**dbase.degree
-    p, q = spec.family.l.numerator, spec.family.l.denominator
-    lhs = big_num**q * del_den**p
-    rhs = del_num**p * big_den**q
-    sign = (lhs > rhs) - (lhs < rhs)
-    exact = Fraction(lhs - rhs, big_den * del_den**p) if q == 1 else None
-    approx = _safe_float(Fraction(big_num, big_den)) - _float_power(
-        Fraction(del_num, del_den), p, q
-    )
-    return PhiValue(x, sign, approx, exact)
+    return _PhiKernel(spec, x.denominator).value(x.numerator)
 
 
 # A phi grid goes to the pool only from this many points.  Each scan starts
-# its own pool (about 15 ms), and two workers save about 12 us per point.
-# All 28 branches at jobs=2 on a 2-core x86 VM, serial vs pooled: 321 points
-# 0.19 vs 0.49 s, 961 points 0.66 vs 0.79 s, 1,281 points 0.94 vs 0.89 s,
-# 2,561 points 1.75 vs 1.37 s.  The break-even (near 1,200 points here)
-# moves with the machine, so the pool starts only well above it.
-_PHI_POOL_MIN = 2048
+# its own pool (about 10 ms), and two workers save about 4 us per point.
+# All 28 branches at jobs=2 on a 2-core x86 VM, serial vs pooled (medians
+# of 5 fresh-interpreter pairs): 1,281 points 0.34 vs 0.46 s, 2,561 points
+# 0.71 vs 0.71 s, 3,201 points 0.89 vs 0.79 s (pooled faster in 3 of 5),
+# 5,121 points 1.49 vs 1.12 s (5 of 5).  The break-even (near 2,600 points
+# here) moves with the machine, so the pool starts only well above it.
+_PHI_POOL_MIN = 4096
 
 
 def fan_out(fn, items, jobs: int, chunks: int, *shared) -> list:
@@ -254,25 +286,23 @@ class PhiScanResult:
     min_exact: Fraction | None
 
 
-def _phi_key(val: PhiValue):
-    """What a scan minimizes: the exact value when there is one."""
-    return val.approx if val.exact is None else val.exact
-
-
-def _scan_chunk(spec: PhiSpec, denominator: int, ks: range):
-    """(violations, zeros, first PhiValue with the least _phi_key) over ks."""
+def _scan_chunk(kern: _PhiKernel, ks: range):
+    """(violations, zeros, (key, k) of the first least key) over the grid
+    indices ks.  The key is the gap when l is an integer, since its
+    denominator is the same at every k, and the float approx otherwise."""
     violations = []
     zeros = []
-    best = best_key = None
+    best = None
     for k in ks:
-        val = phi_eval(spec, Fraction(k, denominator))
-        if val.sign < 0:
-            violations.append(val.x)
-        elif val.sign == 0:
-            zeros.append(val.x)
-        key = _phi_key(val)
-        if best is None or key < best_key:
-            best, best_key = val, key
+        big_num, del_num = kern.terms(k)
+        gap = kern.gap(big_num, del_num)
+        if gap < 0:
+            violations.append(k)
+        elif gap == 0:
+            zeros.append(k)
+        key = gap if kern.q == 1 else kern.approx(big_num, del_num)
+        if best is None or key < best[0]:
+            best = (key, k)
     return violations, zeros, best
 
 
@@ -284,7 +314,9 @@ def phi_scan(
 ) -> PhiScanResult:
     """Exact-sign evaluation of phi on the grid {k/denominator : |x| <= range}.
 
-    With jobs > 1, a grid of at least _PHI_POOL_MIN points is split into
+    One _PhiKernel, built at the grid's denominator, decides every point
+    in integers; phi_eval builds a PhiValue for the argmin alone.  With
+    jobs > 1, a grid of at least _PHI_POOL_MIN points is split into
     jobs index chunks whose results are merged in index order, so the
     outcome never depends on scheduling.
     """
@@ -298,21 +330,18 @@ def phi_scan(
     k_max = int(x_range * denominator)
     ks = range(-k_max, k_max + 1)
     workers = jobs if len(ks) >= _PHI_POOL_MIN else 1
-    parts = fan_out(_scan_chunk, ks, workers, jobs, spec, denominator)
+    parts = fan_out(_scan_chunk, ks, workers, jobs, _PhiKernel(spec, denominator))
 
-    violations: list[Fraction] = []
-    zeros: list[Fraction] = []
-    for viol, zer, _ in parts:
-        violations.extend(viol)
-        zeros.extend(zer)
-    best = min((part[2] for part in parts), key=_phi_key)
+    _, k = min((part[2] for part in parts), key=itemgetter(0))
+    best = phi_eval(spec, Fraction(k, denominator))
+    exact = best.exact
     return PhiScanResult(
         len(ks),
-        tuple(violations),
-        tuple(zeros),
-        best.approx if best.exact is None else _safe_float(best.exact),
+        tuple(Fraction(k, denominator) for part in parts for k in part[0]),
+        tuple(Fraction(k, denominator) for part in parts for k in part[1]),
+        best.approx if exact is None else _to_float(*exact.as_integer_ratio()),
         best.x,
-        best.exact,
+        exact,
     )
 
 
@@ -393,7 +422,7 @@ def leading_dominance(spec: PhiSpec) -> DominanceReport:
     comparison.  Grid range plus this check is the documented
     nonnegativity verification scheme.
     """
-    alpha, beta, dbase = _phi_polys(spec.family.name, 1)
+    alpha, beta, dbase = _phi_polys(spec.family.name)
     deg_max = max(3 * alpha.degree, 2 * beta.degree)
     leads = []
     if 3 * alpha.degree == deg_max:

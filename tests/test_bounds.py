@@ -215,17 +215,18 @@ class TestPhi:
 
     def test_parallel_scan_matches_serial(self, pool_entries):
         spec = phi_spec("C6", 2)
-        serial = phi_scan(spec, 128, 10, jobs=1)
+        serial = phi_scan(spec, 256, 10, jobs=1)
         assert pool_entries == []
-        parallel = phi_scan(spec, 128, 10, jobs=2)
+        parallel = phi_scan(spec, 256, 10, jobs=2)
         assert len(pool_entries) == 1
-        assert serial.points == 2561
+        assert serial.points == 5121
         assert serial == parallel
-        # a small grid stays in process: one pool start costs more than it saves
-        small = phi_scan(spec, 16, 10, jobs=2)
+        # a criterion 5 sized grid stays in process: one pool start costs
+        # more than it saves
+        small = phi_scan(spec, 128, 10, jobs=2)
         assert len(pool_entries) == 1
-        assert small.points == 321
-        assert small == phi_scan(spec, 16, 10, jobs=1)
+        assert small.points == 2561
+        assert small == phi_scan(spec, 128, 10, jobs=1)
 
     def test_tail_dominance_all_branches(self):
         for spec in all_phi_specs():
@@ -233,6 +234,25 @@ class TestPhi:
             assert rep.dominant, spec.label
             # both sides cover the same tail degree or the max side wins on degree
             assert rep.max_side_degree >= rep.bound_side_degree
+
+
+def _safe_float(value):
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _float_power(base, p, q):
+    """base^(p/q) for a Fraction base >= 0, from the logs of its numerator
+    and denominator."""
+    if base == 0:
+        return 0.0
+    logv = math.log(base.numerator) - math.log(base.denominator)
+    try:
+        return math.exp(logv * p / q)
+    except OverflowError:
+        return math.inf
 
 
 def _fraction_phi_eval(spec, x):
@@ -247,7 +267,7 @@ def _fraction_phi_eval(spec, x):
     rhs_pow = abs(delta_u) ** p
     sign = (lhs_pow > rhs_pow) - (lhs_pow < rhs_pow)
     exact = big - rhs_pow if q == 1 else None
-    approx = bounds._safe_float(big) - bounds._float_power(abs(delta_u), p, q)
+    approx = _safe_float(big) - _float_power(abs(delta_u), p, q)
     return PhiValue(x, sign, approx, exact)
 
 
@@ -310,6 +330,70 @@ class TestIntegerPhiEval:
                 leading_dominance(phi_spec("C5", 1))
         finally:
             bounds._phi_polys.cache_clear()
+
+
+def _phi_key(val):
+    return val.approx if val.exact is None else val.exact
+
+
+def _reference_scan(spec, den, x_range):
+    """Test-only reference: phi_eval at every Fraction(k, den), and the
+    first point with the least key (the exact value when l is an integer)
+    is the argmin."""
+    k_max = int(Fraction(x_range) * den)
+    vals = [phi_eval(spec, Fraction(k, den)) for k in range(-k_max, k_max + 1)]
+    best = min(vals, key=_phi_key)
+    return bounds.PhiScanResult(
+        len(vals),
+        tuple(v.x for v in vals if v.sign < 0),
+        tuple(v.x for v in vals if v.sign == 0),
+        best.approx if best.exact is None else _safe_float(best.exact),
+        best.x,
+        best.exact,
+    )
+
+
+class TestPhiScanKernel:
+    """phi_scan's one integer loop per grid against phi_eval point by point."""
+
+    def _assert_same(self, spec, den, x_range):
+        got, want = phi_scan(spec, den, x_range), _reference_scan(spec, den, x_range)
+        assert got == want, (spec.label, den, x_range)
+        assert repr(got.min_approx) == repr(want.min_approx), (spec.label, den, x_range)
+
+    @pytest.mark.parametrize("den, x_range", [(64, 20), (7, 5), (1, 50), (3, 1)])
+    def test_matches_point_by_point_scan_on_every_branch(self, den, x_range):
+        for spec in all_phi_specs():
+            self._assert_same(spec, den, x_range)
+
+    def test_hand_built_spec_with_violations_and_zeros(self):
+        # this prefactor makes phi[C5] vanish at x = +-1 and go negative at 3/2
+        c5 = FAMILIES["C5"]
+        spec = PhiSpec(c5, 1, Fraction(1331, 23104))
+        res = phi_scan(spec, 2, 3)
+        assert res.violations == (Fraction(3, 2),)
+        assert res.zeros == (-1, 1)
+        self._assert_same(spec, 2, 3)
+        self._assert_same(spec, 16, 4)
+        # the same prefactor with a fractional exponent: float argmin keys
+        c5_7_2 = dataclasses.replace(c5, l=Fraction(7, 2))
+        self._assert_same(PhiSpec(c5_7_2, 1, spec.prefactor), 16, 4)
+
+    def test_flipped_sign_at_one_grid_point_is_reported(self, monkeypatch):
+        spec = phi_spec("C5", 1)
+        good = phi_scan(spec, 8, 3)
+        assert good.violations == () and good.min_exact > 0
+        real = bounds._PhiKernel.gap
+
+        def flipped_at_zero(kern, big_num, del_num):
+            gap = real(kern, big_num, del_num)
+            return -gap if (big_num, del_num) == kern.terms(0) else gap
+
+        monkeypatch.setattr(bounds._PhiKernel, "gap", flipped_at_zero)
+        bad = phi_scan(spec, 8, 3)
+        assert bad.violations == (0,)
+        assert (bad.argmin, bad.min_exact) == (0, -1)
+        assert bad != good
 
 
 def _table_forms(name, x):
