@@ -33,7 +33,6 @@ from szpirolab.reduction import (
     CurveAnalysis,
     LocalReductionData,
     MinimalModelResult,
-    NonMinimalError,
     analyze,
     conductor,
     minimal_model,

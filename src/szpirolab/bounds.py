@@ -66,9 +66,9 @@ def exceeds(model: WeierstrassModel, bound: Fraction) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Substitution patterns: how one rational argument x stands in for a whole
-# parameter tuple, matching the single-variable reductions used by the
-# homogeneity identities.
+# Substitution patterns: how one variable x stands in for a whole parameter
+# tuple, matching the single-variable reductions used by the homogeneity
+# identities.  The library pushes only the indeterminate X through them.
 
 
 def _pattern(fam: FamilyId, x) -> FamilyInstance:
@@ -111,7 +111,7 @@ def phi_spec(name: str, u_key) -> PhiSpec:
         raise ValidationError(f"{name} has no phi branch; its bound is checked directly")
     if u_key not in fam.delta_scales:
         raise ValidationError(f"u = {u_key} is not admissible for {name}")
-    pre = Fraction(1, u_value(u_key, _pattern(fam, 1).decomposition) ** 12)
+    pre = Fraction(1, u_value(u_key, fam.decompose(1)) ** 12)
     return PhiSpec(fam, u_key, pre)
 
 
@@ -244,8 +244,8 @@ def phi_eval(spec: PhiSpec, x) -> PhiValue:
     """Exact sign (and float size) of phi at the rational x.
 
     phi(x) = prefactor * max(|alpha(x)|^3, beta(x)^2) - |delta_u(x)|^l,
-    decided by comparing q-th powers of integers: the one-point case of
-    the kernel phi_scan runs on its grid.
+    decided by comparing q-th powers of integers: a one-point grid of
+    the kernel phi_scan runs, built at the denominator of x.
     """
     x = Fraction(x)
     return _PhiKernel(spec, x.denominator).value(x.numerator)
@@ -315,7 +315,7 @@ def phi_scan(
     """Exact-sign evaluation of phi on the grid {k/denominator : |x| <= range}.
 
     One _PhiKernel, built at the grid's denominator, decides every point
-    in integers; phi_eval builds a PhiValue for the argmin alone.  With
+    in integers and builds a PhiValue for the argmin alone.  With
     jobs > 1, a grid of at least _PHI_POOL_MIN points is split into
     jobs index chunks whose results are merged in index order, so the
     outcome never depends on scheduling.
@@ -330,10 +330,11 @@ def phi_scan(
     k_max = int(x_range * denominator)
     ks = range(-k_max, k_max + 1)
     workers = jobs if len(ks) >= _PHI_POOL_MIN else 1
-    parts = fan_out(_scan_chunk, ks, workers, jobs, _PhiKernel(spec, denominator))
+    kern = _PhiKernel(spec, denominator)
+    parts = fan_out(_scan_chunk, ks, workers, jobs, kern)
 
     _, k = min((part[2] for part in parts), key=itemgetter(0))
-    best = phi_eval(spec, Fraction(k, denominator))
+    best = kern.value(k)
     exact = best.exact
     return PhiScanResult(
         len(ks),
@@ -378,13 +379,16 @@ def _homogeneity_data(instance: FamilyInstance):
 
 
 def homogeneity_check(instance: FamilyInstance) -> bool:
-    """Verify all three scaling identities exactly in rational arithmetic."""
+    """Verify all three scaling identities exactly in rational arithmetic;
+    the pattern side is _phi_polys at x, as in the phi grid scans."""
     if instance.family.name not in PHI_FAMILIES:
         raise ValidationError(f"{instance.family.name} carries no homogeneity identities")
     if instance.params[0] == 0:
         raise ValidationError("leading parameter must be nonzero")
     x, s_alpha, s_beta, s_delta = _homogeneity_data(instance)
-    alpha_sub, beta_sub, delta_sub = _forms_at(_pattern(instance.family, x))
+    alpha_sub, beta_sub, delta_sub = (
+        evaluate(poly.coeffs, x) for poly in _phi_polys(instance.family.name)
+    )
     alpha, beta, delta_val = _forms_at(instance)
     return (
         Fraction(alpha) == s_alpha * alpha_sub

@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 
-class PaperContractViolation(AssertionError):
+class PaperContractViolation(Exception):
     """A quantity landed outside its published contract (reportable finding)."""
 
 
@@ -362,8 +362,8 @@ def family(name: str) -> FamilyId:
 class FamilyInstance:
     """A validated parameter tuple for one family.
 
-    bounds also builds unvalidated pattern instances, whose parameters may
-    be rationals or a polynomial indeterminate.
+    bounds also builds unvalidated pattern instances, whose one free
+    parameter is the polynomial indeterminate X.
     """
 
     family: FamilyId

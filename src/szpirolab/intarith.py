@@ -141,7 +141,7 @@ def p_adic_valuation(n: int, p: int) -> int:
 def _iroot_floor(n: int, k: int) -> int:
     """Floor of the k-th root of n >= 0, exact integer arithmetic."""
     if n < 0:
-        raise ValueError("root of negative")
+        raise ValidationError("root of negative")
     if n < 2 or k == 1:
         return n
     if n.bit_length() <= 52:

@@ -38,17 +38,12 @@ __all__ = [
     "CurveAnalysis",
     "LocalReductionData",
     "MinimalModelResult",
-    "NonMinimalError",
     "analyze",
     "conductor",
     "height_of_minimal",
     "minimal_model",
     "tate_local",
 ]
-
-
-class NonMinimalError(ValueError):
-    """tate_local was handed a model that is not minimal at the prime."""
 
 
 @dataclass(frozen=True)
@@ -89,7 +84,8 @@ def _kraus_ok_at_3(c6: int) -> bool:
 
 def _model_from_c4c6(c4: int, c6: int) -> tuple[WeierstrassModel, ModelInvariants]:
     """Connell's recipe: reduced integral model with the given invariants,
-    returned with its invariants."""
+    returned with its invariants.  Callers have checked Kraus' conditions,
+    so a remainder means an identity failed and raises CertificateError."""
     b2 = (-c6) % 12
     if b2 > 6:
         b2 -= 12
@@ -100,7 +96,7 @@ def _model_from_c4c6(c4: int, c6: int) -> tuple[WeierstrassModel, ModelInvariant
     a4, r4 = divmod(b4 - a1 * a3, 2)
     a6, r5 = divmod(b6 - a3, 4)
     if r1 or r2 or r3 or r4 or r5:
-        raise ValueError(f"no integral model with c4={c4}, c6={c6}")
+        raise CertificateError(f"no integral model with c4={c4}, c6={c6}")
     m = WeierstrassModel(a1, a2, a3, a4, a6)
     inv = compute_invariants(m)
     if (inv.c4, inv.c6) != (c4, c6):
@@ -201,8 +197,8 @@ def tate_local(
     """Tate's algorithm at p for a model minimal at p.
 
     Produces the Kodaira type and conductor exponent.  A model that turns
-    out to be non-minimal at p (the algorithm's final rescaling step) is
-    rejected, since exponents are only meaningful for minimal models.
+    out to be non-minimal at p (the algorithm's final rescaling step)
+    raises ValidationError: exponents mean something only for minimal models.
     inv, the invariants of m, is for a caller that already holds them;
     otherwise they are computed here.  The translations run on the integer
     coefficient tuple, and each step computes only the b-invariant it reads
@@ -347,7 +343,7 @@ def tate_local(
         return LocalReductionData(p, n, n - 7, "III*", False)
     if a6 % p**6 != 0:
         return LocalReductionData(p, n, n - 8, "II*", False)
-    raise NonMinimalError(f"model {m} is not minimal at {p}")
+    raise ValidationError(f"model {m} is not minimal at {p}")
 
 
 def height_of_minimal(mm: MinimalModelResult) -> int:

@@ -29,7 +29,7 @@ from szpirolab.families import (
     recover_uT,
     validate_params,
 )
-from szpirolab.poly import X
+from szpirolab.poly import Poly, X
 from szpirolab.reduction import analyze, height_of_minimal, minimal_model
 from szpirolab.sharpness import SHARP_FAMILIES, build_FT
 from szpirolab.sweeps import check_instance, iter_param_tuples
@@ -395,6 +395,23 @@ class TestPhiScanKernel:
         assert (bad.argmin, bad.min_exact) == (0, -1)
         assert bad != good
 
+    def test_one_kernel_per_scan(self, monkeypatch, pool_entries):
+        # the argmin's PhiValue comes from the kernel that scanned the grid
+        built = []
+        real = bounds._PhiKernel.__init__
+
+        def counted(kern, spec, den):
+            built.append(den)
+            real(kern, spec, den)
+
+        monkeypatch.setattr(bounds._PhiKernel, "__init__", counted)
+        spec = phi_spec("C6", 2)
+        phi_scan(spec, 64, 3)
+        assert built == [64] and pool_entries == []
+        assert phi_scan(spec, 256, 10, jobs=2).points == 5121
+        assert len(pool_entries) == 1
+        assert built == [64, 256]
+
 
 def _table_forms(name, x):
     """Test-only reference: alpha, beta and delta_T along the pattern
@@ -423,6 +440,34 @@ class TestPattern:
                 got = bounds._forms_at(bounds._pattern(FAMILIES[name], x))
                 assert got == _table_forms(name, x), (name, x)
 
+    def test_library_builds_patterns_only_with_the_indeterminate(self, monkeypatch):
+        # the grid scan, the argmin, tail dominance and the homogeneity
+        # identities all read the one polynomial set of _phi_polys
+        args = []
+        real = bounds._pattern
+
+        def recorded(fam, x):
+            args.append(x)
+            return real(fam, x)
+
+        monkeypatch.setattr(bounds, "_pattern", recorded)
+        bounds._phi_polys.cache_clear()
+        try:
+            for spec in all_phi_specs():
+                phi_scan(spec, 4, 2)
+                name = spec.family.name
+                for params in iter_param_tuples(name, 3):
+                    try:
+                        inst = validate_params(name, *params)
+                    except ValidationError:  # singular
+                        continue
+                    assert homogeneity_check(inst), (spec.label, params)
+                    break
+        finally:
+            bounds._phi_polys.cache_clear()
+        assert len(args) == 14
+        assert all(isinstance(x, Poly) for x in args), args
+
 
 class TestHomogeneity:
     def test_spec_examples(self):
@@ -444,6 +489,18 @@ class TestHomogeneity:
     def test_c3_0_has_none(self):
         with pytest.raises(ValueError):
             homogeneity_check(validate_params("C3_0", 1))
+
+    def test_reads_the_phi_polynomials(self, monkeypatch):
+        inst = validate_params("C5", 2, 3)
+        assert homogeneity_check(inst)
+        real = bounds._phi_polys
+
+        def doubled_alpha(name):
+            alpha, beta, dbase = real(name)
+            return 2 * alpha, beta, dbase
+
+        monkeypatch.setattr(bounds, "_phi_polys", doubled_alpha)
+        assert not homogeneity_check(inst)
 
     def test_non_integral_scale_raises(self):
         # explicit, so the check holds under python -O as well

@@ -29,6 +29,7 @@ from szpirolab.weierstrass import (
     WeierstrassModel,
     compute_invariants,
     point_order,
+    transform,
 )
 
 ORIGIN = AffinePoint(Fraction(0), Fraction(0))
@@ -166,6 +167,10 @@ REJECTED_ARGUMENTS = {
     "tate_local model": (
         lambda: reduction.tate_local(WeierstrassModel(Fraction(1, 2), 0, 0, 0, 1), 2),
         "requires an integral model"),
+    "tate_local minimal": (  # 11a1 scaled up by u = 11
+        lambda: reduction.tate_local(
+            transform(WeierstrassModel(0, -1, 1, -10, -20), Isomorphism(Fraction(1, 11))), 11),
+        "not minimal at 11"),
     "p_adic_valuation n": (lambda: p_adic_valuation(0, 2), "valuation undefined"),
     "p_adic_valuation p": (lambda: p_adic_valuation(12, 6), "must be prime"),
     "radical n": (lambda: intarith.radical(0), "radical undefined"),

@@ -8,10 +8,15 @@ import pytest
 
 from szpirolab import reduction
 from szpirolab.bounds import exceeds
-from szpirolab.families import FAMILIES, ValidationError, build_model, validate_params
+from szpirolab.families import (
+    FAMILIES,
+    PaperContractViolation,
+    ValidationError,
+    build_model,
+    validate_params,
+)
 from szpirolab.intarith import factorize, is_squarefree
 from szpirolab.reduction import (
-    NonMinimalError,
     _model_from_c4c6,
     analyze,
     conductor,
@@ -97,7 +102,9 @@ class TestMinimalModel:
             minimal_model(WeierstrassModel(Fraction(1, 2), 0, 0, 0, 0))
 
     def test_no_model_for_bad_pair(self):
-        with pytest.raises(ValueError, match="no integral model"):
+        # only reached once Kraus' conditions hold, so a remainder is a
+        # failed identity, not rejected input
+        with pytest.raises(CertificateError, match="no integral model"):
             _model_from_c4c6(1, 1)
 
 
@@ -190,7 +197,7 @@ class TestTateLocal:
 
     def test_non_minimal_rejected(self):
         big = blow_up(CURVE_11A1, 11)
-        with pytest.raises(NonMinimalError):
+        with pytest.raises(ValidationError, match="not minimal"):
             tate_local(big, 11)
 
     def test_ogg_consistency_random(self):
@@ -340,10 +347,12 @@ class TestAnalyze:
 
 class TestExplicitChecks:
     """The checks behind minimal models raise CertificateError, which is
-    not an AssertionError and survives python -O."""
+    not an AssertionError and survives python -O; nor is the reportable
+    PaperContractViolation."""
 
     def test_not_an_assertion(self):
         assert not issubclass(CertificateError, AssertionError)
+        assert not issubclass(PaperContractViolation, AssertionError)
 
     def test_c4c6_mismatch(self, monkeypatch):
         real = reduction.compute_invariants
@@ -496,7 +505,7 @@ def reference_tate_local(m: WeierstrassModel, p: int):
         return n, n - 7, "III*"
     if a6 % p**6 != 0:
         return n, n - 8, "II*"
-    raise NonMinimalError(f"model {m} is not minimal at {p}")
+    raise ValidationError(f"model {m} is not minimal at {p}")
 
 
 def _local_triple(d):
