@@ -1,11 +1,18 @@
 """Exact integer support: valuations, radicals, squarefree tests, factoring.
 
-Everything here is deterministic.  Factoring is trial division up to the
-fixed bound _TRIAL_BOUND.  A cofactor past it gets up to _RHO_ATTEMPTS
-attempts: the first starts with a short Brent-cycle Pollard rho pass
-(which moves to the next constant when it meets every prime in one step),
-and each runs one elliptic-curve (ECM) curve with fixed parameters until a
-factor is found.  So repeated runs (and parallel workers) always agree.
+Everything here is deterministic.  Factoring is trial division by the
+primes up to the fixed bound _TRIAL_BOUND, in blocks of _TRIAL_BLOCK
+primes (one gcd with the block's product skips a block that divides
+nothing).  A cofactor past it gets up to _RHO_ATTEMPTS attempts: the first
+starts with a short Brent-cycle Pollard rho pass (which moves to the next
+constant when it meets every prime in one step), and each runs one
+elliptic-curve (ECM) curve with fixed parameters until a factor is found.
+So repeated runs (and parallel workers) always agree.
+
+The squarefree test stops at what trial division proves: a square of a
+prime up to _TRIAL_BOUND decides it, and so does a cofactor below
+_TRIAL_BOUND**3, which is 1, p, p^2 or pq.  Only a larger cofactor is
+factored.  Both factorizations and squarefree decisions are cached.
 
 The module imports nothing from the package, so ValidationError, the one
 type for rejected input, lives here.
@@ -36,6 +43,7 @@ __all__ = [
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 _TRIAL_BOUND = 10_000
+_TRIAL_BLOCK = 32
 # The factoring budget of one cofactor: its attempts (a rho pass, then one
 # ECM curve each), and the cap on rho iterations and on the ECM bounds.
 _RHO_ATTEMPTS = 24
@@ -161,8 +169,12 @@ def _iroot_floor(n: int, k: int) -> int:
 
 
 def _perfect_power(n: int) -> tuple[int, int] | None:
-    """Return (root, k) with root**k == n and k >= 2, or None."""
-    for k in range(2, n.bit_length() + 1):
+    """Return (root, k) with root**k == n and k >= 2 least, or None.
+
+    The least such k is prime (r**(ab) is also (r**b)**a), so only prime
+    k are tried.
+    """
+    for k in small_primes(max(_TRIAL_BOUND, n.bit_length())):
         r = _iroot_floor(n, k)
         if r < 2:
             break
@@ -340,21 +352,45 @@ def _factor_hard(n: int, out: dict[int, int], stuck: list[int]) -> None:
     _factor_hard(n // d, out, stuck)
 
 
-def _factorize_uncached(n: int) -> Factorization:
-    m = n
+_TRIAL_PRIMES = small_primes(_TRIAL_BOUND)
+# (primes, their product) for each block of _TRIAL_BLOCK trial primes.
+_TRIAL_BLOCKS = tuple(
+    (_TRIAL_PRIMES[i : i + _TRIAL_BLOCK], math.prod(_TRIAL_PRIMES[i : i + _TRIAL_BLOCK]))
+    for i in range(0, len(_TRIAL_PRIMES), _TRIAL_BLOCK)
+)
+
+
+def _trial(n: int) -> tuple[dict[int, int], int]:
+    """({p: e}, cofactor) of n >= 1 after trial division up to _TRIAL_BOUND.
+
+    A block whose product is prime to the cofactor is skipped, and division
+    stops at the first block whose least prime p has p*p > cofactor.  So a
+    cofactor below _TRIAL_BOUND**2 is 1 or prime, and a larger one has no
+    prime up to _TRIAL_BOUND.
+    """
     out: dict[int, int] = {}
-    for p in small_primes(_TRIAL_BOUND):
-        if p * p > m:
+    m = n
+    for block, product in _TRIAL_BLOCKS:
+        if block[0] * block[0] > m:
             break
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            out[p] = e
+        g = math.gcd(m, product)
+        if g == 1:
+            continue
+        for p in block:
+            if g % p == 0:
+                e = 0
+                while m % p == 0:
+                    m //= p
+                    e += 1
+                out[p] = e
+    return out, m
+
+
+def _factorize_uncached(n: int) -> Factorization:
+    out, m = _trial(n)
     if m > 1:
         if m <= _TRIAL_BOUND * _TRIAL_BOUND:
-            out[m] = out.get(m, 0) + 1  # survived trial division below sqrt: prime
+            out[m] = 1  # survived trial division below sqrt: prime
         else:
             stuck: list[int] = []
             _factor_hard(m, out, stuck)
@@ -397,7 +433,23 @@ def is_squarefree(n: int) -> bool:
     n = abs(n)
     if n % 4 == 0 or n % 9 == 0 or n % 25 == 0:
         return False
+    return _is_squarefree_default(n)
+
+
+def _is_squarefree_uncached(n: int) -> bool:
+    small, m = _trial(n)
+    if any(e > 1 for e in small.values()):
+        return False
+    if m < _TRIAL_BOUND**3:
+        # By _trial, m is 1 or prime, or has no prime up to _TRIAL_BOUND;
+        # so it is 1, p, p^2 or pq.
+        return m == 1 or math.isqrt(m) ** 2 != m
+    # factorize(n), not factorize(m): a budget error then names n and its
+    # small primes, as a full factorization would.
     return factorize(n).is_squarefree()
+
+
+_is_squarefree_default = lru_cache(maxsize=200_000)(_is_squarefree_uncached)
 
 
 def is_cubefree(n: int) -> bool:

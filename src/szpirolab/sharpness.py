@@ -294,8 +294,12 @@ def _f_is_squarefree(values: list[int]) -> bool:
     """Squarefree test of f(n) through its factor values at n.
 
     The product is squarefree iff the factor values are pairwise coprime
-    and each is individually squarefree; factoring the small pieces avoids
-    ever factoring the full product.
+    and each is individually squarefree; testing the small pieces avoids
+    ever factoring the full product.  is_squarefree factors a value only
+    when trial division leaves a cofactor of 10^12 or more, so only such a
+    value can raise FactorBudgetError.  The values are tested in order: an
+    earlier value that is not squarefree returns False before a later one
+    is factored.
     """
     if any(v == 0 for v in values):
         return False

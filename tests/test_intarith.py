@@ -145,6 +145,107 @@ class TestSquarefree:
         assert not is_cubefree(-27)
 
 
+def _cube_rule_cases(sympy):
+    """Values whose squarefree decision the cube rule makes, and values just
+    past it, all built from sympy's primes (test-only)."""
+    p, q, r = (sympy.nextprime(10**4 + k) for k in (0, 30, 100))  # 10007 ...
+    below, above = sympy.prevprime(10**6), sympy.nextprime(10**6)
+    edge = sympy.nextprime(10**12 // p)  # p * edge just above 10^12
+    cases = [p * p, p * q, p * q * r, p * p * q, below**2, above**2]
+    cases += [p * sympy.prevprime(10**12 // p), p * edge, 10**12 - 11, 10**12 + 39]
+    semiprimes = [p * q, 10007 * 1000003, 99991 * 999983, below * above]
+    cases += [s * t * t * c for s in semiprimes for t in (2, 3, 7, 97, 9973) for c in (1, 5)]
+    cases += [s * t for s in semiprimes for t in (6, 30, 9973)]
+    return cases + [-n for n in cases]
+
+
+class TestCubeRule:
+    """A cofactor below _TRIAL_BOUND**3 is 1, p, p^2 or pq: isqrt decides it."""
+
+    def test_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        for n in _cube_rule_cases(sympy):
+            expected = all(e == 1 for e in sympy.factorint(abs(n)).values())
+            assert is_squarefree(n) == expected, n
+            assert intarith._is_squarefree_uncached(abs(n)) == expected, n
+
+    def test_both_sides_of_the_bound(self):
+        sympy = pytest.importorskip("sympy")
+        cofactors = [intarith._trial(abs(n))[1] for n in _cube_rule_cases(sympy)]
+        assert any(10**8 < m < 10**12 for m in cofactors)
+        assert any(m > 10**12 for m in cofactors)
+
+    def test_matches_full_factorization(self):
+        # Products of factors below 10^7 (so rho splits them at once), with
+        # random squares of primes past trial division: n in [10^8, 10^30].
+        rng = random.Random(2020)
+        sides = {True: 0, False: 0}
+        for _ in range(600):
+            n = rng.randrange(2, 10**4) ** rng.choice((1, 1, 2))
+            n *= intarith.small_primes(10**5)[rng.randrange(1229, 9592)] ** rng.choice((0, 1, 2))
+            for _ in range(rng.randrange(1, 5)):
+                n *= rng.randrange(10**4, 10**7)
+            if not 10**8 <= n <= 10**30:
+                continue
+            sides[intarith._trial(n)[1] < intarith._TRIAL_BOUND**3] += 1
+            assert is_squarefree(n) == intarith._factorize_uncached(n).is_squarefree(), n
+        assert min(sides.values()) > 100, sides
+
+    def test_small_cofactors_never_reach_hard_factoring(self, monkeypatch):
+        sympy = pytest.importorskip("sympy")
+        cases = _cube_rule_cases(sympy)
+        expected = {n: intarith._factorize_uncached(abs(n)).is_squarefree() for n in cases}
+
+        def refuse(n, out, stuck):
+            raise AssertionError(f"cofactor {n} reached _factor_hard")
+
+        monkeypatch.setattr(intarith, "_factor_hard", refuse)
+        monkeypatch.setattr(intarith, "_factorize_default", intarith._factorize_uncached)
+        bound = intarith._TRIAL_BOUND**3
+        small = [n for n in cases if intarith._trial(abs(n))[1] < bound]
+        assert len(small) > len(cases) // 2
+        for n in small:
+            assert intarith._is_squarefree_uncached(abs(n)) == expected[n], n
+        for n in cases:
+            small, m = intarith._trial(abs(n))
+            if m >= bound and all(e == 1 for e in small.values()):
+                with pytest.raises(AssertionError, match=f"cofactor {m} reached"):
+                    intarith._is_squarefree_uncached(abs(n))
+
+    def test_small_prime_square_decides_before_factoring(self, monkeypatch):
+        # A square of a trial prime settles it; the hard cofactor is not split.
+        monkeypatch.setattr(intarith, "_RHO_ATTEMPTS", 0)
+        hard = PINNED[0] * PINNED[1]
+        assert intarith._is_squarefree_uncached(49 * hard) is False
+        with pytest.raises(FactorBudgetError) as exc:
+            intarith._is_squarefree_uncached(7 * 11 * hard)
+        assert exc.value.n == 7 * 11 * hard
+        assert exc.value.partial.pairs == ((7, 1), (11, 1))
+        assert exc.value.cofactor == hard
+
+
+class TestTrialDivision:
+    def test_blocks_cover_the_trial_primes(self):
+        blocks = intarith._TRIAL_BLOCKS
+        assert [p for block, _ in blocks for p in block] == list(small_primes(10_000))
+        assert all(len(block) == intarith._TRIAL_BLOCK for block, _ in blocks[:-1])
+        assert all(product == math.prod(block) for block, product in blocks)
+
+    def test_against_oracle(self):
+        rng = random.Random(19)
+        for _ in range(300):
+            n = rng.randrange(1, 10**6) * rng.choice((1, 9973, 9973**2, 10007, 10007 * 10009))
+            small, m = intarith._trial(n)
+            assert m * math.prod(p**e for p, e in small.items()) == n
+            assert all(p <= 10_000 and e >= 1 for p, e in small.items())
+            full = dict(oracle_trial_factor(n))
+            assert all(full[p] == e for p, e in small.items()), n
+            if m < 10**8:
+                assert m == 1 or is_probable_prime(m), n
+            else:
+                assert oracle_trial_factor(m)[0][0] > 10_000, n
+
+
 class TestFactorize:
     def test_spec_values(self):
         assert oracle_trial_factor(92928) == [(2, 8), (3, 1), (11, 2)]
@@ -187,6 +288,32 @@ class TestFactorize:
     @settings(max_examples=60, deadline=None)
     def test_perfect_power_round_trip(self, p, k):
         assert factorize(p**k).pairs == ((p, k),)
+
+    @pytest.mark.parametrize("k", range(2, 14))
+    def test_perfect_power_tries_prime_exponents_only(self, monkeypatch, k):
+        def every_exponent(n):
+            for j in range(2, n.bit_length() + 1):
+                r = intarith._iroot_floor(n, j)
+                if r < 2:
+                    break
+                if r**j == n:
+                    return r, j
+            return None
+
+        tried = []
+        real = intarith._iroot_floor
+        monkeypatch.setattr(
+            intarith, "_iroot_floor", lambda n, j: tried.append(j) or real(n, j)
+        )
+        for p in (10007, 65537, 10**9 + 7, 2**61 - 1):
+            for n in (p**k, p**k + 1, p**k - 1, p**k * 10009):
+                assert intarith._perfect_power(n) == every_exponent(n), (p, k, n)
+            root, j = intarith._perfect_power(p**k)
+            assert j == min(d for d in range(2, k + 1) if k % d == 0)
+            assert root**j == p**k
+        tried.clear()
+        intarith._perfect_power(10007 * 10009 * 10037)
+        assert tried and all(is_probable_prime(j) for j in tried)
 
     def test_budget_error_carries_partial(self, monkeypatch):
         # Starve rho so a semiprime of two large primes resists the budget.

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from szpirolab import weierstrass
+from szpirolab import intarith, weierstrass
 from szpirolab.families import FAMILIES, ValidationError
 from szpirolab.poly import Poly
 from szpirolab.reduction import analyze, conductor, height_of_minimal, minimal_model
@@ -256,3 +256,35 @@ class TestConvergence:
             with pytest.raises(ValueError, match="samples"):
                 convergence_scan("C2", 1000, samples=samples)
         assert convergence_scan("C2", 1000, samples=2).records
+
+
+def _starve_factoring(monkeypatch):
+    """No attempt past trial division, and no cached answer."""
+    monkeypatch.setattr(intarith, "_RHO_ATTEMPTS", 0)
+    monkeypatch.setattr(intarith, "_factorize_default", intarith._factorize_uncached)
+    monkeypatch.setattr(intarith, "_is_squarefree_default", intarith._is_squarefree_uncached)
+
+
+class TestBudgetSkipped:
+    """convergence_scan lists an n whose factoring ran out of budget."""
+
+    def test_hard_cofactor_is_skipped(self, monkeypatch):
+        value = SHARP_FAMILIES["C7"].f_factor_values(2743)[-1]
+        _, m = intarith._trial(value)
+        assert m >= 10**12 and not intarith.is_probable_prime(m)
+        assert record_ns("C7", 2743, n_min=2743) == [2743]
+        _starve_factoring(monkeypatch)
+        scan = convergence_scan("C7", 2743, n_min=2743)
+        assert scan.budget_skipped == (2743,)
+        assert scan.records == ()
+
+    def test_cube_rule_value_is_not_skipped(self, monkeypatch):
+        # 110999183 has no prime up to 10^4 and is below 10^12: one isqrt
+        # decides it, so no factoring attempt is needed.
+        value = SHARP_FAMILIES["C7"].f_factor_values(131)[-1]
+        _, m = intarith._trial(value)
+        assert 10**8 < m < 10**12 and not intarith.is_probable_prime(m)
+        _starve_factoring(monkeypatch)
+        scan = convergence_scan("C7", 131, n_min=131)
+        assert scan.budget_skipped == ()
+        assert [r.n for r in scan.records] == [131]
