@@ -62,7 +62,7 @@ def szpiro_ratio(model: WeierstrassModel) -> float:
 def exceeds(model: WeierstrassModel, bound: Fraction) -> bool:
     """Exact test of szpiro_ratio(model) > p/q, as height^q > N^p."""
     ca = analyze(model)
-    return ca.height**bound.denominator > ca.conductor**bound.numerator
+    return verify_height_bound(ca.conductor, ca.height, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -397,11 +397,14 @@ def homogeneity_check(instance: FamilyInstance) -> bool:
     )
 
 
-def verify_height_bound(delta: int, height: int, exp: Fraction) -> bool:
-    """Exact check |delta_{T,u}|^l < u^-12 max(|alpha^3|, beta^2), l = p/q.
+def verify_height_bound(delta, height, exp: Fraction) -> bool:
+    """Exact check |delta|^l < height, l = exp = p/q, as |delta|^p < height^q.
 
-    The minimal model is the family model scaled by u, so the right-hand
-    side is the minimal model's height; the check is |delta|^p < height^q.
+    Every exact x > |y|^l decision in the package is this call, on integers
+    or Fractions: delta_{T,u} against the minimal model's height, which is
+    u^-12 max(|alpha^3|, beta^2); the conductor against the height (the
+    ratio bound sigma_m > l); |f(n)| against a sharpness record's height;
+    and the leading coefficients of phi's two sides.
     """
     return abs(delta) ** exp.numerator < height**exp.denominator
 
@@ -436,13 +439,10 @@ def leading_dominance(spec: PhiSpec) -> DominanceReport:
     lead_max = spec.prefactor * max(leads)
 
     l = spec.family.l
-    p, q = l.numerator, l.denominator
     deg_bound = l * dbase.degree
-    lead_bound = abs(spec.family.delta_scales[spec.u_key] * Fraction(dbase.leading))
-    if deg_max > deg_bound:
-        dominant = True
-    elif deg_max < deg_bound:
-        dominant = False
+    lead_bound = spec.family.delta_scales[spec.u_key] * Fraction(dbase.leading)
+    if deg_max != deg_bound:
+        dominant = deg_max > deg_bound
     else:
-        dominant = lead_max**q > lead_bound**p
+        dominant = verify_height_bound(lead_bound, lead_max, l)
     return DominanceReport(deg_max, deg_bound, dominant)

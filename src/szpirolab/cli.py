@@ -187,14 +187,13 @@ def _parse_u(text: str):
 
 
 def cmd_phi(args) -> int:
-    names = list(bounds.PHI_FAMILIES) if args.T == "all" else [args.T]
-    u = None if args.u == "all" else _parse_u(args.u)
+    names = bounds.PHI_FAMILIES if args.T == "all" else (args.T,)
     # every branch is built, and so checked, before the first line is printed
-    specs = [
-        bounds.phi_spec(name, key)
-        for name in names
-        for key in (families.FAMILIES[name].delta_scales if u is None else [u])
-    ]
+    if args.u == "all":
+        specs = [s for s in bounds.all_phi_specs() if s.family.name in names]
+    else:
+        u = _parse_u(args.u)
+        specs = [bounds.phi_spec(name, u) for name in names]
     failed = False
     for spec in specs:
         res = bounds.phi_scan(spec, args.den, args.range, jobs=args.jobs)

@@ -191,34 +191,26 @@ def _cubic_has_distinct_roots(a: int, b: int, c: int, p: int) -> bool:
     return disc % p != 0
 
 
-def tate_local(
-    m: WeierstrassModel, p: int, inv: ModelInvariants | None = None
-) -> LocalReductionData:
-    """Tate's algorithm at p for a model minimal at p.
+def _double_root(a: int, b: int, c: int, p: int) -> int:
+    """The root of a*T^2 + b*T + c over F_p, a a unit, when it is a double
+    root (p | b^2 - 4ac), as a centered residue."""
+    return _centered(c % 2 if p == 2 else -b * pow(2 * a, -1, p) % p, p)
 
-    Produces the Kodaira type and conductor exponent.  A model that turns
-    out to be non-minimal at p (the algorithm's final rescaling step)
-    raises ValidationError: exponents mean something only for minimal models.
-    inv, the invariants of m, is for a caller that already holds them;
-    otherwise they are computed here.  The translations run on the integer
+
+def _local_data(coeffs, p: int, n: int, inv: ModelInvariants) -> LocalReductionData:
+    """Local data at p of the integral model coeffs, minimal at p, with
+    invariants inv and n = v_p(delta).
+
+    With n = 0 or p not dividing c4 the type is I_n, with exponent 0 or 1;
+    otherwise the additive steps run.  The translations run on the integer
     coefficient tuple, and each step computes only the b-invariant it reads
     (Cremona, Algorithms for Modular Elliptic Curves, 3.2).
     """
-    if not m.is_integral():
-        raise ValidationError("tate_local requires an integral model")
-    if inv is None:
-        inv = compute_invariants(m)
-    if inv.delta == 0:
-        raise SingularModelError("Tate's algorithm requires delta != 0")
-    n = p_adic_valuation(inv.delta, p) if inv.delta % p == 0 else 0
-    if n == 0:
-        return LocalReductionData(p, 0, 0, "I0", True)
-    if inv.c4 % p != 0:
-        # Multiplicative reduction: type I_n, exponent 1.
-        return LocalReductionData(p, n, 1, f"I{n}", True)
+    if n == 0 or inv.c4 % p != 0:
+        return LocalReductionData(p, n, min(n, 1), f"I{n}", True)
 
     # Additive reduction.  Move the singular point of the reduction to (0,0).
-    a1, a2, a3, a4, a6 = m.coefficients()
+    a1, a2, a3, a4, a6 = coeffs
     if p == 2:
         r = a4 % 2
         t = (r * (1 + a2 + a4) + a6) % 2
@@ -228,7 +220,7 @@ def tate_local(
     else:
         r = _centered(-inv.b2 * pow(12, -1, p) % p, p)
         t = _centered(-(a1 * r + a3) * pow(2, -1, p) % p, p)
-    work = _translate(m.coefficients(), r=r, t=t)
+    work = _translate(coeffs, r=r, t=t)
     a1, a2, a3, a4, a6 = work
     _certify_step(
         a3 % p == 0 and a4 % p == 0 and a6 % p == 0,
@@ -288,11 +280,7 @@ def tate_local(
             a6t = a6 // (mx * my)
             if (a3t * a3t + 4 * a6t) % p != 0:
                 break
-            if p == 2:
-                root = a6t % 2
-            else:
-                root = -a3t * pow(2, -1, p) % p
-            work = _translate(work, t=my * _centered(root, p))
+            work = _translate(work, t=my * _double_root(1, a3t, -a6t, p))
             a1, a2, a3, a4, a6 = work
             iy += 1
             my *= p
@@ -301,11 +289,7 @@ def tate_local(
             a6t = a6 // (mx * my)
             if (a4t * a4t - 4 * a2t * a6t) % p != 0:
                 break
-            if p == 2:
-                root = a6t * pow(a2t, -1, 2) % 2
-            else:
-                root = -a4t * pow(2 * a2t % p, -1, p) % p
-            work = _translate(work, r=mx * _centered(root, p))
+            work = _translate(work, r=mx * _double_root(a2t, a4t, a6t, p))
             a1, a2, a3, a4, a6 = work
             ix += 1
             mx *= p
@@ -331,11 +315,7 @@ def tate_local(
     a6t = a6 // p**4
     if (a3t * a3t + 4 * a6t) % p != 0:
         return LocalReductionData(p, n, n - 6, "IV*", False)
-    if p == 2:
-        root = a6t % 2
-    else:
-        root = -a3t * pow(2, -1, p) % p
-    work = _translate(work, t=p * p * _centered(root, p))
+    work = _translate(work, t=p * p * _double_root(1, a3t, -a6t, p))
     a1, a2, a3, a4, a6 = work
     _certify_step(a3 % p**3 == 0 and a6 % p**5 == 0, p, work, "p^3 | a3 and p^5 | a6")
 
@@ -343,7 +323,25 @@ def tate_local(
         return LocalReductionData(p, n, n - 7, "III*", False)
     if a6 % p**6 != 0:
         return LocalReductionData(p, n, n - 8, "II*", False)
-    raise ValidationError(f"model {m} is not minimal at {p}")
+    raise ValidationError(
+        f"model {WeierstrassModel(*coeffs)} is not minimal at {p}"
+    )
+
+
+def tate_local(m: WeierstrassModel, p: int) -> LocalReductionData:
+    """Tate's algorithm at p for a model minimal at p.
+
+    Produces the Kodaira type and conductor exponent.  A model that turns
+    out to be non-minimal at p (the algorithm's final rescaling step)
+    raises ValidationError: exponents mean something only for minimal models.
+    """
+    if not m.is_integral():
+        raise ValidationError("tate_local requires an integral model")
+    inv = compute_invariants(m)
+    if inv.delta == 0:
+        raise SingularModelError("Tate's algorithm requires delta != 0")
+    n = p_adic_valuation(inv.delta, p) if inv.delta % p == 0 else 0
+    return _local_data(m.coefficients(), p, n, inv)
 
 
 def height_of_minimal(mm: MinimalModelResult) -> int:
@@ -366,26 +364,19 @@ class CurveAnalysis:
 def analyze(m: WeierstrassModel) -> CurveAnalysis:
     """Minimal model, bad primes, local data, conductor and height of m.
 
-    At a prime p dividing delta_min but not c4 the reduction is
-    multiplicative, I_n with n = v_p(delta_min) and f_p = 1, so Tate's
-    algorithm runs only at the primes dividing c4 as well.  No elliptic
-    curve over Q has conductor 1, so computing it raises CertificateError.
+    Tate's algorithm runs at each prime of delta_min on the minimal model,
+    handed the valuation from this factorization and the invariants
+    minimal_model certified.  No elliptic curve over Q has conductor 1, so
+    computing it raises CertificateError.
     """
     mm = minimal_model(m)
-    c4 = mm.invariants.c4
     fac = factorize(mm.delta_min)
-    local = []
-    N = 1
-    for p, e in fac:
-        if c4 % p:
-            data = LocalReductionData(p, e, 1, f"I{e}", True)
-        else:
-            data = tate_local(mm.minimal, p, mm.invariants)
-        local.append(data)
-        N *= p**data.fp
+    coeffs = mm.minimal.coefficients()
+    local = tuple(_local_data(coeffs, p, e, mm.invariants) for p, e in fac)
+    N = math.prod(d.p**d.fp for d in local)
     if N == 1:
         raise CertificateError(f"conductor 1 computed for {m}")
-    return CurveAnalysis(mm, fac, tuple(local), N, height_of_minimal(mm))
+    return CurveAnalysis(mm, fac, local, N, height_of_minimal(mm))
 
 
 def conductor(m: WeierstrassModel) -> int:

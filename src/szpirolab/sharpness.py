@@ -13,6 +13,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
+from szpirolab.bounds import verify_height_bound
 from szpirolab.families import FAMILIES, ValidationError
 from szpirolab.intarith import FactorBudgetError, is_squarefree, radical
 from szpirolab.poly import evaluate
@@ -356,9 +357,12 @@ class ConvergenceScan:
     intercept: float | None
     slope: float | None
     strictly_above: bool  # sigma_m > l for every record, checked exactly
-    sieve_hits: int
     budget_skipped: tuple[int, ...]  # n whose factoring exceeded the budget
     warning: str | None
+
+    @property
+    def sieve_hits(self) -> int:
+        return len(self.records)
 
 
 def _sample_values(n_min: int, n_max: int, samples: int | None) -> list[int]:
@@ -420,7 +424,7 @@ def convergence_scan(
             continue
         f = math.prod(values)
         sigma = math.log(H) / math.log(abs(f))
-        if not H**l.denominator > abs(f) ** l.numerator:
+        if not verify_height_bound(f, H, l):
             strictly_above = False
         records.append(SharpnessRecord(T, n, model, H, f, sigma))
     warning = None
@@ -436,7 +440,6 @@ def convergence_scan(
         intercept,
         slope,
         strictly_above,
-        len(records),
         tuple(budget_skipped),
         warning,
     )

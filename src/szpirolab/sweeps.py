@@ -133,8 +133,8 @@ def check_instance(instance: FamilyInstance, checks=ALL_CHECKS) -> InstanceRepor
     if bound and N > bound:
         findings.append(f"{instance}: conductor {N} > bound {bound}")
 
-    p, q = fam.l.numerator, fam.l.denominator
-    if not height**q > N**p:
+    if not verify_height_bound(N, height, fam.l):
+        p, q = fam.l.numerator, fam.l.denominator
         findings.append(f"{instance}: height^{q} <= N^{p} (ratio bound violated)")
 
     if (

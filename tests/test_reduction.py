@@ -226,6 +226,19 @@ class TestTateLocal:
             checked += 1
 
 
+class TestDoubleRoot:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_matches_brute_force(self, p):
+        # a*(T - r)^2 = a*T^2 - 2ar*T + a*r^2, shifted by multiples of p.
+        for a in range(1, p):
+            for r in range(p):
+                b, c = -2 * a * r + 3 * p, a * r * r - 5 * p
+                roots = [t for t in range(p) if (a * t * t + b * t + c) % p == 0]
+                assert roots == [r]
+                root = reduction._double_root(a - 7 * p, b, c, p)
+                assert root % p == r and 2 * abs(root) <= p, (p, a, r)
+
+
 class TestConductor:
     def test_known_values(self):
         assert conductor(CURVE_11A1) == 11
@@ -308,8 +321,8 @@ class TestAnalyze:
         assert ca.height == max(496**3, 20008**2)
 
     def test_local_data_matches_tate_everywhere(self):
-        # The I_n shortcut at p not dividing c4 must agree with Tate's
-        # algorithm run at every prime.
+        # The local data analyze computes from its own factorization must
+        # agree with tate_local run on its own at every prime.
         for m in _random_curves(random.Random(90210), 80):
             ca = analyze(m)
             assert ca.factorization == factorize(ca.mm.delta_min)
@@ -320,6 +333,23 @@ class TestAnalyze:
             for d in ca.local:
                 N *= d.p**d.fp
             assert ca.conductor == N
+
+    def test_makes_no_tate_local_call(self, monkeypatch):
+        # analyze hands Tate's routine the valuation from its factorization
+        # and the certified invariants; tate_local recomputes both.
+        calls = []
+        original = reduction.tate_local
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(reduction, "tate_local", counted)
+        additive = 0
+        for m in _random_curves(random.Random(90210), 80):
+            additive += sum(not d.semistable for d in analyze(m).local)
+        assert additive > 0
+        assert calls == []
 
     def test_invariant_under_integral_isomorphisms(self):
         # A random integral isomorphism (u, r, s, t), applied backwards to a

@@ -217,3 +217,89 @@ def test_no_sympy_import(path):
 
 def test_src_files_found():
     assert {"intarith.py", "cli.py"} <= {path.name for path in SRC_FILES}
+
+
+def _source(name):
+    path = next(p for p in SOURCES if p.name == name)
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _functions(tree):
+    return [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+
+
+def _fraction_powers_compared(func) -> list[int]:
+    """Lines of a comparison in func with a ** whose exponent is a
+    .numerator or .denominator, or a name func binds to one."""
+
+    def is_part(node):
+        return isinstance(node, ast.Attribute) and node.attr in (
+            "numerator",
+            "denominator",
+        )
+
+    bound = set()
+    for node in ast.walk(func):
+        if isinstance(node, ast.Assign):
+            value = node.value
+            values = value.elts if isinstance(value, ast.Tuple) else [value]
+            for target in node.targets:
+                elts = target.elts if isinstance(target, ast.Tuple) else [target]
+                for name, part in zip(elts, values):
+                    if isinstance(name, ast.Name) and is_part(part):
+                        bound.add(name.id)
+    return [
+        pow_node.lineno
+        for compare in ast.walk(func)
+        if isinstance(compare, ast.Compare)
+        for pow_node in ast.walk(compare)
+        if isinstance(pow_node, ast.BinOp)
+        and isinstance(pow_node.op, ast.Pow)
+        and (
+            is_part(pow_node.right)
+            or (isinstance(pow_node.right, ast.Name) and pow_node.right.id in bound)
+        )
+    ]
+
+
+def test_exact_power_comparison_only_in_verify_height_bound():
+    # Every exact x > |y|^l decision, l = p/q, calls bounds.verify_height_bound.
+    found = {
+        (path.name, func.name)
+        for path in SOURCES
+        for func in _functions(ast.parse(path.read_text(), filename=str(path)))
+        if _fraction_powers_compared(func)
+    }
+    assert found == {("bounds.py", "verify_height_bound")}
+
+
+def test_cmd_phi_takes_branches_from_bounds():
+    # cmd_phi reads the branches from bounds.all_phi_specs and phi_spec, so
+    # the CLI does not walk a family's delta_scales itself.
+    (func,) = [f for f in _functions(_source("cli.py")) if f.name == "cmd_phi"]
+    names = [
+        node.lineno
+        for node in ast.walk(func)
+        if (isinstance(node, ast.Attribute) and node.attr == "delta_scales")
+        or (isinstance(node, ast.Name) and node.id == "delta_scales")
+    ]
+    assert names == [], f"cli.py: cmd_phi names delta_scales on line(s) {names}"
+
+
+def test_multiplicative_label_built_once():
+    # The I_n rule of Tate's algorithm is one function of reduction.py.
+    def is_i_n(node):
+        # f"I{...}", and not f"I{...}*"
+        if not isinstance(node, ast.JoinedStr) or len(node.values) != 2:
+            return False
+        head, tail = node.values
+        return isinstance(head, ast.Constant) and head.value == "I" and isinstance(
+            tail, ast.FormattedValue
+        )
+
+    builders = [
+        func.name
+        for func in _functions(_source("reduction.py"))
+        if any(is_i_n(node) for node in ast.walk(func))
+    ]
+    assert builders == ["_local_data"]
