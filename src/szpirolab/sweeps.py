@@ -2,9 +2,13 @@
 
 One pass per instance runs the whole pipeline (minimal model, conductor,
 bound polynomial, height inequality, torsion certification) and returns
-findings; a sweep aggregates them.  Instances are enumerated
-deterministically and chunks are merged in input order, so output never
-depends on worker scheduling.
+findings; a sweep aggregates them.  A sweep groups the tuples that give
+the same family model (C2 (a, b, d) and (a, -b, d), C2xC2 (a, b, d) and
+(-a, -b, -d)) and runs one analysis per distinct model; the checks that
+read the instance run once per instance.  Instances are enumerated
+deterministically and every finding is tagged with its input index, by
+which the chunks' findings are merged, so output never depends on
+grouping or on worker scheduling.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from szpirolab.bounds import fan_out, verify_height_bound
 from szpirolab.families import (
@@ -30,6 +35,7 @@ from szpirolab.intarith import p_adic_valuation
 from szpirolab.reduction import analyze
 from szpirolab.weierstrass import (
     AffinePoint,
+    WeierstrassModel,
     full_two_torsion,
     point_order,
 )
@@ -97,10 +103,30 @@ def check_instance(instance: FamilyInstance, checks=ALL_CHECKS) -> InstanceRepor
     An unknown check name raises ValidationError.
     """
     _reject_unknown_checks(checks)
+    model_data = _model_data(build_model(instance), instance.family, checks)
+    return _instance_report(instance, checks, model_data)
+
+
+def _model_data(model, fam, checks):
+    """What the checks read of the family model alone, so instances with
+    one model can share it: analyze(model) and, under "torsion", the order
+    of (0, 0) and the count of rational 2-torsion points (None where the
+    family does not demand full 2-torsion)."""
+    ca = analyze(model)
+    if "torsion" not in checks:
+        return ca, None, None
+    # analyze has already shown delta != 0
+    order = point_order(model, _ORIGIN, nonsingular=True)
+    two = len(full_two_torsion(model)) if fam.has_full_two_torsion else None
+    return ca, order, two
+
+
+def _instance_report(instance, checks, model_data) -> InstanceReport:
+    """check_instance on an instance whose family model gave model_data;
+    every finding names the instance."""
     findings: list[str] = []
     fam = instance.family
-    model = build_model(instance)
-    ca = analyze(model)
+    ca, order, two = model_data
     mm, N, height = ca.mm, ca.conductor, ca.height
 
     # delta stays None where delta_{T,u} is not needed or has no value; in
@@ -145,13 +171,11 @@ def check_instance(instance: FamilyInstance, checks=ALL_CHECKS) -> InstanceRepor
         findings.append(f"{instance}: |delta|^l >= u^-12 max(|alpha^3|, beta^2)")
 
     if "torsion" in checks:
-        # analyze has already shown delta != 0
-        order = point_order(model, _ORIGIN, nonsingular=True)
         if order != fam.point_order:
             findings.append(
                 f"{instance}: (0,0) has order {order}, expected {fam.point_order}"
             )
-        if fam.has_full_two_torsion and len(full_two_torsion(model)) != 4:
+        if two is not None and two != 4:
             findings.append(f"{instance}: full rational 2-torsion not found")
 
     sigma = math.log(height) / math.log(N)
@@ -195,20 +219,31 @@ class SweepSummary:
         return not self.findings
 
 
-def _check_chunk(name: str, checks, chunk: list[tuple[int, ...]]):
+def _check_chunk(name: str, checks, groups):
+    """Check the valid tuples of each group.  A group is (coefficients,
+    [(index, params), ...]): the tuples whose family model has those
+    coefficients, so _model_data runs once per group, on its first valid
+    instance.  index is the tuple's place in iter_param_tuples; each
+    finding is returned as (index, text), and run_sweep merges the
+    findings of all chunks in index order."""
+    fam = family(name)
     checked = 0
-    findings: list[str] = []
+    findings: list[tuple[int, str]] = []
     max_sigma, min_sigma = -math.inf, math.inf
-    for params in chunk:
-        try:
-            inst = validate_params(name, *params)
-        except ValidationError:
-            continue
-        rep = check_instance(inst, checks)
-        checked += 1
-        findings.extend(rep.findings)
-        max_sigma = max(max_sigma, rep.sigma_m)
-        min_sigma = min(min_sigma, rep.sigma_m)
+    for coeffs, members in groups:
+        model_data = None
+        for index, params in members:
+            try:
+                inst = validate_params(name, *params)
+            except ValidationError:
+                continue
+            if model_data is None:
+                model_data = _model_data(WeierstrassModel(*coeffs), fam, checks)
+            rep = _instance_report(inst, checks, model_data)
+            checked += 1
+            findings.extend((index, f) for f in rep.findings)
+            max_sigma = max(max_sigma, rep.sigma_m)
+            min_sigma = min(min_sigma, rep.sigma_m)
     return checked, findings, max_sigma, min_sigma
 
 
@@ -221,6 +256,8 @@ def run_sweep(
 ) -> SweepSummary:
     """Verify every valid instance in the box; returns aggregate findings.
 
+    Tuples that give the same family model are checked as one group, and
+    the model's analysis and torsion data are computed once per group.
     c30_bound overrides the box for the cubefree one-parameter family when
     sweeping "all" with a deeper range there.  An unknown family, a bound
     or worker count below 1 and an unknown check name raise
@@ -231,16 +268,20 @@ def run_sweep(
     if jobs < 1:
         raise ValidationError("worker count must be >= 1")
     _reject_unknown_checks(checks)
-    one_param = family(name).arity == 1
-    bound_used = c30_bound if one_param and c30_bound is not None else bound
-    tuples = list(iter_param_tuples(name, bound_used))
-    # 8 parts per worker balance families whose per-tuple cost varies
-    workers = jobs if len(tuples) >= 512 else 1
-    parts = fan_out(_check_chunk, tuples, workers, 8 * jobs, name, checks)
+    fam = family(name)
+    bound_used = c30_bound if fam.arity == 1 and c30_bound is not None else bound
+    # model coefficients -> [(index, params)], in first-seen order
+    groups: dict[tuple, list] = {}
+    for index, params in enumerate(iter_param_tuples(name, bound_used)):
+        groups.setdefault(fam.model(*params), []).append((index, params))
+    tuples = sum(len(members) for members in groups.values())
+    # 8 parts per worker balance families whose per-tuple cost varies; a
+    # group is never split across parts
+    workers = jobs if tuples >= 512 else 1
+    parts = fan_out(_check_chunk, list(groups.items()), workers, 8 * jobs, name, checks)
     checked = sum(p[0] for p in parts)
-    findings: list[str] = []
-    for p in parts:
-        findings.extend(p[1])
+    tagged = itertools.chain.from_iterable(p[1] for p in parts)
+    findings = tuple(f for _, f in sorted(tagged, key=itemgetter(0)))
     max_sigma = max((p[2] for p in parts if p[0]), default=-math.inf)
     min_sigma = min((p[3] for p in parts if p[0]), default=math.inf)
-    return SweepSummary(name, bound_used, checked, tuple(findings), max_sigma, min_sigma)
+    return SweepSummary(name, bound_used, checked, findings, max_sigma, min_sigma)

@@ -12,7 +12,7 @@ import pytest
 
 from szpirolab.bounds import exceeds, szpiro_ratio
 from szpirolab.cli import build_parser, main
-from szpirolab import families, reduction
+from szpirolab import families, reduction, sweeps, weierstrass
 from szpirolab.families import (
     FAMILIES,
     ValidationError,
@@ -364,3 +364,79 @@ class TestOneSetOfInvariants:
         for call in (szpiro_ratio, lambda m: exceeds(m, Fraction(3, 1))):
             with pytest.raises(SingularModelError, match="singular model"):
                 call(WeierstrassModel(0, 0, 0, 0, 0))
+
+
+def _instance_loop(name, bound, checks=ALL_CHECKS):
+    """Test-only oracle for run_sweep: check_instance on every valid tuple
+    of iter_param_tuples, in order, with no grouping and no pool."""
+    reports = []
+    for params in iter_param_tuples(name, bound):
+        try:
+            inst = validate_params(name, *params)
+        except ValidationError:
+            continue
+        reports.append(check_instance(inst, checks))
+    sigmas = [rep.sigma_m for rep in reports]
+    return (
+        len(reports),
+        [f for rep in reports for f in rep.findings],
+        min(sigmas),
+        max(sigmas),
+    )
+
+
+def _summary(s):
+    return s.checked, list(s.findings), s.min_sigma, s.max_sigma
+
+
+class TestOneAnalysisPerModel:
+    """run_sweep analyzes each distinct family model once and merges the
+    findings by input index: C2 (a, b, d) and (a, -b, d) give one model,
+    and so do C2xC2 (a, b, d) and (-a, -b, -d)."""
+
+    @pytest.mark.parametrize("name", list(FAMILIES))
+    def test_matches_instance_loop(self, name):
+        loop = _instance_loop(name, 6)
+        assert _summary(run_sweep(name, 6, jobs=1)) == loop
+        if name == "C2xC6":
+            assert len(loop[1]) == 25
+
+    @pytest.mark.parametrize("name", ["C2", "C2xC2"])
+    def test_pooled_matches_instance_loop(self, name, pool_entries):
+        summary = run_sweep(name, 8, jobs=2)
+        assert len(pool_entries) == 1
+        assert _summary(summary) == _instance_loop(name, 8)
+
+    @pytest.mark.parametrize(
+        "name, instances, models", [("C2", 2772, 1386), ("C2xC2", 720, 360)]
+    )
+    def test_one_analysis_per_distinct_model(
+        self, name, instances, models, monkeypatch
+    ):
+        analyze_calls = _count_calls(monkeypatch, reduction, "analyze")
+        order_calls = _count_calls(monkeypatch, weierstrass, "point_order")
+        assert run_sweep(name, 8, jobs=1).checked == instances
+        assert len(analyze_calls) == len(order_calls) == models
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_shared_model_data_findings_name_each_instance(
+        self, jobs, monkeypatch, pool_entries
+    ):
+        # A wrong order of (0, 0) is model data, shared by the twins
+        # (a, b, d) and (-a, -b, -d), which lie in different blocks of a; the
+        # finding it gives must still name each instance, in input order.
+        monkeypatch.setattr(sweeps, "point_order", lambda *args, **kwargs: 3)
+        valid = []
+        for params in iter_param_tuples("C2xC2", 8):
+            try:
+                validate_params("C2xC2", *params)
+            except ValidationError:
+                continue
+            valid.append(params)
+        assert {(-a, -b, -d) for a, b, d in valid} == set(valid)
+        summary = run_sweep("C2xC2", 8, jobs=jobs)
+        assert len(pool_entries) == (jobs > 1)
+        assert summary.findings == tuple(
+            f"C2xC2{params}: (0,0) has order 3, expected 2" for params in valid
+        )
+        assert len(summary.findings) == 720
