@@ -72,9 +72,9 @@ def exceeds(model: WeierstrassModel, bound: Fraction) -> bool:
 
 
 def _pattern(fam: FamilyId, x) -> FamilyInstance:
-    """Every parameter 1 except x (d for C2, b otherwise); a family with a
-    power split gets the all-ones decomposition of a = 1."""
-    params = (1, 1, x) if fam.name == "C2" else (1, x, 1)[: fam.arity]
+    """x at the parameter of exponent 1 in FamilyId.x_exps and 1 elsewhere; a
+    family with a power split gets the all-ones decomposition of a = 1."""
+    params = tuple(x if e == 1 else 1 for e in fam.x_exps)
     return FamilyInstance(fam, params, fam.decompose(1))
 
 
@@ -352,27 +352,20 @@ def phi_scan(
 
 
 def _homogeneity_data(instance: FamilyInstance):
-    """(x, alpha scale, beta scale, delta scale) for the instance."""
-    name = instance.family.name
-    m = instance.family.m
-    l = instance.family.l
-    if name == "C2":
-        a, b, d = instance.params
-        x = Fraction(b * b * d, a * a)
-        base = dbase = Fraction(a)
-    elif name == "C2xC2":
-        a, b, d = instance.params
-        x = Fraction(b, a)
-        base = dbase = Fraction(a * d)
-    else:
-        a, b = instance.params
-        x = Fraction(b, a)
-        base = Fraction(a)
-        dbase = Fraction(math.prod(instance.decomposition or (a,)))
+    """(x, alpha scale, beta scale, delta scale) for the instance.  x and the
+    base are products of parameter powers (FamilyId.x_exps, base_exps); the
+    delta base is the decomposition's product if there is one, else the base."""
+    fam, params = instance.family, instance.params
+    x, base = (
+        math.prod(Fraction(p) ** e for p, e in zip(params, exps))
+        for exps in (fam.x_exps, fam.base_exps)
+    )
+    dbase = Fraction(math.prod(instance.decomposition or (base,)))
+    m, l = fam.m, fam.l
     m_over_l = Fraction(m) / l
     if m_over_l.denominator != 1:
         raise CertificateError(
-            f"{name}: weight m = {m} is not an integer multiple of l = {l}, "
+            f"{fam.name}: weight m = {m} is not an integer multiple of l = {l}, "
             "so delta has no integral homogeneity scale"
         )
     return x, base ** (m // 3), base ** (m // 2), dbase ** int(m_over_l)

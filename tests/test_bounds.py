@@ -9,6 +9,7 @@ import pytest
 
 from szpirolab import bounds
 from szpirolab.bounds import (
+    PHI_FAMILIES,
     PhiSpec,
     PhiValue,
     all_phi_specs,
@@ -469,7 +470,64 @@ class TestPattern:
         assert all(isinstance(x, Poly) for x in args), args
 
 
+def _name_branch_homogeneity_data(instance):
+    """Test-only reference: the former name-branch reduction of an instance
+    to (x, alpha scale, beta scale, delta scale)."""
+    name = instance.family.name
+    m = instance.family.m
+    l = instance.family.l
+    if name == "C2":
+        a, b, d = instance.params
+        x = Fraction(b * b * d, a * a)
+        base = dbase = Fraction(a)
+    elif name == "C2xC2":
+        a, b, d = instance.params
+        x = Fraction(b, a)
+        base = dbase = Fraction(a * d)
+    else:
+        a, b = instance.params
+        x = Fraction(b, a)
+        base = Fraction(a)
+        dbase = Fraction(math.prod(instance.decomposition or (a,)))
+    m_over_l = Fraction(m) / l
+    if m_over_l.denominator != 1:
+        raise CertificateError(
+            f"{name}: weight m = {m} is not an integer multiple of l = {l}, "
+            "so delta has no integral homogeneity scale"
+        )
+    return x, base ** (m // 3), base ** (m // 2), dbase ** int(m_over_l)
+
+
 class TestHomogeneity:
+    def test_matches_name_branch_reference_on_box_6(self):
+        checked = 0
+        for name in PHI_FAMILIES:
+            for params in iter_param_tuples(name, 6):
+                try:
+                    inst = validate_params(name, *params)
+                except ValidationError:
+                    continue
+                if params[0] == 0:  # C2 only: no a > 0 rule
+                    continue
+                got = bounds._homogeneity_data(inst)
+                assert got == _name_branch_homogeneity_data(inst), inst
+                assert homogeneity_check(inst), inst
+                checked += 1
+        assert len(PHI_FAMILIES) == 14
+        assert checked == 2117
+
+    @pytest.mark.parametrize("x", [Fraction(3), Fraction(-5, 7)])
+    @pytest.mark.parametrize("name", PHI_FAMILIES)
+    def test_pattern_round_trip(self, name, x):
+        pattern = bounds._pattern(FAMILIES[name], x)
+        assert bounds._homogeneity_data(pattern) == (x, 1, 1, 1)
+
+    @pytest.mark.parametrize("name", PHI_FAMILIES)
+    def test_exponents_have_one_entry_per_parameter(self, name):
+        fam = FAMILIES[name]
+        assert len(fam.x_exps) == len(fam.base_exps) == fam.arity
+        assert list(fam.x_exps).count(1) == 1
+
     def test_spec_examples(self):
         assert homogeneity_check(validate_params("C5", 2, 3))
         assert homogeneity_check(validate_params("C2", 3, 2, 5))
