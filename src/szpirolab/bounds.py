@@ -12,7 +12,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from operator import itemgetter
 
 from szpirolab.families import (
@@ -43,6 +43,7 @@ __all__ = [
     "leading_dominance",
     "phi_eval",
     "phi_scan",
+    "phi_scans",
     "phi_spec",
     "szpiro_ratio",
     "verify_height_bound",
@@ -251,29 +252,45 @@ def phi_eval(spec: PhiSpec, x) -> PhiValue:
     return _PhiKernel(spec, x.denominator).value(x.numerator)
 
 
-# A phi grid goes to the pool only from this many points.  Each scan starts
-# its own pool (about 10 ms), and two workers save about 4 us per point.
-# All 28 branches at jobs=2 on a 2-core x86 VM, serial vs pooled (medians
-# of 5 fresh-interpreter pairs): 1,281 points 0.34 vs 0.46 s, 2,561 points
-# 0.71 vs 0.71 s, 3,201 points 0.89 vs 0.79 s (pooled faster in 3 of 5),
-# 5,121 points 1.49 vs 1.12 s (5 of 5).  The break-even (near 2,600 points
-# here) moves with the machine, so the pool starts only well above it.
+# A phi grid goes to the pool only from this many points.  All 28 branches
+# at jobs=2 on a 2-core x86 VM, serial vs pooled with one pool per branch
+# and two worker processes (the caller idle; medians of 5 fresh-interpreter
+# pairs): 1,281 points 0.34 vs 0.46 s, 2,561 points 0.71 vs 0.71 s, 3,201
+# points 0.89 vs 0.79 s (pooled faster in 3 of 5), 5,121 points 1.49 vs
+# 1.12 s (5 of 5).  Since then fan_out starts one worker at jobs=2 and
+# the caller computes too, and phi_scans starts one pool for all
+# branches.  The break-even (near 2,600 points in those runs) moves with
+# the machine, so the threshold stays well above it.
 _PHI_POOL_MIN = 4096
 
 
 def fan_out(fn, items, jobs: int, chunks: int, *shared) -> list:
     """[fn(*shared, part) for each of `chunks` consecutive parts of items],
-    run on `jobs` worker processes and returned in part order.
+    computed by `jobs` processes, the caller included, and returned in part
+    order.
 
-    jobs == 1 makes one in-process call on all of items.  Callers decide
-    from their input size whether a pool pays and pass jobs = 1 if not.
+    jobs == 1, or no items, makes one in-process call on all of items.
+    Otherwise every part is submitted to a pool of jobs - 1 workers, and
+    the caller runs parts itself from the back for as long as it can still
+    cancel their submission.  The pool is shut down before the call
+    returns; on an exception its pending parts are cancelled first.
+    Callers decide from their input size whether a pool pays and pass
+    jobs = 1 if not.
     """
-    if jobs == 1:
+    if jobs == 1 or not items:
         return [fn(*shared, items)]
     step = -(-len(items) // chunks)
     parts = [items[i : i + step] for i in range(0, len(items), step)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(partial(fn, *shared), parts))
+    with ProcessPoolExecutor(max_workers=jobs - 1) as pool:
+        futures = [pool.submit(fn, *shared, part) for part in parts]
+        try:
+            tail = []
+            while futures and futures[-1].cancel():
+                futures.pop()
+                tail.append(fn(*shared, parts[len(futures)]))
+            return [f.result() for f in futures] + tail[::-1]
+        finally:
+            pool.shutdown(cancel_futures=True)
 
 
 @dataclass(frozen=True)
@@ -306,19 +323,41 @@ def _scan_chunk(kern: _PhiKernel, ks: range):
     return violations, zeros, best
 
 
-def phi_scan(
-    spec: PhiSpec,
+def _scan_tasks(tasks):
+    """_scan_chunk on each (kernel, grid indices) task."""
+    return [_scan_chunk(kern, ks) for kern, ks in tasks]
+
+
+def _scan_result(kern: _PhiKernel, points: int, chunks) -> PhiScanResult:
+    """One branch's PhiScanResult from its chunks' results in index order."""
+    _, k = min((chunk[2] for chunk in chunks), key=itemgetter(0))
+    best = kern.value(k)
+    exact = best.exact
+    return PhiScanResult(
+        points,
+        tuple(Fraction(k, kern.den) for chunk in chunks for k in chunk[0]),
+        tuple(Fraction(k, kern.den) for chunk in chunks for k in chunk[1]),
+        best.approx if exact is None else _to_float(*exact.as_integer_ratio()),
+        best.x,
+        exact,
+    )
+
+
+def phi_scans(
+    specs,
     denominator: int = 64,
     x_range=20,
     jobs: int = 1,
-) -> PhiScanResult:
-    """Exact-sign evaluation of phi on the grid {k/denominator : |x| <= range}.
+) -> list[PhiScanResult]:
+    """Exact-sign evaluation of phi on the grid {k/denominator : |x| <= range},
+    for each branch in specs.
 
-    One _PhiKernel, built at the grid's denominator, decides every point
-    in integers and builds a PhiValue for the argmin alone.  With
-    jobs > 1, a grid of at least _PHI_POOL_MIN points is split into
-    jobs index chunks whose results are merged in index order, so the
-    outcome never depends on scheduling.
+    One _PhiKernel per branch, built at the grid's denominator, decides
+    every point in integers and builds a PhiValue for the argmin alone.
+    With jobs > 1, grids of at least _PHI_POOL_MIN points are split into
+    index chunks, about 8 per process over all branches and at least one
+    per branch, and every branch's chunks go to one fan_out call.  Chunks
+    are merged in index order, so the outcome never depends on scheduling.
     """
     if denominator < 1:
         raise ValidationError("denominator must be >= 1")
@@ -329,21 +368,28 @@ def phi_scan(
         raise ValidationError("x_range must be >= 0")
     k_max = int(x_range * denominator)
     ks = range(-k_max, k_max + 1)
+    kerns = [_PhiKernel(spec, denominator) for spec in specs]
     workers = jobs if len(ks) >= _PHI_POOL_MIN else 1
-    kern = _PhiKernel(spec, denominator)
-    parts = fan_out(_scan_chunk, ks, workers, jobs, kern)
+    per_branch = 1 if workers == 1 else -(-8 * workers // max(len(kerns), 1))
+    step = -(-len(ks) // per_branch)
+    starts = range(0, len(ks), step)
+    tasks = [(kern, ks[i : i + step]) for kern in kerns for i in starts]
+    done = [r for part in fan_out(_scan_tasks, tasks, workers, len(tasks)) for r in part]
+    n = len(starts)
+    return [
+        _scan_result(kern, len(ks), done[b * n : (b + 1) * n])
+        for b, kern in enumerate(kerns)
+    ]
 
-    _, k = min((part[2] for part in parts), key=itemgetter(0))
-    best = kern.value(k)
-    exact = best.exact
-    return PhiScanResult(
-        len(ks),
-        tuple(Fraction(k, denominator) for part in parts for k in part[0]),
-        tuple(Fraction(k, denominator) for part in parts for k in part[1]),
-        best.approx if exact is None else _to_float(*exact.as_integer_ratio()),
-        best.x,
-        exact,
-    )
+
+def phi_scan(
+    spec: PhiSpec,
+    denominator: int = 64,
+    x_range=20,
+    jobs: int = 1,
+) -> PhiScanResult:
+    """phi_scans of the one branch spec."""
+    return phi_scans([spec], denominator, x_range, jobs)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -195,8 +195,8 @@ def cmd_phi(args) -> int:
         u = _parse_u(args.u)
         specs = [bounds.phi_spec(name, u) for name in names]
     failed = False
-    for spec in specs:
-        res = bounds.phi_scan(spec, args.den, args.range, jobs=args.jobs)
+    scans = bounds.phi_scans(specs, args.den, args.range, jobs=args.jobs)
+    for spec, res in zip(specs, scans):
         dom = bounds.leading_dominance(spec)
         _emit({
             "family": spec.family.name,

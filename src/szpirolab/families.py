@@ -400,8 +400,14 @@ def validate_params(name: str, *params: int) -> FamilyInstance:
     for pos, ok, message in fam.rules:
         if not (ok(*params) if pos is None else ok(params[pos])):
             raise ValidationError(message)
+    return _admit(fam, params)
 
-    instance = FamilyInstance(fam, tuple(params), fam.decompose(params[0]))
+
+def _admit(fam: FamilyId, params: tuple) -> FamilyInstance:
+    """The instance of int params that pass every rule of fam; a singular
+    curve raises ValidationError.  The sweep calls it on what
+    iter_param_tuples enumerates, which has already passed the rules."""
+    instance = FamilyInstance(fam, params, fam.decompose(params[0]))
     # Once the rules hold, delta_T vanishes exactly where the family
     # discriminant does (for C3 the discriminant has one more factor, c >= 1
     # of a = c^3 d^2 e).
@@ -461,9 +467,12 @@ def delta_eval(instance: FamilyInstance, u: int) -> int:
     key = _u_key(instance, u)
     if key is None:
         raise ValidationError(f"u = {u} is not admissible for {fam.name}")
-    scaled = fam.delta_scales[key] * fam.delta(*instance.delta_args)
-    if scaled.denominator != 1:
+    scale = fam.delta_scales[key]
+    num = scale.numerator * fam.delta(*instance.delta_args)
+    value, rem = divmod(num, scale.denominator)
+    if rem:
         raise PaperContractViolation(
-            f"delta_({fam.name},{u}) at {instance} is not integral: {scaled}"
+            f"delta_({fam.name},{u}) at {instance} is not integral: "
+            f"{Fraction(num, scale.denominator)}"
         )
-    return int(scaled)
+    return value

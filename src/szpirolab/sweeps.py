@@ -25,11 +25,11 @@ from szpirolab.families import (
     FamilyInstance,
     PaperContractViolation,
     ValidationError,
+    _admit,
     build_model,
     delta_eval,
     family,
     recover_uT,
-    validate_params,
 )
 from szpirolab.intarith import p_adic_valuation
 from szpirolab.reduction import analyze
@@ -190,8 +190,9 @@ def iter_param_tuples(name: str, bound: int):
     """The tuples in the box [-bound, bound]^arity that pass the family's
     rules, in a-major order: single-position rules filter each coordinate's
     range once, whole-tuple rules filter the product.  validate_params
-    reads the same rules and rejects what is left only as singular.  An
-    unknown family raises ValidationError."""
+    reads the same rules and rejects what is left only as singular, the
+    one check the sweep still makes (families._admit).  An unknown family
+    raises ValidationError."""
     fam = family(name)
     axes = [range(-bound, bound + 1)] * fam.arity
     whole = []
@@ -223,9 +224,10 @@ def _check_chunk(name: str, checks, groups):
     """Check the valid tuples of each group.  A group is (coefficients,
     [(index, params), ...]): the tuples whose family model has those
     coefficients, so _model_data runs once per group, on its first valid
-    instance.  index is the tuple's place in iter_param_tuples; each
-    finding is returned as (index, text), and run_sweep merges the
-    findings of all chunks in index order."""
+    instance.  index is the tuple's place in iter_param_tuples, which has
+    already applied the family's rules, so only the singular check is
+    left (families._admit).  Each finding is returned as (index, text),
+    and run_sweep merges the findings of all chunks in index order."""
     fam = family(name)
     checked = 0
     findings: list[tuple[int, str]] = []
@@ -234,7 +236,7 @@ def _check_chunk(name: str, checks, groups):
         model_data = None
         for index, params in members:
             try:
-                inst = validate_params(name, *params)
+                inst = _admit(fam, params)
             except ValidationError:
                 continue
             if model_data is None:

@@ -63,7 +63,13 @@ class WeierstrassModel:
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
 
     def is_integral(self) -> bool:
-        return all(isinstance(a, int) for a in self.coefficients())
+        return (
+            isinstance(self.a1, int)
+            and isinstance(self.a2, int)
+            and isinstance(self.a3, int)
+            and isinstance(self.a4, int)
+            and isinstance(self.a6, int)
+        )
 
     def __str__(self):
         return f"[{self.a1},{self.a2},{self.a3},{self.a4},{self.a6}]"
@@ -319,8 +325,30 @@ def point_order(m: WeierstrassModel, point, *, nonsingular: bool = False) -> int
 
 
 def _monic_cubic_integer_roots(c2: int, c1: int, c0: int) -> list[int]:
-    """Integer roots of X^3 + c2 X^2 + c1 X + c0, by exact bisection on the
-    monotonic pieces between the critical points."""
+    """Integer roots of X^3 + c2 X^2 + c1 X + c0.
+
+    One root r is found by exact bisection on the monotonic pieces between
+    the critical points (0 when c0 == 0); the others are the integer roots
+    of the deflated quadratic X^2 + (c2 + r) X + (c1 + r (c2 + r)).
+    """
+    r = 0 if c0 == 0 else _first_cubic_integer_root(c2, c1, c0)
+    if r is None:
+        return []
+    roots = {r}
+    p = c2 + r
+    disc = p * p - 4 * (c1 + r * p)
+    if disc >= 0:
+        s = math.isqrt(disc)
+        if s * s == disc:  # then s and p have one parity
+            roots.update(((-p - s) // 2, (-p + s) // 2))
+    return sorted(roots)
+
+
+def _first_cubic_integer_root(c2: int, c1: int, c0: int) -> int | None:
+    """An integer root of X^3 + c2 X^2 + c1 X + c0, or None if there is
+    none: the cuts (the Cauchy bound and the integers next to the critical
+    points) are tested first, then each piece between two cuts, on which
+    the cubic is monotonic, is bisected."""
 
     def ev(x: int) -> int:
         return ((x + c2) * x + c1) * x + c0
@@ -334,22 +362,23 @@ def _monic_cubic_integer_roots(c2: int, c1: int, c0: int) -> list[int]:
             x = num // 6
             cuts.update((max(-bound, min(bound, x)), max(-bound, min(bound, x + 1))))
     grid = sorted(cuts)
-    roots = {x for x in grid if ev(x) == 0}
-    for lo, hi in zip(grid, grid[1:]):
-        flo, fhi = ev(lo), ev(hi)
-        if flo == 0 or fhi == 0 or (flo > 0) == (fhi > 0):
+    values = [ev(x) for x in grid]
+    for x, fx in zip(grid, values):
+        if fx == 0:
+            return x
+    for lo, hi, flo, fhi in zip(grid, grid[1:], values, values[1:]):
+        if (flo > 0) == (fhi > 0):
             continue
         while hi - lo > 1:
             mid = (lo + hi) // 2
             fm = ev(mid)
             if fm == 0:
-                roots.add(mid)
-                break
+                return mid
             if (fm > 0) == (flo > 0):
                 lo, flo = mid, fm
             else:
                 hi = mid
-    return sorted(roots)
+    return None
 
 
 def _rational_roots_cubic(c3: int, c2: int, c1: int, c0: int) -> list[tuple[int, int]]:

@@ -2,7 +2,10 @@
 
 import dataclasses
 import math
+import multiprocessing
+import os
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,6 +21,7 @@ from szpirolab.bounds import (
     leading_dominance,
     phi_eval,
     phi_scan,
+    phi_scans,
     phi_spec,
     szpiro_ratio,
     verify_height_bound,
@@ -412,6 +416,70 @@ class TestPhiScanKernel:
         assert phi_scan(spec, 256, 10, jobs=2).points == 5121
         assert len(pool_entries) == 1
         assert built == [64, 256]
+
+
+def _logged_part(log, part):
+    """A fan_out part: appends its index and process id to log, and
+    returns the index.  The sleep lets the pool take parts while the
+    caller works."""
+    (index,) = part
+    with open(log, "a") as out:
+        out.write(f"{index} {os.getpid()}\n")
+    time.sleep(0.01)
+    return index
+
+
+def _raising_part(caller, raise_in_caller, part):
+    """Raises in every part run by the process caller (raise_in_caller)
+    or by any other process (not raise_in_caller)."""
+    time.sleep(0.01)
+    if (os.getpid() == caller) == raise_in_caller:
+        raise ArithmeticError(f"part {part[0]} in {'caller' if raise_in_caller else 'worker'}")
+    return part[0]
+
+
+class TestFanOut:
+    """bounds.fan_out with jobs >= 2: jobs - 1 workers and the caller share
+    the parts; one pool per call, reaped before the call returns."""
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_every_part_once_in_order(self, jobs, tmp_path, pool_entries):
+        log = tmp_path / "parts.log"
+        parts = 6 * jobs
+        assert bounds.fan_out(_logged_part, list(range(parts)), jobs, parts, log) == list(
+            range(parts)
+        )
+        runs = [line.split() for line in log.read_text().splitlines()]
+        assert sorted(int(index) for index, _ in runs) == list(range(parts))
+        # the caller computes too, and the last part is its first
+        assert (str(parts - 1), str(os.getpid())) in [tuple(run) for run in runs]
+        assert len(pool_entries) == 1
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    @pytest.mark.parametrize("in_caller", [True, False], ids=["caller", "worker"])
+    def test_exception_in_a_part_propagates(self, jobs, in_caller, pool_entries):
+        with pytest.raises(ArithmeticError, match="caller" if in_caller else "worker"):
+            bounds.fan_out(
+                _raising_part, list(range(8)), jobs, 8, os.getpid(), in_caller
+            )
+        assert len(pool_entries) == 1
+        assert multiprocessing.active_children() == []
+
+    def test_one_process_makes_one_call(self, pool_entries):
+        calls = []
+        assert bounds.fan_out(calls.append, [1, 2, 3], 1, 8) == [None]
+        assert calls == [[1, 2, 3]] and pool_entries == []
+
+    def test_phi_scans_all_branches_in_one_pool(self, pool_entries):
+        specs = all_phi_specs()
+        serial = [phi_scan(spec, 256, 8, jobs=1) for spec in specs]
+        assert pool_entries == [] and serial[0].points == 4097
+        assert phi_scans(specs, 256, 8, jobs=2) == serial
+        assert len(pool_entries) == 1
+        assert phi_scans(specs[:3], 256, 8, jobs=3) == serial[:3]
+        assert len(pool_entries) == 2
+        assert phi_scans([], 256, 8, jobs=2) == []
 
 
 def _table_forms(name, x):

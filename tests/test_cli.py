@@ -178,6 +178,17 @@ class TestPhi:
         assert len(json_lines(out)) == 28
         assert pool_entries == []
 
+    def test_large_grids_share_one_pool(self, capsys, pool_entries):
+        # 4,097 points per branch: all 28 branches go to one pool, and the
+        # output is the serial one
+        argv = ["phi", "--T", "all", "--den", "256", "--range", "8"]
+        serial = run_cli([*argv, "--jobs", "1"], capsys)
+        assert pool_entries == []
+        pooled = run_cli([*argv, "--jobs", "2"], capsys)
+        assert len(pool_entries) == 1
+        assert pooled == serial
+        assert [obj["points"] for obj in json_lines(serial[1])] == [4097] * 28
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_exit_2(self, jobs, capsys):
         code, out, err = run_cli(

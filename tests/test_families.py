@@ -393,6 +393,47 @@ class TestDeltaEval:
                 assert isinstance(delta_eval(inst, u), int)
 
 
+    def test_integer_division_matches_fraction_product(self):
+        # delta_eval divides in integers; the Fraction product it replaced
+        # is the reference on every admissible u of every box-6 instance
+        integral = non_integral = 0
+        for name, fam in FAMILIES.items():
+            for params in iter_param_tuples(name, 6):
+                try:
+                    inst = validate_params(name, *params)
+                except ValidationError:
+                    continue
+                for key, scale in fam.delta_scales.items():
+                    u = u_value(key, inst.decomposition)
+                    scaled = scale * fam.delta(*inst.delta_args)
+                    if scaled.denominator == 1:
+                        assert delta_eval(inst, u) == int(scaled), (inst, u)
+                        integral += 1
+                        continue
+                    text = f"delta_({name},{u}) at {inst} is not integral: {scaled}"
+                    with pytest.raises(PaperContractViolation) as exc:
+                        delta_eval(inst, u)
+                    assert str(exc.value) == text
+                    non_integral += 1
+        assert integral > 3000 and non_integral > 100
+
+    @pytest.mark.parametrize(
+        "name, params, text",
+        [
+            ("C5", (1, 1), "delta_(C5,1) at C5(1, 1) is not integral: 11/7"),
+            ("C6", (1, -2), "delta_(C6,1) at C6(1, -2) is not integral: -34/7"),
+        ],
+    )
+    def test_non_integral_scale_keeps_its_text(self, name, params, text, monkeypatch):
+        inst = validate_params(name, *params)
+        monkeypatch.setitem(FAMILIES[name].delta_scales, 1, Fraction(1, 7))
+        with pytest.raises(PaperContractViolation) as exc:
+            delta_eval(inst, 1)
+        assert str(exc.value) == text
+        if name == "C5":
+            assert f"{inst}: {text}" in check_instance(inst).findings
+
+
 class TestConductorBound:
     """The conductor bound as check_instance decides it."""
 

@@ -86,6 +86,42 @@ class TestEnumeration:
             assert valid(cube) == valid(iter_param_tuples(name, bound)), bound
 
 
+class TestRulesCheckedOnce:
+    """run_sweep admits enumerated tuples through families._admit, which
+    checks only for a singular curve: iter_param_tuples has already applied
+    every rule of the family."""
+
+    @pytest.mark.parametrize("name", list(FAMILIES))
+    def test_enumeration_passes_every_rule(self, name):
+        fam = FAMILIES[name]
+        count = 0
+        for bound in range(1, 101 if name == "C3_0" else 9):
+            for params in iter_param_tuples(name, bound):
+                for pos, ok, message in fam.rules:
+                    holds = ok(*params) if pos is None else ok(params[pos])
+                    assert holds, (params, message)
+                count += 1
+        assert count > 0
+
+    def test_sweep_matches_validate_params_sweep(self, monkeypatch):
+        def summaries():
+            return [run_sweep(name, 6, c30_bound=100) for name in FAMILIES]
+
+        admitted = summaries()
+        validated = []
+
+        def through_validate_params(fam, params):
+            validated.append(params)
+            return validate_params(fam.name, *params)
+
+        monkeypatch.setattr(sweeps, "_admit", through_validate_params)
+        assert summaries() == admitted
+        assert len(validated) == sum(
+            len(list(iter_param_tuples(name, 100 if name == "C3_0" else 6)))
+            for name in FAMILIES
+        )
+
+
 class TestCheckInstance:
     def test_clean_instance(self):
         rep = check_instance(validate_params("C5", 1, 1))

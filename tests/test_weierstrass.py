@@ -305,6 +305,121 @@ def reference_two_torsion(m):
     return points
 
 
+def _monic_cubic_integer_roots(c2: int, c1: int, c0: int) -> list[int]:
+    """Integer roots of X^3 + c2 X^2 + c1 X + c0, by exact bisection on the
+    monotonic pieces between the critical points."""
+
+    def ev(x: int) -> int:
+        return ((x + c2) * x + c1) * x + c0
+
+    bound = 1 + max(abs(c2), abs(c1), abs(c0))  # Cauchy bound
+    cuts = {-bound, bound}
+    disc = 4 * c2 * c2 - 12 * c1  # of the derivative 3X^2 + 2 c2 X + c1
+    if disc >= 0:
+        s = math.isqrt(disc)
+        for num in (-2 * c2 - s, -2 * c2 + s):
+            x = num // 6
+            cuts.update((max(-bound, min(bound, x)), max(-bound, min(bound, x + 1))))
+    grid = sorted(cuts)
+    roots = {x for x in grid if ev(x) == 0}
+    for lo, hi in zip(grid, grid[1:]):
+        flo, fhi = ev(lo), ev(hi)
+        if flo == 0 or fhi == 0 or (flo > 0) == (fhi > 0):
+            continue
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            fm = ev(mid)
+            if fm == 0:
+                roots.add(mid)
+                break
+            if (fm > 0) == (flo > 0):
+                lo, flo = mid, fm
+            else:
+                hi = mid
+    return sorted(roots)
+
+
+def _cubic_from_roots(r, s, t):
+    """(c2, c1, c0) of (X - r)(X - s)(X - t)."""
+    return -(r + s + t), r * s + s * t + r * t, -r * s * t
+
+
+def _random_cubic(rng):
+    """A monic integer cubic: random coefficients, or built from integer
+    roots (three distinct, a double, a triple, one at 0, one next to the
+    Cauchy bound), or a root times a random quadratic."""
+    span = rng.choice([3, 50, 10**4, 10**8])
+    r, s, t = (rng.randint(-span, span) for _ in range(3))
+    kind = rng.randrange(7)
+    if kind == 0:
+        return rng.randint(-span, span), rng.randint(-span, span), rng.randint(-span, span)
+    if kind == 1:
+        return _cubic_from_roots(r, s, t)
+    if kind == 2:
+        return _cubic_from_roots(r, r, t)
+    if kind == 3:
+        return _cubic_from_roots(r, r, r)
+    if kind == 4:
+        return _cubic_from_roots(r, s, 0)
+    if kind == 5:
+        # X^3 - r X^2 - e^2 X + r e^2: the root r is 1 + |c2| - 1 = bound - 1
+        e = rng.randint(0, 2)
+        return _cubic_from_roots(r, e, -e)
+    p, q = rng.randint(-span, span), rng.randint(-span, span)
+    return p - r, q - r * p, -r * q
+
+
+class TestCubicIntegerRoots:
+    """The first root found by bisection, then the deflated quadratic,
+    against the bisection over every monotonic piece that it replaced."""
+
+    def test_matches_bisection_reference(self):
+        rng = random.Random(24)
+        seen = {"triple": 0, "c0 = 0": 0, "edge": 0}
+        for _ in range(100_000):
+            c2, c1, c0 = _random_cubic(rng)
+            roots = weierstrass._monic_cubic_integer_roots(c2, c1, c0)
+            assert roots == _monic_cubic_integer_roots(c2, c1, c0), (c2, c1, c0)
+            bound = 1 + max(abs(c2), abs(c1), abs(c0))
+            seen["triple"] += c2 * c2 == 3 * c1 and len(roots) == 1
+            seen["c0 = 0"] += c0 == 0
+            seen["edge"] += any(abs(x) == bound - 1 > 0 for x in roots)
+        assert min(seen.values()) > 1000, seen
+
+    @pytest.mark.parametrize(
+        "coeffs, roots",
+        [
+            ((0, 0, 0), [0]),
+            ((-3, 3, -1), [1]),
+            ((0, -1, 0), [-1, 0, 1]),
+            ((-1, -1, 1), [-1, 1]),
+            ((-7, -1, 7), [-1, 1, 7]),
+            ((7, -1, -7), [-7, -1, 1]),
+            ((0, 0, 2), []),
+            ((1, 1, 1), [-1]),
+        ],
+    )
+    def test_known_roots(self, coeffs, roots):
+        assert weierstrass._monic_cubic_integer_roots(*coeffs) == roots
+        assert _monic_cubic_integer_roots(*coeffs) == roots
+
+    @pytest.mark.parametrize("name", ["C2xC2", "C2xC4", "C2xC6", "C2xC8"])
+    def test_two_torsion_of_box_8_unchanged(self, name, monkeypatch):
+        models = []
+        for params in iter_param_tuples(name, 8):
+            try:
+                models.append(build_model(validate_params(name, *params)))
+            except ValidationError:
+                continue
+        points = [full_two_torsion(m) for m in models]
+        assert all(len(p) == 4 for p in points)
+        monkeypatch.setattr(
+            weierstrass, "_monic_cubic_integer_roots", _monic_cubic_integer_roots
+        )
+        assert [full_two_torsion(m) for m in models] == points
+        assert len(models) > 50
+
+
 def rational(rng, span, den):
     return Fraction(rng.randrange(-span, span + 1), rng.randrange(1, den + 1))
 
