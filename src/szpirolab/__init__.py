@@ -24,7 +24,6 @@ from szpirolab.weierstrass import (
     WeierstrassModel,
     compute_invariants,
     integral_model,
-    is_on_curve,
     j_invariant,
     point_order,
     transform,

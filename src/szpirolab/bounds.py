@@ -25,7 +25,7 @@ from szpirolab.families import (
     u_value,
 )
 from szpirolab.poly import Poly, X, evaluate
-from szpirolab.reduction import analyze
+from szpirolab.reduction import analyze, sigma_m
 from szpirolab.weierstrass import (
     CertificateError,
     WeierstrassModel,
@@ -51,13 +51,10 @@ __all__ = [
 
 
 def szpiro_ratio(model: WeierstrassModel) -> float:
-    """log(naive height) / log(conductor), as a float.
-
-    The logs of exact integers are accurate to machine precision; for exact
-    decisions against a rational threshold use exceeds() instead.
-    """
+    """sigma_m of the curve: log(naive height) / log(conductor), as a
+    float; for exact decisions against a rational threshold use exceeds()."""
     ca = analyze(model)  # a singular model raises SingularModelError here
-    return math.log(ca.height) / math.log(ca.conductor)
+    return sigma_m(ca.height, ca.conductor)
 
 
 def exceeds(model: WeierstrassModel, bound: Fraction) -> bool:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from fractions import Fraction
 
@@ -106,7 +105,7 @@ def cmd_curve(args) -> int:
         "model": _model_json(model),
         "height": _s(ca.height),
         "conductor": _s(N),
-        "sigma_m": math.log(ca.height) / math.log(N),
+        "sigma_m": reduction.sigma_m(ca.height, N),
     })
     return 0
 

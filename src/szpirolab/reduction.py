@@ -42,6 +42,7 @@ __all__ = [
     "conductor",
     "height_of_minimal",
     "minimal_model",
+    "sigma_m",
     "tate_local",
 ]
 
@@ -348,6 +349,16 @@ def height_of_minimal(mm: MinimalModelResult) -> int:
     """The naive height max(|c4^3|, c6^2) of the minimal model."""
     inv = mm.invariants
     return max(abs(inv.c4**3), inv.c6**2)
+
+
+def sigma_m(height: int, conductor: int) -> float:
+    """The modified Szpiro ratio log(height) / log(conductor), as a float.
+
+    The logs of exact integers are accurate to machine precision; exact
+    decisions against a rational bound go through
+    bounds.verify_height_bound instead.
+    """
+    return math.log(height) / math.log(conductor)
 
 
 @dataclass(frozen=True)

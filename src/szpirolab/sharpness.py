@@ -17,7 +17,7 @@ from szpirolab.bounds import verify_height_bound
 from szpirolab.families import FAMILIES, ValidationError
 from szpirolab.intarith import FactorBudgetError, is_squarefree, radical
 from szpirolab.poly import evaluate
-from szpirolab.reduction import analyze, height_of_minimal, minimal_model
+from szpirolab.reduction import analyze, height_of_minimal, minimal_model, sigma_m
 from szpirolab.weierstrass import WeierstrassModel
 
 __all__ = [
@@ -264,27 +264,28 @@ def verify_sharp_consistency(T: str, n: int) -> ConsistencyReport:
             f"discriminant ratio {ratio} is not w^12 = {w_expected}^12 for F_{T}({n})"
         )
 
-    H_expected, f_expected = spec.height_value(n), spec.f_value(n)
+    H_expected = spec.height_value(n)
     height = ca.height
     if height != H_expected:
         findings.append(
             f"naive height {height} != table value {H_expected} for F_{T}({n})"
         )
 
-    rad_min = ca.factorization.radical()
-    if rad_min != radical(f_expected):
+    values = spec.f_factor_values(n)
+    f = math.prod(values)
+    rad_min, rad_f = ca.factorization.radical(), radical(f)
+    if rad_min != rad_f:
         findings.append(
-            f"rad(delta_min) != rad(f(n)) for F_{T}({n}): "
-            f"{rad_min} vs {radical(f_expected)}"
+            f"rad(delta_min) != rad(f(n)) for F_{T}({n}): {rad_min} vs {rad_f}"
         )
 
     bad = [d.p for d in ca.local if not d.semistable]
     if bad:
         findings.append(f"F_{T}({n}) has additive reduction at {bad}")
 
-    if is_squarefree(f_expected) and ca.conductor != abs(f_expected):
+    if _f_is_squarefree(values) and ca.conductor != abs(f):
         findings.append(
-            f"conductor {ca.conductor} != |f(n)| = {abs(f_expected)} "
+            f"conductor {ca.conductor} != |f(n)| = {abs(f)} "
             f"for squarefree f, F_{T}({n})"
         )
 
@@ -423,10 +424,9 @@ def convergence_scan(
             budget_skipped.append(n)
             continue
         f = math.prod(values)
-        sigma = math.log(H) / math.log(abs(f))
         if not verify_height_bound(f, H, l):
             strictly_above = False
-        records.append(SharpnessRecord(T, n, model, H, f, sigma))
+        records.append(SharpnessRecord(T, n, model, H, f, sigma_m(H, abs(f))))
     warning = None
     intercept = slope = None
     if len(records) < 10:

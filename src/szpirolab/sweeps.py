@@ -32,7 +32,7 @@ from szpirolab.families import (
     recover_uT,
 )
 from szpirolab.intarith import p_adic_valuation
-from szpirolab.reduction import analyze
+from szpirolab.reduction import analyze, sigma_m
 from szpirolab.weierstrass import (
     AffinePoint,
     WeierstrassModel,
@@ -178,8 +178,7 @@ def _instance_report(instance, checks, model_data) -> InstanceReport:
         if two is not None and two != 4:
             findings.append(f"{instance}: full rational 2-torsion not found")
 
-    sigma = math.log(height) / math.log(N)
-    return InstanceReport(u, N, bound, height, sigma, tuple(findings))
+    return InstanceReport(u, N, bound, height, sigma_m(height, N), tuple(findings))
 
 
 # ---------------------------------------------------------------------------
@@ -220,15 +219,15 @@ class SweepSummary:
         return not self.findings
 
 
-def _check_chunk(name: str, checks, groups):
-    """Check the valid tuples of each group.  A group is (coefficients,
+def _check_chunk(fam, checks, groups):
+    """Check the valid tuples of each group of the family fam (a FamilyId,
+    which a worker receives by name).  A group is (coefficients,
     [(index, params), ...]): the tuples whose family model has those
     coefficients, so _model_data runs once per group, on its first valid
     instance.  index is the tuple's place in iter_param_tuples, which has
     already applied the family's rules, so only the singular check is
     left (families._admit).  Each finding is returned as (index, text),
     and run_sweep merges the findings of all chunks in index order."""
-    fam = family(name)
     checked = 0
     findings: list[tuple[int, str]] = []
     max_sigma, min_sigma = -math.inf, math.inf
@@ -280,7 +279,7 @@ def run_sweep(
     # 8 parts per worker balance families whose per-tuple cost varies; a
     # group is never split across parts
     workers = jobs if tuples >= 512 else 1
-    parts = fan_out(_check_chunk, list(groups.items()), workers, 8 * jobs, name, checks)
+    parts = fan_out(_check_chunk, list(groups.items()), workers, 8 * jobs, fam, checks)
     checked = sum(p[0] for p in parts)
     tagged = itertools.chain.from_iterable(p[1] for p in parts)
     findings = tuple(f for _, f in sorted(tagged, key=itemgetter(0)))

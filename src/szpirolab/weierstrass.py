@@ -26,7 +26,6 @@ __all__ = [
     "compute_invariants",
     "full_two_torsion",
     "integral_model",
-    "is_on_curve",
     "j_invariant",
     "point_order",
     "transform",
@@ -123,23 +122,13 @@ class Isomorphism:
         if self.u == 0:
             raise ValidationError("isomorphism scale u must be nonzero")
 
-    def inverse(self) -> "Isomorphism":
-        u, r, s, t = self.u, self.r, self.s, self.t
-        uq = Fraction(u)
-        return Isomorphism(
-            _norm(1 / uq),
-            _norm(-Fraction(r) / uq**2),
-            _norm(-Fraction(s) / uq),
-            _norm(Fraction(s * r - t) / uq**3),
-        )
-
 
 def _exact_div(value, den_power):
     """value / den_power; int by int stays in integers unless it leaves a
     remainder, and then (or for rational input) the result is a Fraction
     normalized back to int when integral."""
     if den_power == 1:
-        return value
+        return _norm(value)
     if isinstance(value, int) and isinstance(den_power, int):
         q, rem = divmod(value, den_power)
         return Fraction(value, den_power) if rem else q
@@ -181,12 +170,8 @@ def integral_model(m: WeierstrassModel) -> tuple[WeierstrassModel, int]:
     """
     if m.is_integral():
         return m, 1
-    coeffs = m.coefficients()
-    L = math.lcm(*(c.denominator for c in coeffs))
-    scaled = (
-        c.numerator * (L**i // c.denominator) for c, i in zip(coeffs, (1, 2, 3, 4, 6))
-    )
-    return WeierstrassModel(*scaled), L
+    L = math.lcm(*(c.denominator for c in m.coefficients()))
+    return transform(m, Isomorphism(Fraction(1, L))), L
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +189,6 @@ class AffinePoint:
 
 # The point at infinity (group identity).
 INFINITY = None
-
-
-def is_on_curve(m: WeierstrassModel, point) -> bool:
-    """Exact equation check, in integers once denominators are cleared; the
-    point at infinity is always on the curve."""
-    return _projective_on_curve(*_integral_projective(m, point))
 
 
 def add_points(m: WeierstrassModel, p, q):
@@ -381,38 +360,28 @@ def _first_cubic_integer_root(c2: int, c1: int, c0: int) -> int | None:
     return None
 
 
-def _rational_roots_cubic(c3: int, c2: int, c1: int, c0: int) -> list[tuple[int, int]]:
-    """Rational roots x = x0/c of c3 x^3 + c2 x^2 + c1 x + c0 (c3 != 0), as
-    integer pairs (x0, c).
-
-    Substituting X = c3 x makes the cubic monic with integer coefficients,
-    so every rational root shows up as an integer root X0 with x = X0/c3.
-    """
-    g = math.gcd(math.gcd(abs(c3), abs(c2)), math.gcd(abs(c1), abs(c0)))
-    if g > 1:
-        c3, c2, c1, c0 = c3 // g, c2 // g, c1 // g, c0 // g
-    return [(x0, c3) for x0 in _monic_cubic_integer_roots(c2, c1 * c3, c0 * c3 * c3)]
-
-
 def full_two_torsion(m: WeierstrassModel) -> list:
     """All rational points of order dividing 2, the identity included.
 
     The x-coordinates of 2-torsion are the rational roots of the 2-division
-    polynomial 4x^3 + b2 x^2 + 2 b4 x + b6, solved on the integral model.
-    Each point is certified there in integer projective coordinates and
-    mapped back by L^2 and L^3.
+    polynomial 4x^3 + b2 x^2 + 2 b4 x + b6, solved on the integral model:
+    with X = 4x it becomes the monic X^3 + b2 X^2 + 8 b4 X + 16 b6, so each
+    root is x0/c with x0 an integer root and c = 4.  Each point is
+    certified in integer projective coordinates and mapped back by L^2 and
+    L^3.
     """
     im, L = integral_model(m)
     a = a1, a2, a3, a4, a6 = im.coefficients()
     b2, b4, b6 = a1 * a1 + 4 * a2, 2 * a4 + a1 * a3, a3 * a3 + 4 * a6
-    roots = _rational_roots_cubic(4, b2, 2 * b4, b6)
+    c = 4
+    roots = _monic_cubic_integer_roots(b2, 8 * b4, 16 * b6)
     # The cubic has discriminant 16*delta, and a repeated root of a rational
     # cubic is rational, so delta = 0 iff some root found is also a root of
     # the derivative 12x^2 + 2 b2 x + 2 b4.
-    if any(6 * x0 * x0 + b2 * x0 * c + b4 * c * c == 0 for x0, c in roots):
+    if any(6 * x0 * x0 + b2 * x0 * c + b4 * c * c == 0 for x0 in roots):
         raise SingularModelError("two-torsion undefined on a singular model")
     points = [INFINITY]
-    for x0, c in roots:
+    for x0 in roots:
         # (x0/c, -(a1 x0/c + a3)/2) on the integral model
         X, Y, Z = 2 * x0, -(a1 * x0 + a3 * c), 2 * c
         if not _projective_on_curve(a, (X, Y, Z)):

@@ -1,9 +1,13 @@
 """Shared pytest wiring: collect acceptance verdicts for the run summary,
-and record which process pools a test enters."""
+record which process pools a test enters, and the test-only references
+that several test modules use."""
+
+from fractions import Fraction
 
 import pytest
 
 from szpirolab import bounds
+from szpirolab.weierstrass import Isomorphism, _norm
 
 ACCEPTANCE_VERDICTS: list[str] = []
 
@@ -32,3 +36,15 @@ def pool_entries(monkeypatch):
 
     monkeypatch.setattr(bounds, "ProcessPoolExecutor", RecordingPool)
     return entries
+
+
+def inverse(iso: Isomorphism) -> Isomorphism:
+    """The isomorphism that undoes iso."""
+    u, r, s, t = iso.u, iso.r, iso.s, iso.t
+    uq = Fraction(u)
+    return Isomorphism(
+        _norm(1 / uq),
+        _norm(-Fraction(r) / uq**2),
+        _norm(-Fraction(s) / uq),
+        _norm(Fraction(s * r - t) / uq**3),
+    )

@@ -1,13 +1,17 @@
 """Minimal models, Tate's algorithm, conductors, semistability."""
 
+import contextlib
 import dataclasses
+import io
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from szpirolab import reduction
-from szpirolab.bounds import exceeds
+from conftest import inverse
+from szpirolab import cli, reduction
+from szpirolab.bounds import exceeds, szpiro_ratio
 from szpirolab.families import (
     FAMILIES,
     PaperContractViolation,
@@ -21,6 +25,7 @@ from szpirolab.reduction import (
     analyze,
     conductor,
     minimal_model,
+    sigma_m,
     tate_local,
 )
 from szpirolab.weierstrass import (
@@ -31,7 +36,8 @@ from szpirolab.weierstrass import (
     compute_invariants,
     transform,
 )
-from szpirolab.sweeps import iter_param_tuples
+from szpirolab.sharpness import SHARP_FAMILIES, convergence_scan
+from szpirolab.sweeps import check_instance, iter_param_tuples
 
 CURVE_11A1 = WeierstrassModel(0, -1, 1, -10, -20)
 
@@ -360,7 +366,7 @@ class TestAnalyze:
         for m in _random_curves(rng, 60):
             base = analyze(m)
             iso = _random_integral_iso(rng)
-            big = transform(m, iso.inverse())
+            big = transform(m, inverse(iso))
             assert big.is_integral()
             ca = analyze(big)
             assert ca.mm.minimal == base.mm.minimal
@@ -592,3 +598,48 @@ class TestTateReference:
         for p in (2, 3):
             assert {"II", "III", "IV", "I0*", "IV*", "III*", "II*"} <= kinds[p], p
             assert kinds[p] & {f"I{m}*" for m in range(1, 6)}, p
+
+
+def _printed_sigma_m(m: WeierstrassModel) -> float:
+    """The sigma_m that `curve ratio` prints for m."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["curve", "ratio", "--model=" + ",".join(map(str, m.coefficients()))])
+    assert code == 0
+    return json.loads(out.getvalue())["sigma_m"]
+
+
+class TestSigmaMParity:
+    """Every reported sigma_m is reduction.sigma_m of the height and the
+    conductor, to the last bit."""
+
+    def _check(self, m, reported):
+        ca = analyze(m)
+        expected = repr(sigma_m(ca.height, ca.conductor))
+        assert repr(szpiro_ratio(m)) == expected, m
+        assert repr(_printed_sigma_m(m)) == expected, m
+        for value in reported:
+            assert repr(value) == expected, m
+
+    def test_box_3_instances(self):
+        checked = 0
+        for name in FAMILIES:
+            for params in iter_param_tuples(name, 3):
+                try:
+                    inst = validate_params(name, *params)
+                except ValidationError:
+                    continue
+                self._check(build_model(inst), [check_instance(inst).sigma_m])
+                checked += 1
+        assert checked > 300
+
+    def test_random_curves(self):
+        for m in _random_curves(random.Random(5150), 200):
+            self._check(m, [])
+
+    @pytest.mark.parametrize("name", list(SHARP_FAMILIES))
+    def test_convergence_scan_records(self, name):
+        scan = convergence_scan(name, 400)
+        assert scan.records
+        for r in scan.records:
+            assert repr(r.sigma_m) == repr(sigma_m(r.height, abs(r.f_value)))

@@ -12,6 +12,7 @@ from szpirolab.poly import Poly
 from szpirolab.reduction import analyze, conductor, height_of_minimal, minimal_model
 from szpirolab.sharpness import (
     SHARP_FAMILIES,
+    _f_is_squarefree,
     build_FT,
     convergence_scan,
     degree_limit_check,
@@ -158,6 +159,20 @@ class TestConsistency:
 
     def test_c2xc8_even_n_clean(self):
         assert verify_sharp_consistency("C2xC8", 4).ok
+
+    @pytest.mark.parametrize("T", list(SHARP_FAMILIES))
+    def test_squarefree_decision_matches_product(self, T):
+        # verify_sharp_consistency decides on the factor values of f(n),
+        # as the scan does; the decision must be that of f(n) itself.
+        spec = SHARP_FAMILIES[T]
+        decisions = set()
+        for n in (k for m in range(2, 61) for k in (m, -m)):
+            f = spec.f_value(n)
+            assert f != 0
+            decision = _f_is_squarefree(spec.f_factor_values(n))
+            assert decision == intarith.is_squarefree(f), n
+            decisions.add(decision)
+        assert decisions == {True, False}
 
 
 def record_ns(T: str, n_max: int, n_min: int = 2) -> list[int]:

@@ -301,3 +301,39 @@ def test_multiplicative_label_built_once():
         if any(is_i_n(node) for node in ast.walk(func))
     ]
     assert builders == ["_local_data"]
+
+
+def _log_ratio_sites(tree) -> list[str | None]:
+    """The enclosing function of each math.log(...) / math.log(...)."""
+
+    def is_log(node):
+        return isinstance(node, ast.Call) and ast.unparse(node.func) in ("math.log", "log")
+
+    sites = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if (
+                isinstance(child, ast.BinOp)
+                and isinstance(child.op, ast.Div)
+                and is_log(child.left)
+                and is_log(child.right)
+            ):
+                sites.append(func)
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_def else func)
+
+    visit(tree, None)
+    return sites
+
+
+def test_log_ratio_only_in_sigma_m():
+    # sigma_m = log(height) / log(conductor) is written once, in
+    # reduction.sigma_m; the sweep, the CLI, szpiro_ratio and the
+    # sharpness records call it.
+    found = [
+        (path.name, func)
+        for path in SRC_FILES
+        for func in _log_ratio_sites(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == [("reduction.py", "sigma_m")]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import inverse
 from szpirolab import weierstrass
 from szpirolab.poly import Poly
 from szpirolab.families import FAMILIES, ValidationError, build_model, validate_params
@@ -22,11 +23,11 @@ from szpirolab.weierstrass import (
     _exact_div,
     _integral_projective,
     _projective_add,
+    _projective_on_curve,
     add_points,
     compute_invariants,
     full_two_torsion,
     integral_model,
-    is_on_curve,
     j_invariant,
     point_order,
     transform,
@@ -35,6 +36,12 @@ from szpirolab.weierstrass import (
 CURVE_11A1 = WeierstrassModel(0, -1, 1, -10, -20)
 C5_11 = WeierstrassModel(0, -1, -1, 0, 0)  # y^2 - y = x^3 - x^2
 ORIGIN = AffinePoint(Fraction(0), Fraction(0))
+
+
+def is_on_curve(m: WeierstrassModel, point) -> bool:
+    """Exact equation check, in integers once denominators are cleared; the
+    point at infinity is always on the curve."""
+    return _projective_on_curve(*_integral_projective(m, point))
 
 
 def oracle_add(m, P, Q):
@@ -141,7 +148,7 @@ class TestTransform:
 
     def test_round_trip(self):
         iso = Isomorphism(Fraction(2, 3), 1, -2, 5)
-        assert transform(transform(CURVE_11A1, iso), iso.inverse()) == CURVE_11A1
+        assert transform(transform(CURVE_11A1, iso), inverse(iso)) == CURVE_11A1
 
     def test_zero_u_rejected(self):
         with pytest.raises(ValueError):
@@ -471,6 +478,43 @@ class TestTwoTorsionReference:
             sizes.add(self._check(m))
         assert sizes == {None, 1, 2, 4}
 
+    def test_integral_models_by_gcd(self):
+        # full_two_torsion clears the leading 4 by X = 4x alone.  The gcd g
+        # of the cubic's coefficients (4, b2, 2 b4, b6) is 1 or 4 on an
+        # integral model, never 2: an odd a1 makes b2 odd, an odd a3 makes
+        # b6 odd, and even a1 and a3 make all four divisible by 4.
+        rng = random.Random(4242)
+        gcds = {}
+        for _ in range(600):
+            m = WeierstrassModel(*(rng.randrange(-12, 13) for _ in range(5)))
+            inv = compute_invariants(m)
+            g = math.gcd(4, inv.b2, 2 * inv.b4, inv.b6)
+            gcds.setdefault(g, set()).add(self._check(m))
+        assert set(gcds) == {1, 4}
+        assert all({1, 2} <= sizes for sizes in gcds.values()), gcds
+
+    def test_random_rational_coefficients(self):
+        rng = random.Random(4243)
+        sizes = set()
+        for _ in range(300):
+            coeffs = [rational(rng, 9, 4) for _ in range(5)]
+            m = WeierstrassModel(*(int(c) if c.denominator == 1 else c for c in coeffs))
+            sizes.add(self._check(m))
+        assert {1, 2} <= sizes
+
+
+def reference_integral_model(m):
+    """The reference for integral_model: the scaling a'_i = L^i a_i
+    written out per coefficient, not through transform."""
+    if m.is_integral():
+        return m, 1
+    coeffs = m.coefficients()
+    L = math.lcm(*(c.denominator for c in coeffs))
+    scaled = (
+        c.numerator * (L**i // c.denominator) for c, i in zip(coeffs, (1, 2, 3, 4, 6))
+    )
+    return WeierstrassModel(*scaled), L
+
 
 class TestIntegralModel:
     def test_integral_input_unchanged(self):
@@ -495,6 +539,25 @@ class TestIntegralModel:
             assert im.is_integral()
             assert L == math.lcm(*(c.denominator for c in coeffs))
             assert transform(m, Isomorphism(Fraction(1, L))) == im
+
+    def test_matches_reference_scaling(self):
+        rng = random.Random(13)
+        models = [
+            WeierstrassModel(Fraction(3), 0, 0, 1, 0),  # L = 1
+            WeierstrassModel(*(Fraction(c) for c in (1, -1, 1, -10, -20))),
+        ]
+        for _ in range(300):
+            coeffs = [rational(rng, 9, rng.choice([1, 6])) for _ in range(5)]
+            # Fraction objects with denominator 1 are kept as they are
+            models.append(WeierstrassModel(*coeffs))
+        seen_L = set()
+        for m in models:
+            im, L = integral_model(m)
+            ref, ref_L = reference_integral_model(m)
+            assert (im, L) == (ref, ref_L), m
+            assert [type(c) for c in im.coefficients()] == [int] * 5, m
+            seen_L.add(L)
+        assert 1 in seen_L and len(seen_L) > 5
 
 
 def fraction_order(m, P, cap=16):
@@ -580,12 +643,17 @@ class TestExactDiv:
         assert type(_exact_div(Fraction(9, 2), Fraction(3, 2))) is int
         assert _exact_div(Fraction(1, 2), 3) == Fraction(1, 6)
 
+    def test_unit_divisor_normalizes(self):
+        # an integral model with Fraction coefficients comes back with ints
+        assert _exact_div(Fraction(6, 2), 1) == 3 and type(_exact_div(Fraction(6, 2), 1)) is int
+        assert _exact_div(Fraction(3, 2), Fraction(1)) == Fraction(3, 2)
+
 
 class TestTwoTorsionCheck:
     def test_off_curve_root_raises(self, monkeypatch):
-        # x = 5/1 is no root of either 2-division cubic, so its point is off
-        # the integral model.
-        monkeypatch.setattr(weierstrass, "_rational_roots_cubic", lambda *c: [(5, 1)])
+        # X = 20 is x = 20/4 = 5, no root of either 2-division cubic, so its
+        # point is off the integral model.
+        monkeypatch.setattr(weierstrass, "_monic_cubic_integer_roots", lambda *c: [20])
         with pytest.raises(CertificateError, match="not on"):
             full_two_torsion(WeierstrassModel(0, 0, 0, -1, 0))
         with pytest.raises(CertificateError, match="not on"):
