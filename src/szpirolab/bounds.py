@@ -13,6 +13,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, repeat
 from operator import itemgetter
 
 from szpirolab.families import (
@@ -171,6 +172,25 @@ def _to_float(num: int, den: int) -> float:
         return math.inf if num > 0 else -math.inf
 
 
+def _stepped(coeffs, k: int):
+    """The values of the polynomial with coefficients coeffs (low to high)
+    at k, k + 1, k + 2, ..., without end, by forward differences.
+
+    With n = max(deg, 0), the table [P(k), dP(k), ..., d^n P(k)] comes from
+    n + 1 Horner evaluations; d^n P is constant, and each lower difference
+    is the running sum of the one above it, started at its value at k.  So
+    each step costs n integer additions."""
+    values = [evaluate(coeffs, k + i) for i in range(max(len(coeffs), 1))]
+    table = []
+    while values:
+        table.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    steps = repeat(table.pop())
+    for start in reversed(table):
+        steps = accumulate(steps, initial=start)
+    return steps
+
+
 class _PhiKernel:
     """phi of one branch on the grid {k/den : k an integer}, in integers.
 
@@ -180,7 +200,12 @@ class _PhiKernel:
     |delta_u| = del_num / del_den, where big_den and del_den are the same at
     every k.  With l = p/q, phi has the sign of the integer
     gap = big_num^q * del_den^p - del_num^p * big_den^q, and when q == 1,
-    phi = gap / (big_den * del_den^p).
+    phi = gap / (big_den * del_den^p).  When q > 1 only the sign of gap
+    is needed, and sign() reads it from bit lengths where they settle it:
+    with x = big_num, y = del_num, D = del_den^p and B = big_den^q, and
+    2^(len(v) - 1) <= v < 2^len(v) for v >= 1, q len(x) + len(D) <=
+    p (len(y) - 1) + len(B) - 1 proves x^q D < y^p B, and the mirror
+    inequality proves x^q D > y^p B.
     """
 
     __slots__ = (
@@ -208,13 +233,40 @@ class _PhiKernel:
 
     def terms(self, k: int) -> tuple[int, int]:
         """(big_num, del_num) at x = k/den."""
-        a = evaluate(self.alpha, k)
-        b = evaluate(self.beta, k)
+        return self.combine(
+            evaluate(self.alpha, k), evaluate(self.beta, k), evaluate(self.dbase, k)
+        )
+
+    def combine(self, a: int, b: int, d: int) -> tuple[int, int]:
+        """(big_num, del_num) from the homogenized alpha, beta and delta_T."""
         m = max(abs(a) ** 3 * self.pad_a, b * b * self.pad_b)
-        return self.pre_num * m, abs(self.scale_num * evaluate(self.dbase, k))
+        return self.pre_num * m, abs(self.scale_num * d)
 
     def gap(self, big_num: int, del_num: int) -> int:
         return big_num**self.q * self.del_den_p - del_num**self.p * self.big_den_q
+
+    def sign(self, big_num: int, del_num: int) -> int:
+        """The sign of gap(big_num, del_num), from bit lengths where they
+        settle it.
+
+        With x = big_num, y = del_num, D = del_den^p and B = big_den^q,
+        gap = x^q D - y^p B, and 2^(len(v) - 1) <= v < 2^len(v) for v >= 1.
+        So x^q D < 2^(q len(x) + len(D)) and y^p B >= 2^(p (len(y) - 1) +
+        len(B) - 1), and q len(x) + len(D) <= p (len(y) - 1) + len(B) - 1
+        proves gap < 0; the mirror inequality p len(y) + len(B) <=
+        q (len(x) - 1) + len(D) - 1 proves gap > 0.  In any other case, and
+        when x or y is 0, the exact gap decides.
+        """
+        if big_num and del_num:
+            p, q = self.p, self.q
+            lx, ly = big_num.bit_length(), del_num.bit_length()
+            ld, lb = self.del_den_p.bit_length(), self.big_den_q.bit_length()
+            if q * lx + ld <= p * (ly - 1) + lb - 1:
+                return -1
+            if p * ly + lb <= q * (lx - 1) + ld - 1:
+                return 1
+        gap = self.gap(big_num, del_num)
+        return (gap > 0) - (gap < 0)
 
     def approx(self, big_num: int, del_num: int) -> float:
         """big - |delta_u|^l in floats.  The power comes from the logs of
@@ -249,15 +301,15 @@ def phi_eval(spec: PhiSpec, x) -> PhiValue:
     return _PhiKernel(spec, x.denominator).value(x.numerator)
 
 
-# A phi grid goes to the pool only from this many points.  All 28 branches
-# at jobs=2 on a 2-core x86 VM, serial vs pooled with one pool per branch
-# and two worker processes (the caller idle; medians of 5 fresh-interpreter
-# pairs): 1,281 points 0.34 vs 0.46 s, 2,561 points 0.71 vs 0.71 s, 3,201
-# points 0.89 vs 0.79 s (pooled faster in 3 of 5), 5,121 points 1.49 vs
-# 1.12 s (5 of 5).  Since then fan_out starts one worker at jobs=2 and
-# the caller computes too, and phi_scans starts one pool for all
-# branches.  The break-even (near 2,600 points in those runs) moves with
-# the machine, so the threshold stays well above it.
+# A phi grid goes to the pool only from this many points.  phi --T all
+# (28 branches) at jobs=2 on a 2-core x86 VM with the forward-difference
+# kernel, serial vs pooled wall time, the range of three runs' medians of
+# 7 fresh-interpreter pairs each: 1,281 points 0.13-0.19 vs 0.14-0.20 s, 2,561
+# points 0.28-0.36 vs 0.24-0.39 s, 5,121 points 0.59-0.71 vs 0.36-0.45 s,
+# 10,241 points 1.25-1.43 vs 0.75-0.79 s.  Pooling paid from 1,281 points
+# in the run where both processes got a core (pooled CPU above wall) and
+# only from 5,121 in the two where they did not.  The break-even moves
+# with the machine, so the threshold stays above every one measured.
 _PHI_POOL_MIN = 4096
 
 
@@ -302,19 +354,31 @@ class PhiScanResult:
 
 def _scan_chunk(kern: _PhiKernel, ks: range):
     """(violations, zeros, (key, k) of the first least key) over the grid
-    indices ks.  The key is the gap when l is an integer, since its
-    denominator is the same at every k, and the float approx otherwise."""
+    indices ks, a step-1 range.
+
+    alpha, beta and delta_T move from k to k + 1 by their forward
+    differences, deg integer additions each, with no Horner evaluation.
+    When l is an integer the key is the gap, since its denominator is the
+    same at every k.  Otherwise the key is the float approx, and the sign
+    is kern.sign: as 2^(len(v) - 1) <= v < 2^len(v) for v >= 1, gap < 0
+    when q len(x) + len(D) is at least p + 1 below p len(y) + len(B), and
+    gap > 0 when it is at least q + 1 above; the exact gap decides the
+    rest (x, y, D, B as in kern.sign)."""
     violations = []
     zeros = []
     best = None
-    for k in ks:
-        big_num, del_num = kern.terms(k)
-        gap = kern.gap(big_num, del_num)
-        if gap < 0:
+    stepped = (_stepped(coeffs, ks.start) for coeffs in (kern.alpha, kern.beta, kern.dbase))
+    for k, a, b, d in zip(ks, *stepped):
+        big_num, del_num = kern.combine(a, b, d)
+        if kern.q == 1:
+            sign = key = kern.gap(big_num, del_num)
+        else:
+            sign = kern.sign(big_num, del_num)
+            key = kern.approx(big_num, del_num)
+        if sign < 0:
             violations.append(k)
-        elif gap == 0:
+        elif sign == 0:
             zeros.append(k)
-        key = gap if kern.q == 1 else kern.approx(big_num, del_num)
         if best is None or key < best[0]:
             best = (key, k)
     return violations, zeros, best

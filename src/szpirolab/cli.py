@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -128,6 +129,15 @@ def _family_params(args) -> list[int]:
     return [args.a, *(getattr(args, flag) for flag in taken)]
 
 
+def _check_jobs(args) -> None:
+    """Rejects a --jobs (or SZPIROLAB_JOBS, its default) above the CPU count:
+    every job beyond the first is a worker process, and a pool starts them
+    all at once."""
+    cpus = os.cpu_count() or 1
+    if args.jobs > cpus:
+        raise families.ValidationError(f"worker count must be <= {cpus}, the number of CPUs")
+
+
 def cmd_family(args) -> int:
     if args.action == "build":
         if args.T == "all":
@@ -153,6 +163,7 @@ def cmd_family(args) -> int:
         _emit(out)
         return 0 if rep.ok else CHECK_FAILED
 
+    _check_jobs(args)
     names = list(families.FAMILIES) if args.T == "all" else [args.T]
     checks = tuple(args.checks.split(","))
     failed = False
@@ -186,6 +197,7 @@ def _parse_u(text: str):
 
 
 def cmd_phi(args) -> int:
+    _check_jobs(args)
     names = bounds.PHI_FAMILIES if args.T == "all" else (args.T,)
     # every branch is built, and so checked, before the first line is printed
     if args.u == "all":

@@ -9,6 +9,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from szpirolab import bounds
 from szpirolab.bounds import (
@@ -34,7 +36,7 @@ from szpirolab.families import (
     recover_uT,
     validate_params,
 )
-from szpirolab.poly import Poly, X
+from szpirolab.poly import Poly, X, evaluate
 from szpirolab.reduction import analyze, height_of_minimal, minimal_model
 from szpirolab.sharpness import SHARP_FAMILIES, build_FT
 from szpirolab.sweeps import check_instance, iter_param_tuples
@@ -400,6 +402,33 @@ class TestPhiScanKernel:
         assert (bad.argmin, bad.min_exact) == (0, -1)
         assert bad != good
 
+    @pytest.mark.parametrize("name", ["C2", "C12"])
+    def test_flipped_sign_on_a_fractional_l_branch_is_reported(self, name, monkeypatch):
+        # l = 3/2 and 24/5: the scan's signs come from _PhiKernel.sign.
+        # phi[C12] is symmetric about x = 1/2, so x = 1 has the terms of
+        # x = 0; the flip hits the first point with them, which the
+        # ascending scan reaches at x = 0.
+        spec = phi_spec(name, 1)
+        assert spec.family.l.denominator > 1
+        good = phi_scan(spec, 8, 3)
+        assert good.violations == () and good.zeros == ()
+        real = bounds._PhiKernel.sign
+        flipped = []
+
+        def flipped_at_zero(kern, big_num, del_num):
+            sign = real(kern, big_num, del_num)
+            if not flipped and (big_num, del_num) == kern.terms(0):
+                flipped.append(sign)
+                return -sign
+            return sign
+
+        monkeypatch.setattr(bounds._PhiKernel, "sign", flipped_at_zero)
+        bad = phi_scan(spec, 8, 3)
+        assert flipped == [1]
+        assert bad.violations == (0,)
+        assert bad.zeros == ()
+        assert bad != good
+
     def test_one_kernel_per_scan(self, monkeypatch, pool_entries):
         # the argmin's PhiValue comes from the kernel that scanned the grid
         built = []
@@ -416,6 +445,182 @@ class TestPhiScanKernel:
         assert phi_scan(spec, 256, 10, jobs=2).points == 5121
         assert len(pool_entries) == 1
         assert built == [64, 256]
+
+
+def _reference_chunk(kern, ks):
+    """Test-only reference for bounds._scan_chunk: kern.terms (Horner) and
+    kern.gap at every k, with the key of _scan_chunk."""
+    violations, zeros, best = [], [], None
+    for k in ks:
+        big_num, del_num = kern.terms(k)
+        gap = kern.gap(big_num, del_num)
+        if gap < 0:
+            violations.append(k)
+        elif gap == 0:
+            zeros.append(k)
+        key = gap if kern.q == 1 else kern.approx(big_num, del_num)
+        if best is None or key < best[0]:
+            best = (key, k)
+    return violations, zeros, best
+
+
+# chunks that start below 0, at 0 and above 0, one-point chunks, and
+# chunks longer than every difference table (beta of C12 has degree 24)
+_CHUNKS = (
+    range(-30, 11), range(-7, -2), range(0, 40), range(0, 1), range(17, 57),
+    range(-1, 0), range(5, 6), range(-160, -120), range(120, 161),
+)
+
+
+class TestSteppedScan:
+    """_scan_chunk's forward differences against Horner at every point, in
+    process, on chunks like those a pool receives."""
+
+    @pytest.mark.parametrize("den", [1, 16])
+    def test_chunks_match_point_by_point_loop_on_every_branch(self, den):
+        for spec in all_phi_specs():
+            kern = bounds._PhiKernel(spec, den)
+            for ks in _CHUNKS:
+                got = bounds._scan_chunk(kern, ks)
+                assert got == _reference_chunk(kern, ks), (spec.label, den, ks)
+
+    @pytest.mark.parametrize("den", [1, 16])
+    def test_stepped_values_are_horner_values(self, den):
+        for spec in all_phi_specs():
+            kern = bounds._PhiKernel(spec, den)
+            for coeffs in (kern.alpha, kern.beta, kern.dbase):
+                for ks in _CHUNKS:
+                    stepped = bounds._stepped(coeffs, ks.start)
+                    got = [value for _, value in zip(ks, stepped)]
+                    assert got == [evaluate(coeffs, k) for k in ks], (spec.label, ks)
+
+    def test_constant_and_zero_polynomials(self):
+        for coeffs in ((), (0,), (7,), (-3, 2)):
+            stepped = bounds._stepped(coeffs, -4)
+            assert [next(stepped) for _ in range(9)] == [
+                evaluate(coeffs, k) for k in range(-4, 5)
+            ]
+
+
+# every l of the fifteen families, as (p, q)
+_EXPONENTS = sorted({(fam.l.numerator, fam.l.denominator) for fam in FAMILIES.values()})
+
+
+class _CountingKernel(bounds._PhiKernel):
+    """A _PhiKernel that counts its exact gap evaluations."""
+
+    __slots__ = ("exact_gaps",)
+
+    def gap(self, big_num, del_num):
+        self.exact_gaps += 1
+        return super().gap(big_num, del_num)
+
+
+def _sign_kernel(p, q, del_den_p, big_den_q):
+    """A kernel shell holding only what sign and gap read."""
+    kern = object.__new__(_CountingKernel)
+    kern.p, kern.q, kern.del_den_p, kern.big_den_q = p, q, del_den_p, big_den_q
+    kern.exact_gaps = 0
+    return kern
+
+
+def _exact_sign(x, y, p, q, D, B):
+    gap = x**q * D - y**p * B
+    return (gap > 0) - (gap < 0)
+
+
+@st.composite
+def _with_length(draw, length):
+    """An integer of exactly `length` bits, its extremes included."""
+    return draw(st.integers(min_value=1 << (length - 1), max_value=(1 << length) - 1))
+
+
+@st.composite
+def _at_length_boundary(draw, mirror):
+    """(p, q, x, y, D, B) whose bit lengths sit exactly on the rule's
+    boundary: q len(x) + len(D) = p (len(y) - 1) + len(B) - 1, or with
+    mirror, p len(y) + len(B) = q (len(x) - 1) + len(D) - 1."""
+    p, q = draw(st.sampled_from(_EXPONENTS))
+    lengths = st.integers(min_value=1, max_value=80)
+    lx, ly, shorter = draw(lengths), draw(lengths), draw(lengths)
+    # len(D) - len(B) on the boundary
+    c = p * ly - q * (lx - 1) + 1 if mirror else p * (ly - 1) - 1 - q * lx
+    ld, lb = (shorter + c, shorter) if c >= 0 else (shorter, shorter - c)
+    x, y, D, B = (draw(_with_length(n)) for n in (lx, ly, ld, lb))
+    return p, q, x, y, D, B
+
+
+class TestGapSign:
+    """_PhiKernel.sign, the bit-length rule, against the exact sign of
+    x^q D - y^p B."""
+
+    @given(
+        st.sampled_from(_EXPONENTS),
+        st.integers(min_value=0, max_value=1 << 160),
+        st.integers(min_value=0, max_value=1 << 160),
+        st.integers(min_value=1, max_value=1 << 400),
+        st.integers(min_value=1, max_value=1 << 400),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_exact_sign(self, l, x, y, D, B):
+        p, q = l
+        assert _sign_kernel(p, q, D, B).sign(x, y) == _exact_sign(x, y, p, q, D, B)
+
+    @given(_at_length_boundary(mirror=False))
+    @settings(max_examples=300, deadline=None)
+    def test_negative_boundary(self, case):
+        # decided by bit lengths; one bit more of D is not enough
+        p, q, x, y, D, B = case
+        kern = _sign_kernel(p, q, D, B)
+        assert kern.sign(x, y) == _exact_sign(x, y, p, q, D, B) == -1
+        assert kern.exact_gaps == 0
+        longer = _sign_kernel(p, q, D << 1, B)
+        assert longer.sign(x, y) == _exact_sign(x, y, p, q, D << 1, B)
+        assert longer.exact_gaps == 1
+
+    @given(_at_length_boundary(mirror=True))
+    @settings(max_examples=300, deadline=None)
+    def test_positive_boundary(self, case):
+        # decided by bit lengths; one bit more of B is not enough
+        p, q, x, y, D, B = case
+        kern = _sign_kernel(p, q, D, B)
+        assert kern.sign(x, y) == _exact_sign(x, y, p, q, D, B) == 1
+        assert kern.exact_gaps == 0
+        longer = _sign_kernel(p, q, D, B << 1)
+        assert longer.sign(x, y) == _exact_sign(x, y, p, q, D, B << 1)
+        assert longer.exact_gaps == 1
+
+    @given(
+        st.sampled_from(_EXPONENTS),
+        st.integers(min_value=0, max_value=1 << 160),
+        st.integers(min_value=1, max_value=1 << 400),
+        st.integers(min_value=1, max_value=1 << 400),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_zero_terms_take_the_exact_gap(self, l, v, D, B):
+        p, q = l
+        for x, y in ((0, v), (v, 0), (0, 0)):
+            kern = _sign_kernel(p, q, D, B)
+            assert kern.sign(x, y) == _exact_sign(x, y, p, q, D, B)
+            assert kern.exact_gaps == 1
+
+    def test_census_of_the_fractional_l_branches(self):
+        # den 16, range 10: the phi_grid benchmark grid
+        specs = [s for s in all_phi_specs() if s.family.l.denominator > 1]
+        assert len(specs) == 13
+        points = exact = 0
+        for spec in specs:
+            kern = _CountingKernel(spec, 16)
+            kern.exact_gaps = 0
+            for k in range(-160, 161):
+                big_num, del_num = kern.terms(k)
+                gap = bounds._PhiKernel.gap(kern, big_num, del_num)
+                assert kern.sign(big_num, del_num) == (gap > 0) - (gap < 0), (spec.label, k)
+                points += 1
+            exact += kern.exact_gaps
+        assert points == 4173
+        # bit lengths settle most points
+        assert 0 < exact < points // 5
 
 
 def _logged_part(log, part):

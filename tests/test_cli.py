@@ -197,6 +197,82 @@ class TestPhi:
         assert (code, out, err) == (2, "", "error: worker count must be >= 1\n")
 
 
+@pytest.fixture
+def no_process_pool(monkeypatch):
+    """Replaces the library's pool with one that records its construction
+    and starts no process; a submit fails the test."""
+    from szpirolab import bounds
+
+    built = []
+
+    class NoProcessPool:
+        def __init__(self, max_workers=None):
+            built.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, *args, **kwargs):
+            raise AssertionError("a worker process would start")
+
+        def shutdown(self, *args, **kwargs):
+            pass
+
+    monkeypatch.setattr(bounds, "ProcessPoolExecutor", NoProcessPool)
+    return built
+
+
+_JOBS_COMMANDS = (
+    ["phi", "--T", "C5", "--den", "8", "--range", "3"],
+    ["family", "verify", "--T", "C5", "--max", "4"],
+)
+
+
+class TestJobsUpperBound:
+    """--jobs and SZPIROLAB_JOBS above os.cpu_count() are usage errors."""
+
+    @pytest.mark.parametrize("argv", _JOBS_COMMANDS, ids=["phi", "family"])
+    @pytest.mark.parametrize("jobs", ["4", "5000"])
+    def test_flag_above_cpu_count_exit_2(self, argv, jobs, capsys, monkeypatch, no_process_pool):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert run_cli([*argv, "--jobs", jobs], capsys) == (
+            2, "", "error: worker count must be <= 3, the number of CPUs\n"
+        )
+        assert no_process_pool == []
+
+    @pytest.mark.parametrize("argv", _JOBS_COMMANDS, ids=["phi", "family"])
+    def test_environment_above_cpu_count_exit_2(self, argv, capsys, monkeypatch, no_process_pool):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setenv("SZPIROLAB_JOBS", "4")
+        assert run_cli(argv, capsys) == (
+            2, "", "error: worker count must be <= 3, the number of CPUs\n"
+        )
+        # an explicit --jobs within the bound overrides the environment
+        code, out, err = run_cli([*argv, "--jobs", "1"], capsys)
+        assert (code, err) == (0, "") and out
+        assert no_process_pool == []
+
+    @pytest.mark.parametrize("argv", _JOBS_COMMANDS, ids=["phi", "family"])
+    def test_cpu_count_itself_is_accepted(self, argv, capsys, monkeypatch, no_process_pool):
+        # both grids are below their pool thresholds, so no pool is built
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        serial = run_cli([*argv, "--jobs", "1"], capsys)
+        assert run_cli([*argv, "--jobs", "3"], capsys) == serial
+        assert serial[0] == 0 and no_process_pool == []
+
+    def test_unknown_cpu_count_allows_one_job(self, capsys, monkeypatch, no_process_pool):
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        argv = list(_JOBS_COMMANDS[0])
+        assert run_cli([*argv, "--jobs", "1"], capsys)[0] == 0
+        assert run_cli([*argv, "--jobs", "2"], capsys) == (
+            2, "", "error: worker count must be <= 1, the number of CPUs\n"
+        )
+        assert no_process_pool == []
+
+
 class TestSharp:
     def test_scan_json(self, capsys):
         code, out, _ = run_cli(
