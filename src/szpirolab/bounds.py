@@ -129,12 +129,11 @@ class PhiValue:
     exact: Fraction | None  # rational value when l is an integer
 
 
-def _integral(poly, what: str, name: str) -> Poly:
-    """poly (or a constant) as a Poly with int coefficients; a non-integral
-    coefficient raises instead of being truncated."""
-    coeffs = poly.coeffs if isinstance(poly, Poly) else (poly,)
+def _integral(poly: Poly, what: str, name: str) -> Poly:
+    """poly as a Poly with int coefficients; a non-integral coefficient
+    raises instead of being truncated."""
     out = []
-    for c in coeffs:
+    for c in poly.coeffs:
         c = Fraction(c)
         if c.denominator != 1:
             raise CertificateError(
@@ -201,11 +200,7 @@ class _PhiKernel:
     every k.  With l = p/q, phi has the sign of the integer
     gap = big_num^q * del_den^p - del_num^p * big_den^q, and when q == 1,
     phi = gap / (big_den * del_den^p).  When q > 1 only the sign of gap
-    is needed, and sign() reads it from bit lengths where they settle it:
-    with x = big_num, y = del_num, D = del_den^p and B = big_den^q, and
-    2^(len(v) - 1) <= v < 2^len(v) for v >= 1, q len(x) + len(D) <=
-    p (len(y) - 1) + len(B) - 1 proves x^q D < y^p B, and the mirror
-    inequality proves x^q D > y^p B.
+    is needed, and sign() decides it.
     """
 
     __slots__ = (
@@ -359,11 +354,8 @@ def _scan_chunk(kern: _PhiKernel, ks: range):
     alpha, beta and delta_T move from k to k + 1 by their forward
     differences, deg integer additions each, with no Horner evaluation.
     When l is an integer the key is the gap, since its denominator is the
-    same at every k.  Otherwise the key is the float approx, and the sign
-    is kern.sign: as 2^(len(v) - 1) <= v < 2^len(v) for v >= 1, gap < 0
-    when q len(x) + len(D) is at least p + 1 below p len(y) + len(B), and
-    gap > 0 when it is at least q + 1 above; the exact gap decides the
-    rest (x, y, D, B as in kern.sign)."""
+    same at every k.  Otherwise the key is the float approx, and kern.sign
+    decides the sign."""
     violations = []
     zeros = []
     best = None

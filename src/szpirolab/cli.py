@@ -46,8 +46,6 @@ def _parse_model(text: str) -> WeierstrassModel:
 
 def _s(x) -> str | int | float:
     """JSON-safe rendering: big ints as decimal strings."""
-    if isinstance(x, bool) or x is None:
-        return x
     if isinstance(x, (int, Fraction)):
         return str(x)
     return x

@@ -284,9 +284,6 @@ class FamilyId:
     x_exps: tuple = (-1, 1)
     base_exps: tuple = (1, 0)
 
-    def __str__(self):
-        return self.name
-
     def __hash__(self):
         # delta_scales is a dict; the name alone identifies a family
         return hash(self.name)

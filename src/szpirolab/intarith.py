@@ -81,9 +81,6 @@ class Factorization:
     def __iter__(self):
         return iter(self.pairs)
 
-    def __len__(self):
-        return len(self.pairs)
-
     def radical(self) -> int:
         out = 1
         for p, _ in self.pairs:
@@ -320,9 +317,7 @@ def _ecm(n: int, sigma: int, b1: int, b2: int) -> int:
 
 
 def _factor_hard(n: int, out: dict[int, int], stuck: list[int]) -> None:
-    """Factor n (composite candidate with no small factors) into out."""
-    if n == 1:
-        return
+    """Factor n > 1 (composite candidate with no small factors) into out."""
     if is_probable_prime(n):
         out[n] = out.get(n, 0) + 1
         return

@@ -61,7 +61,7 @@ def default_jobs() -> int:
     env = os.environ.get("SZPIROLAB_JOBS")
     if env:
         try:
-            return max(1, int(env))
+            return int(env)
         except ValueError:
             pass
     return os.cpu_count() or 1
@@ -219,6 +219,21 @@ class SweepSummary:
         return not self.findings
 
 
+# A sweep goes to the pool only from this many distinct family models.
+# run_sweep at jobs=1 vs jobs=2 with the pool forced, on a 2-core x86 VM
+# where two CPU-bound processes overlapped (a two-process burn took 0.5 to
+# 0.75 of its serial time), the medians of 7 fresh-interpreter pairs in
+# each of two rounds: C2xC2 at 372 models 0.035-0.055 vs 0.046-0.059 s,
+# 630 models 0.074-0.096 vs 0.071-0.075 s, 1,008 models 0.117-0.158 vs
+# 0.105-0.119 s, 2,442 models 0.38 vs 0.25 s; C2 at 364 models 0.031-0.039
+# vs 0.046-0.047 s, 675 models 0.060-0.078 vs 0.066-0.085 s.  On the same
+# VM with no overlap (a burn of 0.586 s against 0.567 s serial), C2xC2 at
+# 1,008 models was slower pooled.  The break-even moves with the host and
+# the family, so the threshold stays between the sizes that were always
+# slower pooled and those that paid wherever the processes overlapped.
+_SWEEP_POOL_MIN = 512
+
+
 def _check_chunk(fam, checks, groups):
     """Check the valid tuples of each group of the family fam (a FamilyId,
     which a worker receives by name).  A group is (coefficients,
@@ -275,10 +290,9 @@ def run_sweep(
     groups: dict[tuple, list] = {}
     for index, params in enumerate(iter_param_tuples(name, bound_used)):
         groups.setdefault(fam.model(*params), []).append((index, params))
-    tuples = sum(len(members) for members in groups.values())
-    # 8 parts per worker balance families whose per-tuple cost varies; a
+    # 8 parts per worker balance families whose per-model cost varies; a
     # group is never split across parts
-    workers = jobs if tuples >= 512 else 1
+    workers = jobs if len(groups) >= _SWEEP_POOL_MIN else 1
     parts = fan_out(_check_chunk, list(groups.items()), workers, 8 * jobs, fam, checks)
     checked = sum(p[0] for p in parts)
     tagged = itertools.chain.from_iterable(p[1] for p in parts)

@@ -1,6 +1,6 @@
 """Shared pytest wiring: collect acceptance verdicts for the run summary,
 record which process pools a test enters, and the test-only references
-that several test modules use."""
+and patches that several test modules use."""
 
 from fractions import Fraction
 
@@ -36,6 +36,12 @@ def pool_entries(monkeypatch):
 
     monkeypatch.setattr(bounds, "ProcessPoolExecutor", RecordingPool)
     return entries
+
+
+def edit_analysis(monkeypatch, module, edit):
+    """module.analyze returns edit(analysis) in place of the analysis."""
+    real = module.analyze
+    monkeypatch.setattr(module, "analyze", lambda model: edit(real(model)))
 
 
 def inverse(iso: Isomorphism) -> Isomorphism:

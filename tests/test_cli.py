@@ -5,10 +5,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from szpirolab import bounds, reduction, sharpness
 from szpirolab.cli import main
+from szpirolab.intarith import Factorization, FactorBudgetError
 
 
 def run_cli(argv, capsys):
@@ -105,6 +108,19 @@ class TestFamily:
         assert code == 2
         assert "--d" in err
 
+    @pytest.mark.parametrize(
+        "name, decomposition",
+        [("C3", ["1", "2", "3"]), ("C4", ["2", "3"]), ("C5", None)],
+    )
+    def test_build_prints_decomposition(self, name, decomposition, capsys):
+        # 12 = 1^3 * 2^2 * 3 (split 3) and 12 = 2^2 * 3 (split 2); C5 has
+        # no split
+        code, out, _ = run_cli(
+            ["family", "build", "--T", name, "--a", "12", "--b", "5"], capsys
+        )
+        (obj,) = json_lines(out)
+        assert code == 0 and obj.get("decomposition") == decomposition
+
     def test_verify_small(self, capsys):
         code, out, _ = run_cli(
             ["family", "verify", "--T", "C5", "--max", "6", "--jobs", "1"], capsys
@@ -117,11 +133,11 @@ class TestFamily:
 
     def test_verify_deterministic(self, capsys, pool_entries):
         serial = run_cli(
-            ["family", "verify", "--T", "C2", "--max", "5", "--jobs", "1"], capsys
+            ["family", "verify", "--T", "C2", "--max", "6", "--jobs", "1"], capsys
         )
         assert pool_entries == []
         pooled = run_cli(
-            ["family", "verify", "--T", "C2", "--max", "5", "--jobs", "2"], capsys
+            ["family", "verify", "--T", "C2", "--max", "6", "--jobs", "2"], capsys
         )
         assert len(pool_entries) == 1
         assert serial == pooled
@@ -188,6 +204,17 @@ class TestPhi:
         assert len(pool_entries) == 1
         assert pooled == serial
         assert [obj["points"] for obj in json_lines(serial[1])] == [4097] * 28
+
+    def test_tail_not_dominant_exit_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            bounds, "leading_dominance", lambda spec: SimpleNamespace(dominant=False)
+        )
+        code, out, err = run_cli(
+            ["phi", "--T", "C5", "--u", "1", "--den", "8", "--range", "2"], capsys
+        )
+        (obj,) = json_lines(out)
+        assert (code, err) == (1, "")
+        assert obj["tail_dominant"] is False and obj["violations"] == []
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_exit_2(self, jobs, capsys):
@@ -263,6 +290,13 @@ class TestJobsUpperBound:
         assert run_cli([*argv, "--jobs", "3"], capsys) == serial
         assert serial[0] == 0 and no_process_pool == []
 
+    @pytest.mark.parametrize("argv", _JOBS_COMMANDS, ids=["phi", "family"])
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_environment_below_one_exit_2(self, argv, jobs, capsys, monkeypatch, no_process_pool):
+        monkeypatch.setenv("SZPIROLAB_JOBS", jobs)
+        assert run_cli(argv, capsys) == (2, "", "error: worker count must be >= 1\n")
+        assert no_process_pool == []
+
     def test_unknown_cpu_count_allows_one_job(self, capsys, monkeypatch, no_process_pool):
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         argv = list(_JOBS_COMMANDS[0])
@@ -325,6 +359,30 @@ class TestSharp:
         assert err.startswith("error: ") and str(out_path) in err
         assert "Traceback" not in err
 
+    def test_not_strictly_above_exit_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(sharpness, "height_of_minimal", lambda mm: 1)
+        code, out, err = run_cli(["sharp", "--T", "C2", "--nmax", "10"], capsys)
+        *records, summary = json_lines(out)
+        assert (code, err) == (1, "")
+        assert [r["n"] for r in records] == [2, 3, 5, 6, 7]
+        assert summary["strictly_above_l"] is False
+
+    def test_budget_skipped_n_listed(self, capsys, monkeypatch):
+        real = sharpness.build_FT
+
+        def starved(T, n):
+            if n == 5:
+                raise FactorBudgetError(n, Factorization(()), 5)
+            return real(T, n)
+
+        monkeypatch.setattr(sharpness, "build_FT", starved)
+        code, out, err = run_cli(["sharp", "--T", "C2", "--nmax", "10"], capsys)
+        *records, summary = json_lines(out)
+        assert (code, err) == (0, "")
+        assert [r["n"] for r in records] == [2, 3, 6, 7]
+        assert summary["budget_skipped_n"] == [5]
+        assert summary["sieve_hits"] == 4
+
     def test_nmax_guard(self, capsys):
         code, out, err = run_cli(["sharp", "--T", "C2", "--nmax", "5"], capsys)
         assert (code, out, err) == (2, "", "error: n_max must be >= 10\n")
@@ -367,6 +425,20 @@ def test_usage_error_exit_2(argv, message, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 2
     assert message in err and out == ""
+
+
+def test_factor_budget_exit_1_prints_partial(capsys, monkeypatch):
+    def starved(n):
+        raise FactorBudgetError(n, Factorization(((2, 5), (3, 3))), 1)
+
+    monkeypatch.setattr(reduction, "factorize", starved)
+    # y^2 = x^3 + 1: minimal_model first factors gcd(c4, c6) = gcd(0, -864)
+    assert run_cli(["curve", "conductor", "--model", "0,0,0,0,1"], capsys) == (
+        1,
+        "",
+        "error: factoring budget exceeded for 864: unfactored cofactor 1 "
+        "(partial: ((2, 5), (3, 3)))\n",
+    )
 
 
 def test_parse_error_exits_through_argparse(capsys):

@@ -1,8 +1,13 @@
-"""The README's library example runs and its commented values hold."""
+"""The README's library example runs and its commented values hold, and
+every command of its CLI block parses."""
 
 import re
+import shlex
 from pathlib import Path
 
+import pytest
+
+from szpirolab import bounds, cli
 from szpirolab.weierstrass import AffinePoint, WeierstrassModel, point_order
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -37,3 +42,26 @@ def test_library_example_values():
     assert point_order(WeierstrassModel(0, -1, -1, 0, 0), AffinePoint(0, 0)) == 5
     assert ns["u"] == 1
     assert ns["delta_eval"](ns["inst"], ns["u"]) == 11 == ns["N"]
+
+
+def cli_commands() -> list[list[str]]:
+    """The argument lists of the `szpirolab ...` lines of README's CLI block."""
+    section = README.read_text().split("## CLI", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    return [
+        shlex.split(line)[1:] for line in block.splitlines() if line.startswith("szpirolab ")
+    ]
+
+
+def test_cli_block_parses():
+    commands = cli_commands()
+    assert len(commands) == 12
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {argv}")
+        if args.command == "phi" and args.u != "all":
+            # an unknown or inadmissible u raises ValidationError
+            bounds.phi_spec(args.T, cli._parse_u(args.u))

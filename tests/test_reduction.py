@@ -19,7 +19,7 @@ from szpirolab.families import (
     build_model,
     validate_params,
 )
-from szpirolab.intarith import factorize, is_squarefree
+from szpirolab.intarith import factorize, is_squarefree, p_adic_valuation
 from szpirolab.reduction import (
     _model_from_c4c6,
     analyze,
@@ -98,6 +98,27 @@ class TestMinimalModel:
         mm = minimal_model(m)
         assert mm.scaling_u == 1
         assert mm.delta_min == -(3**11)
+
+    def test_kraus_back_off_at_3(self):
+        # v3(c4) = 5, v3(c6) = 8 and v3(delta) = 12 allow k = 1 at 3, but
+        # c6 / 3^6 has v3 = 2, which Kraus' condition at 3 rejects, so k
+        # backs off to 0: the model is already minimal at 3 (II*)
+        m = WeierstrassModel(0, 0, 0, 81, 243)
+        inv = compute_invariants(m)
+        assert [p_adic_valuation(x, 3) for x in (inv.c4, inv.c6, inv.delta)] == [5, 8, 12]
+        assert not reduction._kraus_ok_at_3(inv.c6 // 3**6)
+        mm = minimal_model(m)
+        assert (mm.minimal, mm.scaling_u) == (m, 1)
+        # the same curve scaled by 3 is scaled back by exactly 3
+        scaled = WeierstrassModel(0, 0, 0, 6561, 177147)
+        mm3 = minimal_model(scaled)
+        assert (mm3.minimal, mm3.scaling_u) == (m, 3)
+        ca, ca3 = analyze(m), analyze(scaled)
+        assert (ca.factorization, ca.local, ca.conductor, ca.height) == (
+            ca3.factorization, ca3.local, ca3.conductor, ca3.height,
+        )
+        assert tate_local(mm.minimal, 3) == ca.local[1]
+        assert (ca.local[1].p, ca.local[1].kodaira, ca.local[1].fp) == (3, "II*", 4)
 
     def test_singular_rejected(self):
         with pytest.raises(SingularModelError):
@@ -200,6 +221,11 @@ class TestTateLocal:
         data = tate_local(twist, 5)
         assert (data.kodaira, data.fp) == ("I4*", 2)
         assert data.vp_delta == 10
+
+    def test_singular_rejected(self):
+        # y^2 = x^3 - 3x + 2 = (x - 1)^2 (x + 2)
+        with pytest.raises(SingularModelError, match="requires delta != 0"):
+            tate_local(WeierstrassModel(0, 0, 0, -3, 2), 3)
 
     def test_non_minimal_rejected(self):
         big = blow_up(CURVE_11A1, 11)

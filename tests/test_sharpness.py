@@ -1,12 +1,14 @@
 """Sharpness sequences: table data, cross-validation, sieving, convergence."""
 
+import dataclasses
 import math
 import sys
 from fractions import Fraction
 
 import pytest
 
-from szpirolab import intarith, weierstrass
+from conftest import edit_analysis
+from szpirolab import intarith, sharpness, weierstrass
 from szpirolab.families import FAMILIES, ValidationError
 from szpirolab.poly import Poly
 from szpirolab.reduction import analyze, conductor, height_of_minimal, minimal_model
@@ -303,3 +305,43 @@ class TestBudgetSkipped:
         scan = convergence_scan("C7", 131, n_min=131)
         assert scan.budget_skipped == ()
         assert [r.n for r in scan.records] == [131]
+
+
+class TestFindingTexts:
+    """Each finding of verify_sharp_consistency, and a record at or below
+    the bound in convergence_scan, fired by changing the one value it
+    reads.  F_C2xC2(3) is clean: f = 3 * 13 * 35, squarefree, and I2 at
+    each of 3, 5, 7 and 13."""
+
+    def test_radical_mismatch(self, monkeypatch):
+        monkeypatch.setattr(sharpness, "radical", lambda n: 2730)
+        assert verify_sharp_consistency("C2xC2", 3).findings == (
+            "rad(delta_min) != rad(f(n)) for F_C2xC2(3): 1365 vs 2730",
+        )
+
+    def test_additive_reduction(self, monkeypatch):
+        def edit(ca):
+            local = tuple(
+                dataclasses.replace(d, semistable=d.p != 5) for d in ca.local
+            )
+            return dataclasses.replace(ca, local=local)
+
+        edit_analysis(monkeypatch, sharpness, edit)
+        assert verify_sharp_consistency("C2xC2", 3).findings == (
+            "F_C2xC2(3) has additive reduction at [5]",
+        )
+
+    def test_conductor_not_f(self, monkeypatch):
+        edit_analysis(
+            monkeypatch, sharpness, lambda ca: dataclasses.replace(ca, conductor=2730)
+        )
+        assert verify_sharp_consistency("C2xC2", 3).findings == (
+            "conductor 2730 != |f(n)| = 1365 for squarefree f, F_C2xC2(3)",
+        )
+
+    def test_record_at_or_below_the_bound(self, monkeypatch):
+        assert convergence_scan("C2", 10).strictly_above
+        monkeypatch.setattr(sharpness, "height_of_minimal", lambda mm: 1)
+        scan = convergence_scan("C2", 10)
+        assert [r.n for r in scan.records] == [2, 3, 5, 6, 7]
+        assert scan.strictly_above is False

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import edit_analysis
 from szpirolab.bounds import exceeds, szpiro_ratio
 from szpirolab.cli import build_parser, main
 from szpirolab import families, reduction, sweeps, weierstrass
@@ -191,6 +192,65 @@ class TestCheckInstance:
         assert check_instance(inst, checks=("height",)).findings == rep.findings
 
 
+def _edit_local(**changes):
+    """An analysis edit that changes the first prime's local data."""
+
+    def edit(ca):
+        first, *rest = ca.local
+        return dataclasses.replace(ca, local=(dataclasses.replace(first, **changes), *rest))
+
+    return edit
+
+
+class TestFindingTexts:
+    """Each finding of check_instance, fired by changing the one value it
+    reads.  C5(1, 1) is clean: N = 11 (I1, f_11 = 1), delta_{C5,1} = 11,
+    height 23104 and l = 3."""
+
+    inst = validate_params("C5", 1, 1)
+
+    def test_additive_prime_with_exponent_one(self, monkeypatch):
+        edit_analysis(monkeypatch, sweeps, _edit_local(semistable=False))
+        assert check_instance(self.inst).findings == (
+            "C5(1, 1): additive prime 11 got exponent 1",
+        )
+
+    @pytest.mark.parametrize("fp, ok", [(2, True), (3, False)])
+    def test_exponent_above_cap(self, fp, ok, monkeypatch):
+        # the cap at 11 is 2; without "bounds" no bound by delta is read
+        edit_analysis(monkeypatch, sweeps, _edit_local(fp=fp))
+        rep = check_instance(self.inst, checks=("torsion",))
+        assert rep.findings == (() if ok else ("C5(1, 1): f_11 = 3 exceeds cap 2",))
+
+    @pytest.mark.parametrize("height, ok", [(1331, False), (1332, True)])
+    def test_ratio_bound(self, height, ok, monkeypatch):
+        # height > N^3 = 1331 is strict
+        edit_analysis(
+            monkeypatch, sweeps, lambda ca: dataclasses.replace(ca, height=height)
+        )
+        rep = check_instance(self.inst, checks=("bounds", "torsion"))
+        assert rep.findings == (
+            () if ok else ("C5(1, 1): height^1 <= N^3 (ratio bound violated)",)
+        )
+
+    @pytest.mark.parametrize("delta, ok", [(28, True), (29, False)])
+    def test_height_bound(self, delta, ok, monkeypatch):
+        # 28^3 = 21952 < 23104 < 29^3 = 24389
+        monkeypatch.setattr(sweeps, "delta_eval", lambda instance, u: delta)
+        rep = check_instance(self.inst, checks=("height",))
+        assert rep.findings == (
+            () if ok else ("C5(1, 1): |delta|^l >= u^-12 max(|alpha^3|, beta^2)",)
+        )
+
+    def test_full_two_torsion_not_found(self, monkeypatch):
+        inst = _first_instance("C2xC4")
+        assert check_instance(inst).ok
+        monkeypatch.setattr(sweeps, "full_two_torsion", lambda model: ())
+        assert check_instance(inst).findings == (
+            f"{inst}: full rational 2-torsion not found",
+        )
+
+
 class TestRunSweep:
     def test_counts_and_order_stable_across_jobs(self, pool_entries):
         # box 22 gives 599 candidate tuples, enough for the pool
@@ -201,6 +261,27 @@ class TestRunSweep:
         assert len(pool_entries) == 1
         assert one == two
         assert one.checked > 0 and len(one.findings) == 278
+
+    @pytest.mark.parametrize(
+        "name, bound, models, pooled",
+        [
+            ("C2xC2", 9, 444, False),
+            ("C2xC2", 10, 630, True),
+            ("C2", 5, 364, False),
+            ("C2", 6, 675, True),
+        ],
+    )
+    def test_pool_threshold_counts_models(
+        self, name, bound, models, pooled, pool_entries
+    ):
+        # the pool pays by the analyses it shares out: distinct models, not
+        # tuples (C2xC2 at box 9 has 888 tuples)
+        fam = FAMILIES[name]
+        groups = {fam.model(*params) for params in iter_param_tuples(name, bound)}
+        assert len(groups) == models
+        assert (models >= sweeps._SWEEP_POOL_MIN) == pooled
+        run_sweep(name, bound, jobs=2)
+        assert len(pool_entries) == pooled
 
     def test_c30_override(self):
         from szpirolab.intarith import is_cubefree
@@ -437,11 +518,13 @@ class TestOneAnalysisPerModel:
         if name == "C2xC6":
             assert len(loop[1]) == 25
 
-    @pytest.mark.parametrize("name", ["C2", "C2xC2"])
-    def test_pooled_matches_instance_loop(self, name, pool_entries):
-        summary = run_sweep(name, 8, jobs=2)
+    @pytest.mark.parametrize(
+        "name, bound", [("C2", 8), ("C2xC2", 10)], ids=["C2", "C2xC2"]
+    )
+    def test_pooled_matches_instance_loop(self, name, bound, pool_entries):
+        summary = run_sweep(name, bound, jobs=2)
         assert len(pool_entries) == 1
-        assert _summary(summary) == _instance_loop(name, 8)
+        assert _summary(summary) == _instance_loop(name, bound)
 
     @pytest.mark.parametrize(
         "name, instances, models", [("C2", 2772, 1386), ("C2xC2", 720, 360)]
@@ -463,16 +546,16 @@ class TestOneAnalysisPerModel:
         # finding it gives must still name each instance, in input order.
         monkeypatch.setattr(sweeps, "point_order", lambda *args, **kwargs: 3)
         valid = []
-        for params in iter_param_tuples("C2xC2", 8):
+        for params in iter_param_tuples("C2xC2", 10):
             try:
                 validate_params("C2xC2", *params)
             except ValidationError:
                 continue
             valid.append(params)
         assert {(-a, -b, -d) for a, b, d in valid} == set(valid)
-        summary = run_sweep("C2xC2", 8, jobs=jobs)
+        summary = run_sweep("C2xC2", 10, jobs=jobs)
         assert len(pool_entries) == (jobs > 1)
         assert summary.findings == tuple(
             f"C2xC2{params}: (0,0) has order 3, expected 2" for params in valid
         )
-        assert len(summary.findings) == 720
+        assert len(summary.findings) == 1232
