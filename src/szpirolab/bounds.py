@@ -266,16 +266,20 @@ class _PhiKernel:
     def approx(self, big_num: int, del_num: int) -> float:
         """big - |delta_u|^l in floats.  The power comes from the logs of
         del_num/del_den in lowest terms, so it depends on x alone and not
-        on den."""
-        power = 0.0
-        if del_num:
-            g = math.gcd(del_num, self.del_den)
-            logv = math.log(del_num // g) - math.log(self.del_den // g)
-            try:
-                power = math.exp(logv * self.p / self.q)
-            except OverflowError:
-                power = math.inf
-        return _to_float(big_num, self.big_den) - power
+        on den.  When both terms are beyond the float range, it is +-inf
+        (or 0.0) by the exact sign."""
+        big = _to_float(big_num, self.big_den)
+        if not del_num:
+            return big
+        g = math.gcd(del_num, self.del_den)
+        logv = math.log(del_num // g) - math.log(self.del_den // g)
+        try:
+            return big - math.exp(logv * self.p / self.q)
+        except OverflowError:
+            if big < math.inf:
+                return -math.inf
+            sign = self.sign(big_num, del_num)
+            return sign * math.inf if sign else 0.0
 
     def value(self, k: int) -> PhiValue:
         big_num, del_num = self.terms(k)

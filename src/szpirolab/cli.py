@@ -342,7 +342,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except FactorBudgetError as exc:
-        print(f"error: {exc} (partial: {exc.partial.pairs})", file=sys.stderr)
+        print(f"error: {exc} (partial: {exc.partial})", file=sys.stderr)
         return CHECK_FAILED
     except (SingularModelError, families.ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

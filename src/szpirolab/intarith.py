@@ -21,7 +21,6 @@ type for rejected input, lives here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 __all__ = [
@@ -63,7 +62,7 @@ class FactorBudgetError(ArithmeticError):
     callers can report partial results instead of silently failing.
     """
 
-    def __init__(self, n: int, partial: "Factorization", cofactor: int):
+    def __init__(self, n: int, partial: Factorization, cofactor: int):
         super().__init__(
             f"factoring budget exceeded for {n}: unfactored cofactor {cofactor}"
         )
@@ -72,23 +71,8 @@ class FactorBudgetError(ArithmeticError):
         self.cofactor = cofactor
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Ordered prime factorization of |n|: strictly increasing primes."""
-
-    pairs: tuple[tuple[int, int], ...]
-
-    def __iter__(self):
-        return iter(self.pairs)
-
-    def radical(self) -> int:
-        out = 1
-        for p, _ in self.pairs:
-            out *= p
-        return out
-
-    def is_squarefree(self) -> bool:
-        return all(e == 1 for _, e in self.pairs)
+# The prime factorization of |n|: its (p, e) pairs, primes increasing.
+Factorization = tuple[tuple[int, int], ...]
 
 
 @lru_cache(maxsize=8)
@@ -390,9 +374,8 @@ def _factorize_uncached(n: int) -> Factorization:
             stuck: list[int] = []
             _factor_hard(m, out, stuck)
             if stuck:
-                partial = Factorization(tuple(sorted(out.items())))
-                raise FactorBudgetError(n, partial, stuck[0])
-    return Factorization(tuple(sorted(out.items())))
+                raise FactorBudgetError(n, tuple(sorted(out.items())), stuck[0])
+    return tuple(sorted(out.items()))
 
 
 _factorize_default = lru_cache(maxsize=200_000)(_factorize_uncached)
@@ -408,17 +391,14 @@ def factorize(n: int) -> Factorization:
         # A bare ValueError until perfbench/test_perfbench.py, which counts
         # this error under that class name, moves to ValidationError.
         raise ValueError("cannot factor 0")
-    n = abs(n)
-    if n == 1:
-        return Factorization(())
-    return _factorize_default(n)
+    return _factorize_default(abs(n))
 
 
 def radical(n: int) -> int:
     """Product of the distinct primes dividing |n|; radical(+-1) = 1."""
     if n == 0:
         raise ValidationError("radical undefined: n = 0")
-    return factorize(n).radical()
+    return math.prod(p for p, _ in factorize(n))
 
 
 def is_squarefree(n: int) -> bool:
@@ -441,7 +421,7 @@ def _is_squarefree_uncached(n: int) -> bool:
         return m == 1 or math.isqrt(m) ** 2 != m
     # factorize(n), not factorize(m): a budget error then names n and its
     # small primes, as a full factorization would.
-    return factorize(n).is_squarefree()
+    return all(e == 1 for _, e in factorize(n))
 
 
 _is_squarefree_default = lru_cache(maxsize=200_000)(_is_squarefree_uncached)

@@ -73,7 +73,7 @@ def _kraus_ok_at_2(c4: int, c6: int) -> bool:
     # c6 = -1 mod 4, or v2(c4) >= 4 with c6 = 0 or 8 mod 32.
     if c6 % 4 == 3:
         return True
-    if (c4 == 0 or c4 % 16 == 0) and c6 % 32 in (0, 8):
+    if c4 % 16 == 0 and c6 % 32 in (0, 8):
         return True
     return False
 
@@ -298,9 +298,7 @@ def _local_data(coeffs, p: int, n: int, inv: ModelInvariants) -> LocalReductionD
         return LocalReductionData(p, n, n - 4 - m_star, f"I{m_star}*", False)
 
     # Triple root; translate it to T = 0.
-    if p == 2:
-        root = A % 2
-    elif p == 3:
+    if p == 3:
         root = (-C) % 3
     else:
         root = -A * pow(3, -1, p) % p

@@ -273,7 +273,7 @@ def verify_sharp_consistency(T: str, n: int) -> ConsistencyReport:
 
     values = spec.f_factor_values(n)
     f = math.prod(values)
-    rad_min, rad_f = ca.factorization.radical(), radical(f)
+    rad_min, rad_f = math.prod(p for p, _ in ca.factorization), radical(f)
     if rad_min != rad_f:
         findings.append(
             f"rad(delta_min) != rad(f(n)) for F_{T}({n}): {rad_min} vs {rad_f}"
@@ -366,9 +366,9 @@ class ConvergenceScan:
         return len(self.records)
 
 
-def _sample_values(n_min: int, n_max: int, samples: int | None) -> list[int]:
+def _sample_values(n_min: int, n_max: int, samples: int | None) -> range | list[int]:
     if samples is None or samples >= n_max - n_min + 1:
-        return list(range(n_min, n_max + 1))
+        return range(n_min, n_max + 1)
     # Log-spaced, deduplicated, deterministic.
     lo, hi = math.log(n_min), math.log(n_max)
     out = sorted(

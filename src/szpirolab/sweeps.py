@@ -297,6 +297,6 @@ def run_sweep(
     checked = sum(p[0] for p in parts)
     tagged = itertools.chain.from_iterable(p[1] for p in parts)
     findings = tuple(f for _, f in sorted(tagged, key=itemgetter(0)))
-    max_sigma = max((p[2] for p in parts if p[0]), default=-math.inf)
-    min_sigma = min((p[3] for p in parts if p[0]), default=math.inf)
+    max_sigma = max(p[2] for p in parts)
+    min_sigma = min(p[3] for p in parts)
     return SweepSummary(name, bound_used, checked, findings, max_sigma, min_sigma)

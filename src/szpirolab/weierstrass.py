@@ -192,24 +192,9 @@ INFINITY = None
 
 
 def add_points(m: WeierstrassModel, p, q):
-    """Chord-and-tangent addition in affine coordinates."""
-    if p is INFINITY:
-        return q
-    if q is INFINITY:
-        return p
-    a1, a2, a3, a4, a6 = m.coefficients()
-    x1, y1 = Fraction(p.x), Fraction(p.y)
-    x2, y2 = Fraction(q.x), Fraction(q.y)
-    if x1 == x2:
-        if y1 + y2 + a1 * x2 + a3 == 0:
-            return INFINITY
-        lam = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) / (2 * y1 + a1 * x1 + a3)
-    else:
-        lam = (y2 - y1) / (x2 - x1)
-    nu = y1 - lam * x1
-    x3 = lam * lam + a1 * lam - a2 - x1 - x2
-    y3 = -(lam + a1) * x3 - nu - a3
-    return AffinePoint(x3, y3)
+    """p + q, by the integer projective law on the integral model of m."""
+    a, L, P, Q = _integral_projective(m, p, q)
+    return _affine(_projective_add(a, P, Q), L)
 
 
 # Integer projective arithmetic: (X:Y:Z) stands for (X/Z, Y/Z), Z = 0 is
@@ -218,24 +203,33 @@ def add_points(m: WeierstrassModel, p, q):
 _PROJECTIVE_IDENTITY = (0, 1, 0)
 
 
-def _integral_projective(m: WeierstrassModel, point):
-    """Integer coefficients and an integer projective point isomorphic to
-    (m, point), through integral_model: (x, y) maps to (L^2 x, L^3 y)."""
+def _integral_projective(m: WeierstrassModel, *points):
+    """(a, L, P1, P2, ...): the coefficients a and scale L of integral_model(m)
+    and each point as an integer projective point on it, (x, y) mapping to
+    (L^2 x, L^3 y)."""
     im, L = integral_model(m)
-    a = im.coefficients()
-    if point is INFINITY:
-        return a, _PROJECTIVE_IDENTITY
-    x, y = point.x, point.y
-    return a, _projective_normal(
-        x.numerator * L * L * y.denominator,
-        y.numerator * L**3 * x.denominator,
-        x.denominator * y.denominator,
-    )
+    projective = [
+        _PROJECTIVE_IDENTITY if pt is INFINITY else _projective_normal(
+            pt.x.numerator * L * L * pt.y.denominator,
+            pt.y.numerator * L**3 * pt.x.denominator,
+            pt.x.denominator * pt.y.denominator,
+        )
+        for pt in points
+    ]
+    return (im.coefficients(), L, *projective)
+
+
+def _affine(P, L: int):
+    """The point of m for the projective point P on its integral model of
+    scale L: the inverse of the map in _integral_projective."""
+    X, Y, Z = P
+    if Z == 0:
+        return INFINITY
+    return AffinePoint(Fraction(X, Z * L * L), _norm(Fraction(Y, Z * L**3)))
 
 
 def _projective_normal(X: int, Y: int, Z: int):
-    if Z == 0:
-        return _PROJECTIVE_IDENTITY
+    """(X:Y:Z), Z != 0, divided by gcd(X, Y, Z) with the sign that makes Z > 0."""
     g = math.gcd(X, Y, Z)
     if Z < 0:
         g = -g
@@ -292,7 +286,7 @@ def point_order(m: WeierstrassModel, point, *, nonsingular: bool = False) -> int
     """
     if not nonsingular and compute_invariants(m).delta == 0:
         raise SingularModelError("point order undefined on a singular model")
-    a, P = _integral_projective(m, point)
+    a, _, P = _integral_projective(m, point)
     if not _projective_on_curve(a, P):
         raise ValidationError(f"point {point} is not on the curve")
     acc = P  # invariant: acc == k * P at the top of iteration k
@@ -386,5 +380,5 @@ def full_two_torsion(m: WeierstrassModel) -> list:
         X, Y, Z = 2 * x0, -(a1 * x0 + a3 * c), 2 * c
         if not _projective_on_curve(a, (X, Y, Z)):
             raise CertificateError(f"2-torsion candidate ({X}:{Y}:{Z}) is not on {im}")
-        points.append(AffinePoint(Fraction(X, Z * L * L), _norm(Fraction(Y, Z * L**3))))
+        points.append(_affine((X, Y, Z), L))
     return points

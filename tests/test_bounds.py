@@ -429,6 +429,19 @@ class TestPhiScanKernel:
         assert bad.zeros == ()
         assert bad != good
 
+    def test_float_key_beyond_the_float_range_has_the_exact_sign(self):
+        # From x = 8,494,848 on, both float terms of phi[C12, u=1] overflow;
+        # their difference was NaN, which no key compares below.
+        spec = phi_spec("C12", 1)
+        val = phi_eval(spec, 10**7)
+        assert val.sign == 1 and val.approx == math.inf
+        kern = bounds._PhiKernel(spec, 1)
+        assert bounds._scan_chunk(kern, range(10**7, 10**7 + 4)) == ([], [], (math.inf, 10**7))
+        # a larger exponent makes phi negative there: -inf, not NaN
+        steep = PhiSpec(dataclasses.replace(spec.family, l=Fraction(29, 5)), 1, spec.prefactor)
+        val = phi_eval(steep, 10**7)
+        assert val.sign == -1 and val.approx == -math.inf
+
     def test_one_kernel_per_scan(self, monkeypatch, pool_entries):
         # the argmin's PhiValue comes from the kernel that scanned the grid
         built = []

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from szpirolab import intarith
 from szpirolab.intarith import (
     FactorBudgetError,
+    ValidationError,
     factorize,
     is_cubefree,
     is_probable_prime,
@@ -188,13 +189,13 @@ class TestCubeRule:
             if not 10**8 <= n <= 10**30:
                 continue
             sides[intarith._trial(n)[1] < intarith._TRIAL_BOUND**3] += 1
-            assert is_squarefree(n) == intarith._factorize_uncached(n).is_squarefree(), n
+            assert is_squarefree(n) == all(e == 1 for _, e in intarith._factorize_uncached(n)), n
         assert min(sides.values()) > 100, sides
 
     def test_small_cofactors_never_reach_hard_factoring(self, monkeypatch):
         sympy = pytest.importorskip("sympy")
         cases = _cube_rule_cases(sympy)
-        expected = {n: intarith._factorize_uncached(abs(n)).is_squarefree() for n in cases}
+        expected = {n: all(e == 1 for _, e in intarith._factorize_uncached(abs(n))) for n in cases}
 
         def refuse(n, out, stuck):
             raise AssertionError(f"cofactor {n} reached _factor_hard")
@@ -220,11 +221,14 @@ class TestCubeRule:
         with pytest.raises(FactorBudgetError) as exc:
             intarith._is_squarefree_uncached(7 * 11 * hard)
         assert exc.value.n == 7 * 11 * hard
-        assert exc.value.partial.pairs == ((7, 1), (11, 1))
+        assert exc.value.partial == ((7, 1), (11, 1))
         assert exc.value.cofactor == hard
 
 
 class TestTrialDivision:
+    def test_no_primes_below_two(self):
+        assert small_primes(1) == small_primes(0) == () and small_primes(2) == (2,)
+
     def test_blocks_cover_the_trial_primes(self):
         blocks = intarith._TRIAL_BLOCKS
         assert [p for block, _ in blocks for p in block] == list(small_primes(10_000))
@@ -249,9 +253,9 @@ class TestTrialDivision:
 class TestFactorize:
     def test_spec_values(self):
         assert oracle_trial_factor(92928) == [(2, 8), (3, 1), (11, 2)]
-        assert factorize(92928).pairs == ((2, 8), (3, 1), (11, 2))
-        assert factorize(-26).pairs == ((2, 1), (13, 1))
-        assert factorize(1).pairs == ()
+        assert factorize(92928) == ((2, 8), (3, 1), (11, 2))
+        assert factorize(-26) == ((2, 1), (13, 1))
+        assert factorize(1) == ()
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -263,23 +267,23 @@ class TestFactorize:
         for _ in range(1000):
             n = rng.randrange(2, 10**12)
             f = factorize(n)
-            assert math.prod(p**e for p, e in f.pairs) == n
+            assert math.prod(p**e for p, e in f) == n
             assert all(is_probable_prime(p) for p, _ in f)
-            primes = [p for p, _ in f.pairs]
+            primes = [p for p, _ in f]
             assert primes == sorted(set(primes))
 
     def test_large_semiprime(self):
         p, q = 10**9 + 7, 10**9 + 9
-        assert factorize(p * q).pairs == ((p, 1), (q, 1))
+        assert factorize(p * q) == ((p, 1), (q, 1))
 
     def test_prime_power(self):
-        assert factorize(43**5).pairs == ((43, 5),)
-        assert factorize((10**9 + 7) ** 2).pairs == ((10**9 + 7, 2),)
+        assert factorize(43**5) == ((43, 5),)
+        assert factorize((10**9 + 7) ** 2) == ((10**9 + 7, 2),)
 
     def test_perfect_power_cofactor(self):
         # Cofactors past trial division go through the perfect-power root.
-        assert factorize(10007**12).pairs == ((10007, 12),)
-        assert factorize((10007 * 10009) ** 6).pairs == ((10007, 6), (10009, 6))
+        assert factorize(10007**12) == ((10007, 12),)
+        assert factorize((10007 * 10009) ** 6) == ((10007, 6), (10009, 6))
 
     @given(
         st.sampled_from([10007, 65537, 10**9 + 7, 2**61 - 1, 10**17 + 3]),
@@ -287,7 +291,15 @@ class TestFactorize:
     )
     @settings(max_examples=60, deadline=None)
     def test_perfect_power_round_trip(self, p, k):
-        assert factorize(p**k).pairs == ((p, k),)
+        assert factorize(p**k) == ((p, k),)
+
+    def test_iroot_floor_edges(self):
+        with pytest.raises(ValidationError, match="negative"):
+            intarith._iroot_floor(-8, 3)
+        assert intarith._iroot_floor(12345, 1) == 12345
+        # the float fifth root of 854^5 - 1 rounds up to 854
+        assert int((854**5 - 1) ** 0.2) == 854
+        assert intarith._iroot_floor(854**5 - 1, 5) == 853
 
     @pytest.mark.parametrize("k", range(2, 14))
     def test_perfect_power_tries_prime_exponents_only(self, monkeypatch, k):
@@ -324,7 +336,7 @@ class TestFactorize:
         with pytest.raises(FactorBudgetError) as exc:
             intarith._factorize_uncached(n)
         assert exc.value.cofactor == hard
-        assert exc.value.partial.pairs == ((2, 2), (3, 1))
+        assert exc.value.partial == ((2, 2), (3, 1))
 
 
 # 90 bits with a 40-bit least factor: the slowest input of the sharp_tail
@@ -360,7 +372,7 @@ RHO_COLLISIONS = ((10723, 24967), (12301, 30089), (13537, 17443))
 
 
 def _split(p, q):
-    return intarith._factorize_uncached(p * q).pairs == ((p, 1), (q, 1))
+    return intarith._factorize_uncached(p * q) == ((p, 1), (q, 1))
 
 
 class TestFactoringMethods:
@@ -389,7 +401,7 @@ class TestFactoringMethods:
     @pytest.mark.parametrize("p, q", RHO_COLLISIONS)
     def test_rho_collision_goes_on_with_next_constant(self, p, q):
         assert intarith._brent_rho(p * q, 1, 1 << 14) in (p, q)
-        assert factorize(p * q).pairs == ((p, 1), (q, 1))
+        assert factorize(p * q) == ((p, 1), (q, 1))
         assert is_squarefree(p * q) and radical(p * q) == p * q
 
     def test_stage_2_finds_what_stage_1_misses(self):
@@ -397,6 +409,10 @@ class TestFactoringMethods:
         p, q = PINNED
         assert intarith._ecm(p * q, 8, 500, 500) == 1
         assert intarith._ecm(p * q, 8, 500, 50_000) == p
+
+    def test_curve_setup_can_find_a_factor(self):
+        # sigma = 3 gives the setup denominator 16 * 4^3 * 12, which 3 divides
+        assert intarith._ecm(3 * 1000003, 3, 500, 500) == 3
 
     def test_zero_attempts_split_nothing(self, monkeypatch):
         monkeypatch.setattr(intarith, "_RHO_ATTEMPTS", 0)
@@ -421,15 +437,15 @@ class TestSympyOracle:
         for _ in range(300):
             n = rng.randrange(2, 1 << rng.randrange(2, 72))
             n *= rng.randrange(1, 1 << 20) ** rng.randrange(1, 4)
-            assert dict(factorize(n).pairs) == sympy.factorint(n), n
+            assert dict(factorize(n)) == sympy.factorint(n), n
 
     def test_factorize_hard_cofactors(self):
         sympy = pytest.importorskip("sympy")
-        assert dict(factorize(math.prod(PINNED)).pairs) == sympy.factorint(math.prod(PINNED))
+        assert dict(factorize(math.prod(PINNED))) == sympy.factorint(math.prod(PINNED))
         # factorint needs seconds on each of these; its answer is unique, so
         # a product of sympy-certified primes is the same check.
         for p, q in HARD_SEMIPRIMES + SMALL_COFACTORS:
-            pairs = factorize(3 * p * q * q).pairs
+            pairs = factorize(3 * p * q * q)
             assert math.prod(r**e for r, e in pairs) == 3 * p * q * q
             assert all(sympy.isprime(r) for r, _ in pairs), (p, q)
             assert pairs == ((3, 1), (p, 1), (q, 2))

@@ -33,7 +33,7 @@ def test_library_example_values():
     assert ca.mm.minimal == ns["m"] and ca.mm.scaling_u == 1
     iso = ca.mm.iso
     assert all(isinstance(c, int) for c in (iso.u, iso.r, iso.s, iso.t))
-    assert ca.factorization.pairs == ((11, 5),)
+    assert ca.factorization == ((11, 5),)
     assert [(d.p, d.kodaira, d.fp) for d in ca.local] == [(11, "I5", 1)]
     assert (ca.conductor, ca.height) == (11, 20008**2)
 

@@ -347,7 +347,7 @@ class TestAnalyze:
     def test_11a1(self):
         ca = analyze(CURVE_11A1)
         assert ca.mm == minimal_model(CURVE_11A1)
-        assert ca.factorization.pairs == ((11, 5),)
+        assert ca.factorization == ((11, 5),)
         assert [(d.p, d.kodaira, d.fp) for d in ca.local] == [(11, "I5", 1)]
         assert ca.conductor == 11
         assert ca.height == max(496**3, 20008**2)

@@ -176,6 +176,11 @@ class TestConsistency:
             decisions.add(decision)
         assert decisions == {True, False}
 
+    def test_zero_factor_value_is_not_squarefree(self):
+        # gcd(0, 5) != 1 would decide the first, but not the other two
+        assert _f_is_squarefree([0, 5]) is _f_is_squarefree([0]) is False
+        assert _f_is_squarefree([1, 0]) is False
+
 
 def record_ns(T: str, n_max: int, n_min: int = 2) -> list[int]:
     return [r.n for r in convergence_scan(T, n_max, n_min=n_min).records]
@@ -212,6 +217,14 @@ class TestConvergence:
         pts = [(0.1, 1.7), (0.2, 1.9), (0.3, 2.1)]
         intercept, slope = fit_intercept(pts)
         assert abs(intercept - 1.5) < 1e-12 and abs(slope - 2.0) < 1e-12
+
+    def test_fit_rejects_equal_abscissae(self):
+        with pytest.raises(ValidationError, match="degenerate"):
+            fit_intercept([(1.0, 2.0), (1.0, 3.0)])
+
+    def test_exhaustive_sample_is_a_range(self):
+        values = sharpness._sample_values(2, 10**12, None)
+        assert isinstance(values, range) and len(values) == 10**12 - 1
 
     def test_c2_exhaustive_small(self):
         scan = convergence_scan("C2", 400, n_min=100)

@@ -41,7 +41,8 @@ ORIGIN = AffinePoint(Fraction(0), Fraction(0))
 def is_on_curve(m: WeierstrassModel, point) -> bool:
     """Exact equation check, in integers once denominators are cleared; the
     point at infinity is always on the curve."""
-    return _projective_on_curve(*_integral_projective(m, point))
+    a, _, P = _integral_projective(m, point)
+    return _projective_on_curve(a, P)
 
 
 def oracle_add(m, P, Q):
@@ -187,6 +188,19 @@ class TestGroupLaw:
         neg = AffinePoint(P.x, -P.y - a1 * P.x - a3)
         assert neg == AffinePoint(0, 1) and is_on_curve(C5_11, neg)
         assert add_points(C5_11, P, neg) is INFINITY
+
+    def test_identity_is_neutral(self):
+        P = AffinePoint(Fraction(5), Fraction(5))
+        assert add_points(CURVE_11A1, P, INFINITY) == P
+        assert add_points(CURVE_11A1, INFINITY, P) == P
+        assert add_points(CURVE_11A1, INFINITY, INFINITY) is INFINITY
+
+    def test_rational_model_maps_back(self):
+        iso = Isomorphism(Fraction(2, 3), Fraction(1, 2), -1, Fraction(3, 4))
+        m, P = transform(C5_11, iso), map_point(ORIGIN, iso)
+        assert add_points(m, P, INFINITY) == P
+        twice = add_points(m, P, P)
+        assert twice == oracle_add(m, P, P) == map_point(AffinePoint(1, 1), iso)
 
     def test_matches_oracle_on_multiples(self):
         acc = ORIGIN
@@ -561,13 +575,8 @@ class TestIntegralModel:
 
 
 def fraction_order(m, P, cap=16):
-    """The reference: the Fraction add_points loop point_order replaced."""
-    acc = P  # acc == k * P at the top of iteration k
-    for k in range(1, cap + 1):
-        if acc is INFINITY:
-            return k
-        acc = add_points(m, acc, P)
-    return None
+    """The reference: the order by the textbook law oracle_add."""
+    return oracle_order(m, P, cap)
 
 
 def map_point(P, iso):
@@ -578,8 +587,8 @@ def map_point(P, iso):
 
 
 class TestIntegerPointOrder:
-    """point_order runs in integer projective coordinates; the Fraction
-    group law add_points is its reference."""
+    """point_order runs in integer projective coordinates; the textbook
+    Fraction group law oracle_add is its reference."""
 
     def test_family_instances_small_box(self):
         checked = 0
@@ -622,11 +631,14 @@ class TestIntegerPointOrder:
         assert point_order(m, P) is fraction_order(m, P) is None
 
     def test_multiples_match_affine_group_law(self):
-        for m in (C5_11, WeierstrassModel(0, 0, 1, -1, 0), CURVE_11A1):
-            a, P = _integral_projective(m, ORIGIN)
-            acc, ref = P, ORIGIN
+        five = AffinePoint(Fraction(5), Fraction(5))
+        for m, point in ((C5_11, ORIGIN), (WeierstrassModel(0, 0, 1, -1, 0), ORIGIN),
+                         (CURVE_11A1, five)):
+            assert is_on_curve(m, point)
+            a, _, P = _integral_projective(m, point)
+            acc, ref = P, point
             for _ in range(10):
-                acc, ref = _projective_add(a, acc, P), add_points(m, ref, ORIGIN)
+                acc, ref = _projective_add(a, acc, P), oracle_add(m, ref, point)
                 if ref is INFINITY:
                     assert acc[2] == 0
                 else:
