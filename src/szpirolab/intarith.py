@@ -5,14 +5,18 @@ primes up to the fixed bound _TRIAL_BOUND, in blocks of _TRIAL_BLOCK
 primes (one gcd with the block's product skips a block that divides
 nothing).  A cofactor past it gets up to _RHO_ATTEMPTS attempts: the first
 starts with a short Brent-cycle Pollard rho pass (which moves to the next
-constant when it meets every prime in one step), and each runs one
-elliptic-curve (ECM) curve with fixed parameters until a factor is found.
-So repeated runs (and parallel workers) always agree.
+constant when it meets every prime in one step, and reduces its product
+of differences once every two steps), and each runs one elliptic-curve
+(ECM) curve with fixed parameters until a factor is found; ECM's stage 2
+takes giant steps of _ECM_D.  Miller-Rabin runs the shortest prefix of
+its witnesses that is proven for n.  So repeated runs (and parallel
+workers) always agree.
 
-The squarefree test stops at what trial division proves: a square of a
-prime up to _TRIAL_BOUND decides it, and so does a cofactor below
-_TRIAL_BOUND**3, which is 1, p, p^2 or pq.  Only a larger cofactor is
-factored.  Both factorizations and squarefree decisions are cached.
+The squarefree test decides what one gcd with the product of the trial
+primes proves, without trial division: a square of a prime up to
+_TRIAL_BOUND, or a cofactor free of those primes below _TRIAL_BOUND**3,
+which is 1, p, p^2 or pq.  Only a larger cofactor is factored.  Both
+factorizations and squarefree decisions are cached.
 
 The module imports nothing from the package, so ValidationError, the one
 type for rejected input, lives here.
@@ -20,6 +24,7 @@ type for rejected input, lives here.
 
 from __future__ import annotations
 
+import bisect
 import math
 from functools import lru_cache
 
@@ -40,6 +45,16 @@ __all__ = [
 # n < 3_317_044_064_679_887_385_961_981 (~3.3e24).  Above that bound the
 # same witnesses give a strong probable-prime answer.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# OEIS A014233: _MR_PSEUDOPRIMES[k - 1] is the least odd composite that
+# passes the first k witnesses, so those k decide every n below it
+# (Jaeschke 1993, Zhang-Tang 2003, Sorenson-Webster 2015).
+_MR_PSEUDOPRIMES = (
+    2_047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747,
+    3_474_749_660_383, 341_550_071_728_321, 341_550_071_728_321,
+    3_825_123_056_546_413_051, 3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051, 318_665_857_834_031_151_167_461,
+    3_317_044_064_679_887_385_961_981,
+)
 
 _TRIAL_BOUND = 10_000
 _TRIAL_BLOCK = 32
@@ -49,6 +64,9 @@ _RHO_ATTEMPTS = 24
 _RHO_MAX_ITER = 1 << 22
 # ECM stage-1 bounds, each used for one third of the attempts.
 _ECM_B1 = (500, 2_000, 11_000)
+# ECM's stage-2 giant step: 72 baby points from 157 odd multiples balance
+# the pair products at b2 = 100 * 500 (2310 walks 577 to keep 240).
+_ECM_D = 630
 
 
 class ValidationError(ValueError):
@@ -89,7 +107,11 @@ def small_primes(limit: int) -> tuple[int, ...]:
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin with the fixed witness set (deterministic below ~3.3e24)."""
+    """Miller-Rabin with the fixed witness set (deterministic below ~3.3e24).
+
+    n is tested with the shortest prefix of the witnesses that is proven
+    for it (by _MR_PSEUDOPRIMES), and with all of them past the table.
+    """
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -100,7 +122,7 @@ def is_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
+    for a in _MR_WITNESSES[: bisect.bisect_right(_MR_PSEUDOPRIMES, n) + 1]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -180,9 +202,15 @@ def _brent_rho(n: int, c: int, max_iter: int) -> int:
             while k < r and g == 1:
                 ys = y
                 batch = min(128, r - k)
-                for _ in range(batch):
+                # Two steps per reduction of q; the sign of a difference
+                # only flips q mod n, which leaves gcd(q, n) alone.
+                for _ in range(batch >> 1):
+                    y1 = (y * y + c) % n
+                    y = (y1 * y1 + c) % n
+                    q = q * (x - y1) * (x - y) % n
+                if batch & 1:
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 g = math.gcd(q, n)
                 k += batch
             iterations += 2 * r
@@ -194,7 +222,7 @@ def _brent_rho(n: int, c: int, max_iter: int) -> int:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
+                g = math.gcd(x - ys, n)
         if g != n or iterations > max_iter:
             return g
         c += 1
@@ -240,6 +268,19 @@ def _stage1_multiplier(b1: int) -> int:
     return k
 
 
+def _stage2_plan(b1: int, b2: int) -> tuple[int, list[int], range]:
+    """(D, babies, giants) of ECM stage 2 on the primes in (b1, b2].
+
+    D is the giant step, babies the odd j < D/2 prime to D, and giants the
+    m from max(1, b1 // D) while m*D - D/2 <= b2.  With b1 at least the
+    largest prime of D, every prime in (b1, b2] is then a baby index or
+    some m*D +- j.
+    """
+    D = _ECM_D
+    babies = [j for j in range(1, D // 2, 2) if math.gcd(j, D) == 1]
+    return D, babies, range(max(1, b1 // D), (b2 + D // 2) // D + 1)
+
+
 def _ecm(n: int, sigma: int, b1: int, b2: int) -> int:
     """One ECM curve on odd composite n; returns a divisor, proper on success.
 
@@ -261,28 +302,26 @@ def _ecm(n: int, sigma: int, b1: int, b2: int) -> int:
     if g != 1 or b2 <= b1:
         return g
     # Stage 2.  x(mD Q) = x(jQ) mod p exactly when (mD +- j) Q = O mod p,
-    # so one product over odd j < D/2 prime to D and over m catches every
-    # q in (b1, b2].  All points are made affine by one shared inversion;
-    # a point that is already O mod p shows as a factor of that product.
-    D = 2310
+    # so one product over the baby indices j and the giant indices m
+    # catches every q in (b1, b2] (see _stage2_plan).  All points are made
+    # affine by one shared inversion; a point that is already O mod p shows
+    # as a factor of that product.
+    D, babies, giants = _stage2_plan(b1, b2)
     x2, z2 = _xdbl(x, z, n, a24)
-    xs, zs = [], []
+    odd = []  # jQ for the odd j up to the last baby index
     xp, zp, xj, zj = x, z, x, z  # (j - 2)Q, jQ; x(-Q) = x(Q)
-    for j in range(1, D // 2, 2):
-        if math.gcd(j, D) == 1:
-            xs.append(xj)
-            zs.append(zj)
+    for _ in range(0, babies[-1], 2):
+        odd.append((xj, zj))
         xp, zp, xj, zj = xj, zj, *_xadd(xj, zj, x2, z2, xp, zp, n)
-    nb = len(xs)
+    xs = [odd[j // 2][0] for j in babies]
+    zs = [odd[j // 2][1] for j in babies]
     xg, zg = _ladder(D, x, z, n, a24)
-    m = max(1, b1 // D)
-    xp, zp = _ladder(m, xg, zg, n, a24)
-    xj, zj = _ladder(m + 1, xg, zg, n, a24)
-    while m * D - D // 2 <= b2:
+    xp, zp = _ladder(giants.start, xg, zg, n, a24)
+    xj, zj = _ladder(giants.start + 1, xg, zg, n, a24)
+    for _ in giants:
         xs.append(xp)
         zs.append(zp)
         xp, zp, xj, zj = xj, zj, *_xadd(xj, zj, xg, zg, xp, zp, n)
-        m += 1
     prefix = [1]
     for zj in zs:
         prefix.append(prefix[-1] * zj % n)
@@ -293,9 +332,10 @@ def _ecm(n: int, sigma: int, b1: int, b2: int) -> int:
     for i in range(len(zs) - 1, -1, -1):
         xs[i] = xs[i] * prefix[i] % n * inv % n
         inv = inv * zs[i] % n
-    babies, acc = xs[:nb], 1
+    nb, acc = len(babies), 1
+    baby_xs = xs[:nb]
     for xm in xs[nb:]:
-        for xj in babies:
+        for xj in baby_xs:
             acc = acc * (xm - xj) % n
     return math.gcd(acc, n)
 
@@ -337,6 +377,8 @@ _TRIAL_BLOCKS = tuple(
     (_TRIAL_PRIMES[i : i + _TRIAL_BLOCK], math.prod(_TRIAL_PRIMES[i : i + _TRIAL_BLOCK]))
     for i in range(0, len(_TRIAL_PRIMES), _TRIAL_BLOCK)
 )
+
+_TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES)
 
 
 def _trial(n: int) -> tuple[dict[int, int], int]:
@@ -412,12 +454,14 @@ def is_squarefree(n: int) -> bool:
 
 
 def _is_squarefree_uncached(n: int) -> bool:
-    small, m = _trial(n)
-    if any(e > 1 for e in small.values()):
+    # g is the product of the trial primes that divide n; n is squarefree
+    # at them iff none divides n // g, which then has no trial prime.
+    g = math.gcd(n, _TRIAL_PRODUCT)
+    m = n // g
+    if math.gcd(m, g) > 1:
         return False
     if m < _TRIAL_BOUND**3:
-        # By _trial, m is 1 or prime, or has no prime up to _TRIAL_BOUND;
-        # so it is 1, p, p^2 or pq.
+        # m has no prime up to _TRIAL_BOUND, so it is 1, p, p^2 or pq.
         return m == 1 or math.isqrt(m) ** 2 != m
     # factorize(n), not factorize(m): a budget error then names n and its
     # small primes, as a full factorization would.

@@ -297,11 +297,12 @@ def _f_is_squarefree(values: list[int]) -> bool:
 
     The product is squarefree iff the factor values are pairwise coprime
     and each is individually squarefree; testing the small pieces avoids
-    ever factoring the full product.  is_squarefree factors a value only
-    when trial division leaves a cofactor of 10^12 or more, so only such a
-    value can raise FactorBudgetError.  The values are tested in order: an
-    earlier value that is not squarefree returns False before a later one
-    is factored.
+    ever factoring the full product.  is_squarefree decides a value by one
+    gcd with the product of the primes up to 10^4 when a square of such a
+    prime divides it or the rest is below 10^12, and factors it otherwise;
+    so only a value whose rest is 10^12 or more can raise FactorBudgetError.
+    The values are tested in order: an earlier value that is not squarefree
+    returns False before a later one is factored.
     """
     if any(v == 0 for v in values):
         return False

@@ -194,6 +194,9 @@ INFINITY = None
 def add_points(m: WeierstrassModel, p, q):
     """p + q, by the integer projective law on the integral model of m."""
     a, L, P, Q = _integral_projective(m, p, q)
+    for point, R in ((p, P), (q, Q)):
+        if not _projective_on_curve(a, R):
+            raise ValidationError(f"point {point} is not on the curve")
     return _affine(_projective_add(a, P, Q), L)
 
 

@@ -27,12 +27,15 @@ from szpirolab.weierstrass import (
     AffinePoint,
     Isomorphism,
     WeierstrassModel,
+    add_points,
     compute_invariants,
     point_order,
     transform,
 )
 
 ORIGIN = AffinePoint(Fraction(0), Fraction(0))
+_OFF_CURVE = AffinePoint(Fraction(0), Fraction(1, 2))
+_OFF_CURVE_2 = AffinePoint(Fraction(0), Fraction(3))
 
 
 def random_instances(name, rng, count, span=40):
@@ -160,6 +163,16 @@ REJECTED_ARGUMENTS = {
     "decompose a": (lambda: FAMILIES["C3"].decompose(-4), "requires a > 0"),
     "point_order point": (lambda: point_order(WeierstrassModel(0, -1, -1, 0, 0),
                                               AffinePoint(2, 1)), "not on the curve"),
+    # Neither (0, 1/2) nor (0, 3) is on these curves; unchecked, their sum
+    # is INFINITY on the first and a ZeroDivisionError on the second.
+    "add_points on [0,-1,-1,2,0]": (
+        lambda: add_points(WeierstrassModel(0, -1, -1, 2, 0), _OFF_CURVE, _OFF_CURVE_2),
+        r"point \(0, 1/2\) is not on the curve"),
+    "add_points on [0,-1,-1,0,0]": (
+        lambda: add_points(WeierstrassModel(0, -1, -1, 0, 0), _OFF_CURVE, _OFF_CURVE_2),
+        r"point \(0, 1/2\) is not on the curve"),
+    "add_points q": (lambda: add_points(WeierstrassModel(0, -1, -1, 0, 0), ORIGIN, _OFF_CURVE_2),
+                     r"point \(0, 3\) is not on the curve"),
     "Isomorphism u": (lambda: Isomorphism(0), "u must be nonzero"),
     "minimal_model model": (
         lambda: minimal_model(WeierstrassModel(Fraction(1, 2), 0, 0, 0, 1)),

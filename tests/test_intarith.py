@@ -1,13 +1,15 @@
 """Exact integer arithmetic: valuations, radicals, squarefree, factoring."""
 
+import importlib.util
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from szpirolab import intarith
+from szpirolab import intarith, sharpness
 from szpirolab.intarith import (
     FactorBudgetError,
     ValidationError,
@@ -225,6 +227,107 @@ class TestCubeRule:
         assert exc.value.cofactor == hard
 
 
+def parent_is_squarefree(n: int) -> bool:
+    """The squarefree procedure before the gcd screen, kept as its oracle:
+    trial division, the exponent check, the cube rule, then factorize."""
+    small, m = intarith._trial(n)
+    if any(e > 1 for e in small.values()):
+        return False
+    if m < intarith._TRIAL_BOUND**3:
+        return m == 1 or math.isqrt(m) ** 2 != m
+    return all(e == 1 for _, e in factorize(n))
+
+
+def _screen_cases():
+    """Trial-prime squares times hard cofactors, and distinct trial primes
+    times cofactors without trial primes on both sides of 10^12."""
+    rng = random.Random(414)
+    trial = intarith._TRIAL_PRIMES
+    past = intarith.small_primes(10**6)[len(trial):]  # primes in (10^4, 10^6)
+    hard = [math.prod(PINNED)] + [p * q for p, q in HARD_SEMIPRIMES + SMALL_COFACTORS]
+    cases = []
+    for p in (2, 3, 9973):
+        cases += [p * p * h for h in hard[:2]] + [p * h for h in hard[:2]]
+    for _ in range(120):
+        p = rng.choice(trial)
+        others = math.prod(rng.sample(trial, rng.randrange(0, 4)))
+        cases.append(p * p * others * rng.choice(hard))
+    for _ in range(240):
+        small = math.prod(rng.sample(trial, rng.randrange(1, 5)))
+        a, b = rng.choice(past), rng.choice(past)
+        cofactor = rng.choice((1, a, a * a, a * b, a * b * rng.choice(past), a * a * b))
+        cases.append(small * cofactor)
+    return cases
+
+
+def _full_size_sharp_tail_factor_values():
+    """The factor values of f_T(n) that the full-size sharp_tail benchmark
+    workload hands to _f_is_squarefree: every sampled n and consistency n
+    of each sharpness family."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    size = workloads.SIZES["sharp_tail"]
+    consistency = [s * n for n in range(2, size["consistency"] + 1) for s in (1, -1)]
+    for fam in sharpness.SHARP_FAMILIES.values():
+        for n in list(sharpness._sample_values(2, size["n_max"], size["samples"])) + consistency:
+            yield fam.f_factor_values(n)
+
+
+class TestSquarefreeScreen:
+    """The gcd with the product of the trial primes decides a value before
+    trial division whenever a trial-prime square or the cube rule does."""
+
+    def test_against_the_parent_procedure(self):
+        cases = _screen_cases()
+        not_squarefree = [n for n in cases if not parent_is_squarefree(n)]
+        assert 100 < len(not_squarefree) < len(cases)
+        cofactors = [intarith._trial(n)[1] for n in cases]
+        assert sum(10**8 < m < 10**12 for m in cofactors) > 20
+        assert sum(m > 10**12 for m in cofactors) > 20
+        for n in cases:
+            assert intarith._is_squarefree_uncached(n) == parent_is_squarefree(n), n
+
+    def test_full_size_sharp_tail_values(self, monkeypatch):
+        # The values the workload's squarefree tests reach, in its order,
+        # each answered by the oracle.
+        values = []
+        monkeypatch.setattr(
+            intarith, "_is_squarefree_default", lambda n: values.append(n) or parent_is_squarefree(n)
+        )
+        for factor_values in _full_size_sharp_tail_factor_values():
+            sharpness._f_is_squarefree(factor_values)
+        monkeypatch.undo()
+        assert len(set(values)) > 2000
+        for n in values:
+            assert intarith._is_squarefree_uncached(n) == parent_is_squarefree(n), n
+
+    def test_screen_decides_without_trial_division(self, monkeypatch):
+        cases = _screen_cases()
+        expected = {n: parent_is_squarefree(n) for n in cases}
+        bound = intarith._TRIAL_BOUND**3
+        # The values that a trial-prime square or the cube rule decides.
+        decided = {
+            n for n in cases
+            if any(e > 1 for e in intarith._trial(n)[0].values()) or intarith._trial(n)[1] < bound
+        }
+        assert 100 < len(decided) < len(cases)
+        calls, trial = [], intarith._trial
+
+        def counted(n):
+            calls.append(n)
+            return trial(n)
+
+        monkeypatch.setattr(intarith, "_trial", counted)
+        monkeypatch.setattr(intarith, "_factorize_default", intarith._factorize_uncached)
+        for n in cases:
+            calls.clear()
+            assert intarith._is_squarefree_uncached(n) == expected[n], n
+            assert calls == ([] if n in decided else [n]), n
+
+
 class TestTrialDivision:
     def test_no_primes_below_two(self):
         assert small_primes(1) == small_primes(0) == () and small_primes(2) == (2,)
@@ -371,6 +474,39 @@ SMALL_COFACTORS = (
 RHO_COLLISIONS = ((10723, 24967), (12301, 30089), (13537, 17443))
 
 
+def oracle_brent_rho(n, c, max_iter):
+    """Brent-cycle rho with one reduction of q per step: the walk, batch
+    checkpoints and constant changes of intarith._brent_rho."""
+    iterations = 0
+    while True:
+        y, r, q, g = 2, 1, 1, 1
+        x = ys = y
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += min(128, r - k)
+            iterations += 2 * r
+            r *= 2
+            if g == 1 and iterations > max_iter:
+                return n
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n or iterations > max_iter:
+            return g
+        c += 1
+
+
 def _split(p, q):
     return intarith._factorize_uncached(p * q) == ((p, 1), (q, 1))
 
@@ -409,6 +545,26 @@ class TestFactoringMethods:
         p, q = PINNED
         assert intarith._ecm(p * q, 8, 500, 500) == 1
         assert intarith._ecm(p * q, 8, 500, 50_000) == p
+
+    def test_rho_walk_matches_one_reduction_per_step(self):
+        # Reducing q once per two steps keeps the walk and the batch gcd
+        # checkpoints, so rho returns what the one-step loop returned.
+        rng = random.Random(185)
+        past = intarith.small_primes(1 << 20)[1229:]
+        products = [p * q for p, q in SMALL_COFACTORS + RHO_COLLISIONS + HARD_SEMIPRIMES[:3]]
+        products += [rng.choice(past) * rng.choice(past) for _ in range(40)]
+        for n in products:
+            assert intarith._brent_rho(n, 1, 1 << 14) == oracle_brent_rho(n, 1, 1 << 14), n
+
+    @pytest.mark.parametrize("b1", intarith._ECM_B1)
+    def test_stage_2_covers_every_prime(self, b1):
+        b2 = 100 * b1
+        D, babies, giants = intarith._stage2_plan(b1, b2)
+        assert all(j % 2 == 1 and 2 * j < D and math.gcd(j, D) == 1 for j in babies)
+        reached = set(babies)  # a baby index shows in the product of the z's
+        reached.update(m * D + s * j for m in giants for j in babies for s in (1, -1))
+        missed = [q for q in small_primes(b2) if q > b1 and q not in reached]
+        assert missed == []
 
     def test_curve_setup_can_find_a_factor(self):
         # sigma = 3 gives the setup denominator 16 * 4^3 * 12, which 3 divides
@@ -458,6 +614,53 @@ class TestSympyOracle:
         values += [math.prod(PINNED), 3825123056546413051, 318665857834031151167461]
         for n in values:
             assert is_probable_prime(n) == sympy.isprime(n), n
+
+
+# OEIS A014233: the least odd composite that is a strong probable prime to
+# each of the first k prime bases, k = 1 .. 13.
+A014233 = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+    3825123056546413051, 318665857834031151167461, 3317044064679887385961981,
+)
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def oracle_strong_probable_prime(n: int, bases) -> bool:
+    """n odd > 2 passes the strong test to every base in bases."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x != 1 and all(pow(x, 2**i, n) != n - 1 for i in range(s)):
+            return False
+    return True
+
+
+class TestWitnessPrefixes:
+    """is_probable_prime runs the shortest proven prefix of its witnesses;
+    each least pseudoprime of a prefix must reach a longer one."""
+
+    @pytest.mark.parametrize("k", range(1, 14))
+    def test_least_pseudoprime_of_each_prefix(self, k):
+        n = A014233[k - 1]
+        assert oracle_strong_probable_prime(n, PRIME_BASES[:k])
+        if k < 13:
+            assert not is_probable_prime(n)
+        else:
+            # The end of the proven range: all 13 witnesses pass this
+            # composite, so past it the answer is a strong probable prime.
+            assert is_probable_prime(n)
+
+    def test_agrees_with_sympy_near_each_bound(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(14233)
+        for bound in sorted(set(A014233)):
+            for _ in range(300):
+                n = (bound + rng.randrange(-2000, 2001)) | 1
+                if n != A014233[-1]:
+                    assert is_probable_prime(n) == sympy.isprime(n), n
 
 
 class TestPrimality:
