@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import itemgetter
+from typing import NamedTuple
 
 from szpirolab.families import (
     FAMILIES,
@@ -91,8 +91,7 @@ def _forms_at(instance: FamilyInstance):
 PHI_FAMILIES = tuple(name for name, fam in FAMILIES.items() if fam.m is not None)
 
 
-@dataclass(frozen=True)
-class PhiSpec:
+class PhiSpec(NamedTuple):
     """One (family, u) branch of the height-vs-bound gap function."""
 
     family: FamilyId
@@ -121,8 +120,7 @@ def all_phi_specs() -> list[PhiSpec]:
     ]
 
 
-@dataclass(frozen=True)
-class PhiValue:
+class PhiValue(NamedTuple):
     x: Fraction
     sign: int  # exact sign of phi at x
     approx: float
@@ -341,8 +339,7 @@ def fan_out(fn, items, jobs: int, chunks: int, *shared) -> list:
             pool.shutdown(cancel_futures=True)
 
 
-@dataclass(frozen=True)
-class PhiScanResult:
+class PhiScanResult(NamedTuple):
     points: int
     violations: tuple[Fraction, ...]  # x with phi(x) < 0 (expected empty)
     zeros: tuple[Fraction, ...]  # x with phi(x) == 0
@@ -510,8 +507,7 @@ def verify_height_bound(delta, height, exp: Fraction) -> bool:
 # comparison is settled by degrees and leading coefficients.
 
 
-@dataclass(frozen=True)
-class DominanceReport:
+class DominanceReport(NamedTuple):
     max_side_degree: int
     bound_side_degree: Fraction  # l * deg(delta)
     dominant: bool

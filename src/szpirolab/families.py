@@ -17,6 +17,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from szpirolab.intarith import ValidationError, factorize, is_cubefree, is_squarefree
 from szpirolab.reduction import MinimalModelResult, minimal_model
@@ -360,8 +361,7 @@ def family(name: str) -> FamilyId:
         ) from None
 
 
-@dataclass(frozen=True)
-class FamilyInstance:
+class FamilyInstance(NamedTuple):
     """A validated parameter tuple for one family.
 
     bounds also builds unvalidated pattern instances, whose one free
@@ -397,20 +397,22 @@ def validate_params(name: str, *params: int) -> FamilyInstance:
     for pos, ok, message in fam.rules:
         if not (ok(*params) if pos is None else ok(params[pos])):
             raise ValidationError(message)
-    return _admit(fam, params)
+    return _admit(fam, params)[0]
 
 
-def _admit(fam: FamilyId, params: tuple) -> FamilyInstance:
-    """The instance of int params that pass every rule of fam; a singular
-    curve raises ValidationError.  The sweep calls it on what
-    iter_param_tuples enumerates, which has already passed the rules."""
+def _admit(fam: FamilyId, params: tuple) -> tuple[FamilyInstance, int]:
+    """(instance, delta_T at it) for int params that pass every rule of fam;
+    a singular curve raises ValidationError.  The sweep calls it on what
+    iter_param_tuples enumerates, which has already passed the rules, and
+    hands delta_T on to _scaled_delta."""
     instance = FamilyInstance(fam, params, fam.decompose(params[0]))
     # Once the rules hold, delta_T vanishes exactly where the family
     # discriminant does (for C3 the discriminant has one more factor, c >= 1
     # of a = c^3 d^2 e).
-    if fam.delta(*instance.delta_args) == 0:
+    base = fam.delta(*instance.delta_args)
+    if base == 0:
         raise ValidationError("parameters give a singular curve (discriminant zero)")
-    return instance
+    return instance, base
 
 
 def build_model(instance: FamilyInstance) -> WeierstrassModel:
@@ -445,13 +447,19 @@ def recover_uT(instance: FamilyInstance, mm: MinimalModelResult | None = None) -
     """
     if mm is None:
         mm = minimal_model(build_model(instance))
-    u = mm.scaling_u
-    if _u_key(instance, u) is None:
+    _recovered_key(instance, mm.scaling_u)
+    return mm.scaling_u
+
+
+def _recovered_key(instance: FamilyInstance, u: int):
+    """The delta_scales key of the recovered u; recover_uT's check."""
+    key = _u_key(instance, u)
+    if key is None:
         raise PaperContractViolation(
             f"recovered u = {u} for {instance} lies outside the allowed set "
             f"{tuple(instance.family.delta_scales)}"
         )
-    return u
+    return key
 
 
 def delta_eval(instance: FamilyInstance, u: int) -> int:
@@ -464,8 +472,15 @@ def delta_eval(instance: FamilyInstance, u: int) -> int:
     key = _u_key(instance, u)
     if key is None:
         raise ValidationError(f"u = {u} is not admissible for {fam.name}")
+    return _scaled_delta(instance, u, key, fam.delta(*instance.delta_args))
+
+
+def _scaled_delta(instance: FamilyInstance, u: int, key, base: int) -> int:
+    """delta_eval(instance, u) from the key of u and base, delta_T at the
+    instance."""
+    fam = instance.family
     scale = fam.delta_scales[key]
-    num = scale.numerator * fam.delta(*instance.delta_args)
+    num = scale.numerator * base
     value, rem = divmod(num, scale.denominator)
     if rem:
         raise PaperContractViolation(

@@ -9,7 +9,8 @@ constant when it meets every prime in one step, and reduces its product
 of differences once every two steps), and each runs one elliptic-curve
 (ECM) curve with fixed parameters until a factor is found; ECM's stage 2
 takes giant steps of _ECM_D.  Miller-Rabin runs the shortest prefix of
-its witnesses that is proven for n.  So repeated runs (and parallel
+its witnesses that is proven for n, and past the proven range a strong
+Lucas test as well (Baillie-PSW).  So repeated runs (and parallel
 workers) always agree.
 
 The squarefree test decides what one gcd with the product of the trial
@@ -42,8 +43,8 @@ __all__ = [
 ]
 
 # Deterministic Miller-Rabin witness set; proven sufficient for all
-# n < 3_317_044_064_679_887_385_961_981 (~3.3e24).  Above that bound the
-# same witnesses give a strong probable-prime answer.
+# n < 3_317_044_064_679_887_385_961_981 (~3.3e24).  From that bound on the
+# same witnesses and a strong Lucas test give a Baillie-PSW answer.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # OEIS A014233: _MR_PSEUDOPRIMES[k - 1] is the least odd composite that
 # passes the first k witnesses, so those k decide every n below it
@@ -107,7 +108,8 @@ def small_primes(limit: int) -> tuple[int, ...]:
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin with the fixed witness set (deterministic below ~3.3e24).
+    """Miller-Rabin with the fixed witness set, deterministic below ~3.3e24;
+    from there on also a strong Lucas test (so Baillie-PSW).
 
     n is tested with the shortest prefix of the witnesses that is proven
     for it (by _MR_PSEUDOPRIMES), and with all of them past the table.
@@ -132,7 +134,61 @@ def is_probable_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _MR_PSEUDOPRIMES[-1] or _strong_lucas(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test of an odd n > 41 with no prime
+    factor up to 41, with Selfridge's parameters: the first D of 5, -7, 9,
+    -11, ... with (D/n) = -1, P = 1 and Q = (1 - D)/4 (Baillie-Wagstaff
+    1980).  With n + 1 = d 2^s, a prime n has U_d = 0 or V_(d 2^r) = 0 for
+    some 0 <= r < s."""
+    if math.isqrt(n) ** 2 == n:
+        return False  # no D would be found
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return False  # 1 < gcd(D, n) <= |D| < n
+        D = -D - 2 if D > 0 else 2 - D
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    # U_k, V_k and Q^k mod n from k = 1 along the bits of d: doubling is
+    # U_2k = U_k V_k, V_2k = V_k^2 - 2 Q^k; with P = 1 the step to k + 1 is
+    # U = (U_k + V_k) / 2, V = (D U_k + V_k) / 2, halved mod the odd n.
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V = U + V, D * U + V
+            U = (U + n if U % 2 else U) // 2 % n
+            V = (V + n if V % 2 else V) // 2 % n
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 def p_adic_valuation(n: int, p: int) -> int:
@@ -141,8 +197,13 @@ def p_adic_valuation(n: int, p: int) -> int:
         raise ValidationError("valuation undefined: n = 0")
     if p < 2 or not is_probable_prime(p):
         raise ValidationError(f"valuation base must be prime, got {p}")
+    return _valuation(n, p)
+
+
+def _valuation(n: int, p: int) -> int:
+    """p_adic_valuation(n, p) without its checks, for a caller whose n is
+    nonzero and whose p is prime (from factorize, or 2 or 3)."""
     k = 0
-    n = abs(n)
     while n % p == 0:
         n //= p
         k += 1

@@ -15,11 +15,12 @@ the conductor and the naive height.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from szpirolab.intarith import (
     Factorization,
     ValidationError,
+    _valuation,
     factorize,
     p_adic_valuation,
 )
@@ -47,8 +48,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MinimalModelResult:
+class MinimalModelResult(NamedTuple):
     minimal: WeierstrassModel
     scaling_u: int
     iso: Isomorphism
@@ -59,8 +59,7 @@ class MinimalModelResult:
         return self.invariants.delta
 
 
-@dataclass(frozen=True)
-class LocalReductionData:
+class LocalReductionData(NamedTuple):
     p: int
     vp_delta: int
     fp: int
@@ -80,7 +79,7 @@ def _kraus_ok_at_2(c4: int, c6: int) -> bool:
 
 def _kraus_ok_at_3(c6: int) -> bool:
     # 3-adic condition: v3(c6) != 2.
-    return c6 == 0 or p_adic_valuation(c6, 3) != 2
+    return c6 == 0 or _valuation(c6, 3) != 2
 
 
 def _model_from_c4c6(c4: int, c6: int) -> tuple[WeierstrassModel, ModelInvariants]:
@@ -146,11 +145,11 @@ def minimal_model(m: WeierstrassModel) -> MinimalModelResult:
     # c6 are not both zero, so the gcd is nonzero.
     u = 1
     for p, _ in factorize(math.gcd(c4, c6)):
-        k = p_adic_valuation(delta, p) // 12
+        k = _valuation(delta, p) // 12
         if c4 != 0:
-            k = min(k, p_adic_valuation(c4, p) // 4)
+            k = min(k, _valuation(c4, p) // 4)
         if c6 != 0:
-            k = min(k, p_adic_valuation(c6, p) // 6)
+            k = min(k, _valuation(c6, p) // 6)
         if p == 2:
             while k > 0 and not _kraus_ok_at_2(c4 // 2 ** (4 * k), c6 // 2 ** (6 * k)):
                 k -= 1
@@ -359,8 +358,7 @@ def sigma_m(height: int, conductor: int) -> float:
     return math.log(height) / math.log(conductor)
 
 
-@dataclass(frozen=True)
-class CurveAnalysis:
+class CurveAnalysis(NamedTuple):
     """Everything the checks need about one curve, computed once."""
 
     mm: MinimalModelResult

@@ -12,6 +12,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from szpirolab.bounds import verify_height_bound
 from szpirolab.families import FAMILIES, ValidationError
@@ -230,8 +231,7 @@ def degree_limit_check(T: str) -> bool:
     return Fraction(spec.height_degree, spec.f_degree) == spec.l
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(NamedTuple):
     T: str
     n: int
     w: int
@@ -313,8 +313,7 @@ def _f_is_squarefree(values: list[int]) -> bool:
     return all(abs(v) == 1 or is_squarefree(v) for v in values)
 
 
-@dataclass(frozen=True)
-class SharpnessRecord:
+class SharpnessRecord(NamedTuple):
     T: str
     n: int
     model: WeierstrassModel
@@ -352,8 +351,7 @@ def fit_intercept(points: list[tuple[float, float]]) -> tuple[float, float]:
     return intercept, slope
 
 
-@dataclass(frozen=True)
-class ConvergenceScan:
+class ConvergenceScan(NamedTuple):
     T: str
     records: tuple[SharpnessRecord, ...]
     intercept: float | None

@@ -4,8 +4,10 @@ One pass per instance runs the whole pipeline (minimal model, conductor,
 bound polynomial, height inequality, torsion certification) and returns
 findings; a sweep aggregates them.  A sweep groups the tuples that give
 the same family model (C2 (a, b, d) and (a, -b, d), C2xC2 (a, b, d) and
-(-a, -b, -d)) and runs one analysis per distinct model; the checks that
-read the instance run once per instance.  Instances are enumerated
+(-a, -b, -d)) and runs one analysis per distinct model, with the ratio
+bound, sigma_m and the torsion data it decides; the checks that read the
+instance run once per instance, on the delta_T its admission computed.
+Results are tuple records (typing.NamedTuple).  Instances are enumerated
 deterministically and every finding is tagged with its input index, by
 which the chunks' findings are merged, so output never depends on
 grouping or on worker scheduling.
@@ -16,9 +18,8 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass
-from fractions import Fraction
 from operator import itemgetter
+from typing import NamedTuple
 
 from szpirolab.bounds import fan_out, verify_height_bound
 from szpirolab.families import (
@@ -26,17 +27,17 @@ from szpirolab.families import (
     PaperContractViolation,
     ValidationError,
     _admit,
+    _recovered_key,
+    _scaled_delta,
     build_model,
-    delta_eval,
     family,
-    recover_uT,
 )
-from szpirolab.intarith import p_adic_valuation
+from szpirolab.intarith import _valuation
 from szpirolab.reduction import analyze, sigma_m
 from szpirolab.weierstrass import (
     AffinePoint,
     WeierstrassModel,
-    full_two_torsion,
+    _two_torsion_count,
     point_order,
 )
 
@@ -50,7 +51,7 @@ __all__ = [
     "run_sweep",
 ]
 
-_ORIGIN = AffinePoint(Fraction(0), Fraction(0))
+_ORIGIN = AffinePoint(0, 0)
 
 _FP_CAPS = {2: 8, 3: 5}
 
@@ -73,8 +74,7 @@ def _reject_unknown_checks(checks) -> None:
         raise ValidationError(f"unknown checks: {sorted(unknown)}")
 
 
-@dataclass(frozen=True)
-class InstanceReport:
+class InstanceReport(NamedTuple):
     u: int
     conductor: int
     delta_bound: int
@@ -103,44 +103,49 @@ def check_instance(instance: FamilyInstance, checks=ALL_CHECKS) -> InstanceRepor
     An unknown check name raises ValidationError.
     """
     _reject_unknown_checks(checks)
-    model_data = _model_data(build_model(instance), instance.family, checks)
-    return _instance_report(instance, checks, model_data)
+    fam = instance.family
+    model_data = _model_data(build_model(instance), fam, checks)
+    base = fam.delta(*instance.delta_args)
+    return _instance_report(instance, base, checks, model_data)
 
 
 def _model_data(model, fam, checks):
     """What the checks read of the family model alone, so instances with
-    one model can share it: analyze(model) and, under "torsion", the order
-    of (0, 0) and the count of rational 2-torsion points (None where the
-    family does not demand full 2-torsion)."""
+    one model can share it: analyze(model), whether its height exceeds
+    N^l for the family's l (the ratio bound), sigma_m and, under "torsion",
+    the order of (0, 0) and the count of rational 2-torsion points (None
+    where the family does not demand full 2-torsion)."""
     ca = analyze(model)
+    ratio_ok = verify_height_bound(ca.conductor, ca.height, fam.l)
+    sigma = sigma_m(ca.height, ca.conductor)
     if "torsion" not in checks:
-        return ca, None, None
+        return ca, ratio_ok, sigma, None, None
     # analyze has already shown delta != 0
     order = point_order(model, _ORIGIN, nonsingular=True)
-    two = len(full_two_torsion(model)) if fam.has_full_two_torsion else None
-    return ca, order, two
+    two = _two_torsion_count(model) if fam.has_full_two_torsion else None
+    return ca, ratio_ok, sigma, order, two
 
 
-def _instance_report(instance, checks, model_data) -> InstanceReport:
-    """check_instance on an instance whose family model gave model_data;
-    every finding names the instance."""
+def _instance_report(instance, base, checks, model_data) -> InstanceReport:
+    """check_instance on an instance with delta_T = base whose family model
+    gave model_data; every finding names the instance."""
     findings: list[str] = []
     fam = instance.family
-    ca, order, two = model_data
-    mm, N, height = ca.mm, ca.conductor, ca.height
+    ca, ratio_ok, sigma, order, two = model_data
+    N, height = ca.conductor, ca.height
+    u = ca.mm.scaling_u
 
     # delta stays None where delta_{T,u} is not needed or has no value; in
     # the latter case a finding already reports the instance
     delta = None
     try:
-        u = recover_uT(instance, mm)
+        key = _recovered_key(instance, u)
     except PaperContractViolation as exc:
         findings.append(str(exc))
-        u = mm.scaling_u
     else:
         if "bounds" in checks or "height" in checks:
             try:
-                delta = abs(delta_eval(instance, u))
+                delta = abs(_scaled_delta(instance, u, key, base))
             except PaperContractViolation as exc:
                 findings.append(f"{instance}: {exc}")
     bound = delta if "bounds" in checks and delta is not None else 0
@@ -153,13 +158,13 @@ def _instance_report(instance, checks, model_data) -> InstanceReport:
         if fp > cap:
             findings.append(f"{instance}: f_{p} = {fp} exceeds cap {cap}")
         if bound and bound % p ** fp != 0:
-            vd = p_adic_valuation(bound, p)
+            vd = _valuation(bound, p)
             findings.append(f"{instance}: v_{p}(N) = {fp} > v_{p}(delta) = {vd}")
 
     if bound and N > bound:
         findings.append(f"{instance}: conductor {N} > bound {bound}")
 
-    if not verify_height_bound(N, height, fam.l):
+    if not ratio_ok:
         p, q = fam.l.numerator, fam.l.denominator
         findings.append(f"{instance}: height^{q} <= N^{p} (ratio bound violated)")
 
@@ -178,7 +183,7 @@ def _instance_report(instance, checks, model_data) -> InstanceReport:
         if two is not None and two != 4:
             findings.append(f"{instance}: full rational 2-torsion not found")
 
-    return InstanceReport(u, N, bound, height, sigma_m(height, N), tuple(findings))
+    return InstanceReport(u, N, bound, height, sigma, tuple(findings))
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +210,7 @@ def iter_param_tuples(name: str, bound: int):
             yield params
 
 
-@dataclass(frozen=True)
-class SweepSummary:
+class SweepSummary(NamedTuple):
     family: str
     bound: int
     checked: int
@@ -250,12 +254,12 @@ def _check_chunk(fam, checks, groups):
         model_data = None
         for index, params in members:
             try:
-                inst = _admit(fam, params)
+                inst, base = _admit(fam, params)
             except ValidationError:
                 continue
             if model_data is None:
                 model_data = _model_data(WeierstrassModel(*coeffs), fam, checks)
-            rep = _instance_report(inst, checks, model_data)
+            rep = _instance_report(inst, base, checks, model_data)
             checked += 1
             findings.extend((index, f) for f in rep.findings)
             max_sigma = max(max_sigma, rep.sigma_m)

@@ -9,8 +9,9 @@ plain polynomial expressions, so they also accept Poly coefficients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
+from typing import NamedTuple
 
 from szpirolab.intarith import ValidationError
 
@@ -50,8 +51,7 @@ def _norm(x):
     return x
 
 
-@dataclass(frozen=True)
-class WeierstrassModel:
+class WeierstrassModel(NamedTuple):
     a1: object
     a2: object
     a3: object
@@ -59,7 +59,7 @@ class WeierstrassModel:
     a6: object
 
     def coefficients(self):
-        return (self.a1, self.a2, self.a3, self.a4, self.a6)
+        return tuple(self)
 
     def is_integral(self) -> bool:
         return (
@@ -74,8 +74,7 @@ class WeierstrassModel:
         return f"[{self.a1},{self.a2},{self.a3},{self.a4},{self.a6}]"
 
 
-@dataclass(frozen=True)
-class ModelInvariants:
+class ModelInvariants(NamedTuple):
     b2: object
     b4: object
     b6: object
@@ -109,18 +108,20 @@ def j_invariant(m: WeierstrassModel) -> Fraction:
     return Fraction(inv.c4**3) / Fraction(inv.delta)
 
 
-@dataclass(frozen=True)
-class Isomorphism:
+class Isomorphism(namedtuple("Isomorphism", "u r s t", defaults=(0, 0, 0))):
     """Change of variables x = u^2 x' + r, y = u^3 y' + u^2 s x' + t."""
 
-    u: object
-    r: object = 0
-    s: object = 0
-    t: object = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.u == 0:
+    def __new__(cls, u, r=0, s=0, t=0):
+        if u == 0:
             raise ValidationError("isomorphism scale u must be nonzero")
+        return super().__new__(cls, u, r, s, t)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make; route it through the u check
+        return cls(*iterable)
 
 
 def _exact_div(value, den_power):
@@ -178,8 +179,7 @@ def integral_model(m: WeierstrassModel) -> tuple[WeierstrassModel, int]:
 # Rational points and the group law
 
 
-@dataclass(frozen=True)
-class AffinePoint:
+class AffinePoint(NamedTuple):
     x: Fraction
     y: Fraction
 
@@ -367,6 +367,20 @@ def full_two_torsion(m: WeierstrassModel) -> list:
     certified in integer projective coordinates and mapped back by L^2 and
     L^3.
     """
+    L, points = _two_torsion_projective(m)
+    return [INFINITY, *(_affine(P, L) for P in points)]
+
+
+def _two_torsion_count(m: WeierstrassModel) -> int:
+    """len(full_two_torsion(m)), with the same checks and errors, from the
+    certified projective points alone."""
+    return 1 + len(_two_torsion_projective(m)[1])
+
+
+def _two_torsion_projective(m: WeierstrassModel) -> tuple[int, list]:
+    """(L, points): the scale of integral_model(m) and the points of order 2
+    on it, each certified on the curve in integer projective coordinates
+    (see full_two_torsion)."""
     im, L = integral_model(m)
     a = a1, a2, a3, a4, a6 = im.coefficients()
     b2, b4, b6 = a1 * a1 + 4 * a2, 2 * a4 + a1 * a3, a3 * a3 + 4 * a6
@@ -377,11 +391,11 @@ def full_two_torsion(m: WeierstrassModel) -> list:
     # the derivative 12x^2 + 2 b2 x + 2 b4.
     if any(6 * x0 * x0 + b2 * x0 * c + b4 * c * c == 0 for x0 in roots):
         raise SingularModelError("two-torsion undefined on a singular model")
-    points = [INFINITY]
+    points = []
     for x0 in roots:
         # (x0/c, -(a1 x0/c + a3)/2) on the integral model
         X, Y, Z = 2 * x0, -(a1 * x0 + a3 * c), 2 * c
         if not _projective_on_curve(a, (X, Y, Z)):
             raise CertificateError(f"2-torsion candidate ({X}:{Y}:{Z}) is not on {im}")
-        points.append(_affine((X, Y, Z), L))
-    return points
+        points.append((X, Y, Z))
+    return L, points

@@ -849,7 +849,7 @@ class TestHomogeneity:
     def test_non_integral_scale_raises(self):
         # explicit, so the check holds under python -O as well
         inst = validate_params("C5", 2, 3)
-        bad = dataclasses.replace(inst, family=dataclasses.replace(inst.family, m=13))
+        bad = inst._replace(family=dataclasses.replace(inst.family, m=13))
         with pytest.raises(CertificateError, match="integer multiple"):
             homogeneity_check(bad)
 

@@ -21,6 +21,7 @@ from szpirolab.intarith import (
     radical,
     small_primes,
 )
+from szpirolab.intarith import _strong_lucas, _valuation
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +97,16 @@ class TestValuation:
         assert p_adic_valuation(m * n, p) == p_adic_valuation(
             m, p
         ) + p_adic_valuation(n, p)
+
+    def test_unchecked_valuation_agrees(self):
+        # _valuation is p_adic_valuation without the prime and zero checks,
+        # for callers whose p comes from factorize (or is 2 or 3)
+        rng = random.Random(9299)
+        primes = small_primes(200) + (1_000_003, 2**61 - 1)
+        for _ in range(3000):
+            p = rng.choice(primes)
+            n = rng.choice((-1, 1)) * rng.randrange(1, 10**40) * p ** rng.randrange(0, 30)
+            assert _valuation(n, p) == p_adic_valuation(n, p) == oracle_valuation(n, p), (n, p)
 
 
 class TestRadical:
@@ -646,12 +657,9 @@ class TestWitnessPrefixes:
     def test_least_pseudoprime_of_each_prefix(self, k):
         n = A014233[k - 1]
         assert oracle_strong_probable_prime(n, PRIME_BASES[:k])
-        if k < 13:
-            assert not is_probable_prime(n)
-        else:
-            # The end of the proven range: all 13 witnesses pass this
-            # composite, so past it the answer is a strong probable prime.
-            assert is_probable_prime(n)
+        # k = 13 ends the proven range: all 13 witnesses pass this
+        # composite, and the strong Lucas test rejects it.
+        assert not is_probable_prime(n)
 
     def test_agrees_with_sympy_near_each_bound(self):
         sympy = pytest.importorskip("sympy")
@@ -659,8 +667,65 @@ class TestWitnessPrefixes:
         for bound in sorted(set(A014233)):
             for _ in range(300):
                 n = (bound + rng.randrange(-2000, 2001)) | 1
-                if n != A014233[-1]:
-                    assert is_probable_prime(n) == sympy.isprime(n), n
+                assert is_probable_prime(n) == sympy.isprime(n), n
+
+
+# OEIS A217255: the least strong Lucas pseudoprimes (Selfridge's parameters).
+A217255 = (
+    5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519,
+    75077, 97439, 100127, 113573, 115639, 130139,
+)
+
+
+class TestStrongLucas:
+    """From the end of the proven Miller-Rabin range on, is_probable_prime
+    adds a strong Lucas test with Selfridge's parameters (Baillie-PSW)."""
+
+    def test_matches_sympy_strong_lucas(self):
+        primetest = pytest.importorskip("sympy.ntheory.primetest")
+        rng = random.Random(1980)
+        small = range(43, 30_000, 2)
+        large = [rng.randrange(A014233[-1], 10**40) | 1 for _ in range(300)]
+        for n in [*small, *large]:
+            if math.gcd(n, math.prod(PRIME_BASES)) == 1:
+                assert _strong_lucas(n) == primetest.is_strong_lucas_prp(n), n
+
+    def test_lucas_pseudoprimes_pass_it_and_not_miller_rabin(self):
+        for n in A217255:
+            assert _strong_lucas(n) and not is_probable_prime(n), n
+
+    def test_rejects_squares(self):
+        for p in (43, 1_000_003, 1_824_261_409_463):
+            assert not _strong_lucas(p * p)
+
+    def test_agrees_with_sympy_above_the_proven_range(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(3317)
+        lo = A014233[-1]
+        values = [rng.randrange(lo, 10**40) | 1 for _ in range(3000)]
+        primes = [sympy.nextprime(rng.randrange(lo, 10**40)) for _ in range(100)]
+        halves = [sympy.nextprime(rng.randrange(10**12, 10**15)) for _ in range(100)]
+        values += primes
+        values += [p * q for p, q in zip(halves, halves[1:]) if p * q >= lo]
+        values += [p * p for p in halves if p * p >= lo]
+        values += [lo - 2, lo, lo + 2]
+        assert sum(sympy.isprime(n) for n in values) > 150
+        for n in values:
+            assert is_probable_prime(n) == sympy.isprime(n), n
+
+    def test_not_run_below_the_proven_range(self, monkeypatch):
+        sympy = pytest.importorskip("sympy")
+
+        def never(n):
+            pytest.fail(f"strong Lucas test run on {n}")
+
+        monkeypatch.setattr(intarith, "_strong_lucas", never)
+        rng = random.Random(4233)
+        for _ in range(2000):
+            n = rng.randrange(2, A014233[-1]) | 1
+            assert is_probable_prime(n) == sympy.isprime(n), n
+        for n in (A014233[-1] - 2, *A014233[:-1]):
+            assert is_probable_prime(n) == sympy.isprime(n), n
 
 
 class TestPrimality:

@@ -1,7 +1,6 @@
 """Minimal models, Tate's algorithm, conductors, semistability."""
 
 import contextlib
-import dataclasses
 import io
 import json
 import random
@@ -420,7 +419,7 @@ class TestExplicitChecks:
         real = reduction.compute_invariants
 
         def off_by_24(m):
-            return dataclasses.replace(real(m), c4=real(m).c4 + 24)
+            return real(m)._replace(c4=real(m).c4 + 24)
 
         monkeypatch.setattr(reduction, "compute_invariants", off_by_24)
         with pytest.raises(CertificateError, match="c4"):

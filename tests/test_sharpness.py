@@ -1,6 +1,5 @@
 """Sharpness sequences: table data, cross-validation, sieving, convergence."""
 
-import dataclasses
 import math
 import sys
 from fractions import Fraction
@@ -335,9 +334,9 @@ class TestFindingTexts:
     def test_additive_reduction(self, monkeypatch):
         def edit(ca):
             local = tuple(
-                dataclasses.replace(d, semistable=d.p != 5) for d in ca.local
+                d._replace(semistable=d.p != 5) for d in ca.local
             )
-            return dataclasses.replace(ca, local=local)
+            return ca._replace(local=local)
 
         edit_analysis(monkeypatch, sharpness, edit)
         assert verify_sharp_consistency("C2xC2", 3).findings == (
@@ -346,7 +345,7 @@ class TestFindingTexts:
 
     def test_conductor_not_f(self, monkeypatch):
         edit_analysis(
-            monkeypatch, sharpness, lambda ca: dataclasses.replace(ca, conductor=2730)
+            monkeypatch, sharpness, lambda ca: ca._replace(conductor=2730)
         )
         assert verify_sharp_consistency("C2xC2", 3).findings == (
             "conductor 2730 != |f(n)| = 1365 for squarefree f, F_C2xC2(3)",

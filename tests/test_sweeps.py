@@ -113,7 +113,8 @@ class TestRulesCheckedOnce:
 
         def through_validate_params(fam, params):
             validated.append(params)
-            return validate_params(fam.name, *params)
+            inst = validate_params(fam.name, *params)
+            return inst, fam.delta(*inst.delta_args)
 
         monkeypatch.setattr(sweeps, "_admit", through_validate_params)
         assert summaries() == admitted
@@ -197,7 +198,7 @@ def _edit_local(**changes):
 
     def edit(ca):
         first, *rest = ca.local
-        return dataclasses.replace(ca, local=(dataclasses.replace(first, **changes), *rest))
+        return ca._replace(local=(first._replace(**changes), *rest))
 
     return edit
 
@@ -226,7 +227,7 @@ class TestFindingTexts:
     def test_ratio_bound(self, height, ok, monkeypatch):
         # height > N^3 = 1331 is strict
         edit_analysis(
-            monkeypatch, sweeps, lambda ca: dataclasses.replace(ca, height=height)
+            monkeypatch, sweeps, lambda ca: ca._replace(height=height)
         )
         rep = check_instance(self.inst, checks=("bounds", "torsion"))
         assert rep.findings == (
@@ -236,7 +237,7 @@ class TestFindingTexts:
     @pytest.mark.parametrize("delta, ok", [(28, True), (29, False)])
     def test_height_bound(self, delta, ok, monkeypatch):
         # 28^3 = 21952 < 23104 < 29^3 = 24389
-        monkeypatch.setattr(sweeps, "delta_eval", lambda instance, u: delta)
+        monkeypatch.setattr(sweeps, "_scaled_delta", lambda instance, u, key, base: delta)
         rep = check_instance(self.inst, checks=("height",))
         assert rep.findings == (
             () if ok else ("C5(1, 1): |delta|^l >= u^-12 max(|alpha^3|, beta^2)",)
@@ -245,7 +246,7 @@ class TestFindingTexts:
     def test_full_two_torsion_not_found(self, monkeypatch):
         inst = _first_instance("C2xC4")
         assert check_instance(inst).ok
-        monkeypatch.setattr(sweeps, "full_two_torsion", lambda model: ())
+        monkeypatch.setattr(sweeps, "_two_torsion_count", lambda model: 0)
         assert check_instance(inst).findings == (
             f"{inst}: full rational 2-torsion not found",
         )

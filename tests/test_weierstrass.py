@@ -24,6 +24,7 @@ from szpirolab.weierstrass import (
     _integral_projective,
     _projective_add,
     _projective_on_curve,
+    _two_torsion_count,
     add_points,
     compute_invariants,
     full_two_torsion,
@@ -670,3 +671,74 @@ class TestTwoTorsionCheck:
             full_two_torsion(WeierstrassModel(0, 0, 0, -1, 0))
         with pytest.raises(CertificateError, match="not on"):
             full_two_torsion(WeierstrassModel(0, Fraction(7, 4), 0, Fraction(-1, 2), 0))
+
+
+def _box_models(name, bound):
+    """The distinct family models of the valid tuples in the box."""
+    models = set()
+    for params in iter_param_tuples(name, bound):
+        try:
+            models.add(build_model(validate_params(name, *params)))
+        except ValidationError:
+            continue
+    return models
+
+
+class TestTwoTorsionCount:
+    """The sweep counts rational 2-torsion with _two_torsion_count, which
+    builds no points; it must give len(full_two_torsion(m)) and raise what
+    full_two_torsion raises."""
+
+    @pytest.mark.parametrize("name", ["C2xC2", "C2xC4", "C2xC6", "C2xC8"])
+    def test_matches_full_two_torsion_on_box_8(self, name):
+        models = _box_models(name, 8)
+        assert len(models) > 80
+        for m in models:
+            assert _two_torsion_count(m) == len(full_two_torsion(m)) == 4, m
+
+    def test_matches_full_two_torsion_on_rational_models(self):
+        rng = random.Random(30)
+        models = sorted(_box_models("C2", 3) | _box_models("C2xC4", 3), key=str)
+        models.append(WeierstrassModel(0, 0, 1, -1, 0))  # only the identity
+        rational = 0
+        for m in models:
+            iso = Isomorphism(Fraction(rng.randrange(1, 7), rng.randrange(1, 7)),
+                              Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)))
+            scaled = transform(m, iso)
+            rational += not scaled.is_integral()
+            assert _two_torsion_count(scaled) == len(full_two_torsion(scaled)), scaled
+            assert _two_torsion_count(scaled) == _two_torsion_count(m)
+        assert rational > len(models) // 2
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            WeierstrassModel(0, 0, 0, 0, 0),  # cusp
+            WeierstrassModel(0, 1, 0, 0, 0),  # node
+            WeierstrassModel(0, Fraction(1, 4), 0, 0, 0),
+            WeierstrassModel(1, 0, 0, 0, 0),  # y^2 + xy = x^3, a node at (0, 0)
+        ],
+    )
+    def test_singular_model_raises_the_same_error(self, m):
+        assert compute_invariants(m).delta == 0
+        with pytest.raises(SingularModelError) as full:
+            full_two_torsion(m)
+        with pytest.raises(SingularModelError) as count:
+            _two_torsion_count(m)
+        assert str(count.value) == str(full.value)
+
+    @pytest.mark.parametrize("name", ["C2xC2", "C2xC4", "C2xC6", "C2xC8", "C2"])
+    def test_candidate_moved_off_the_curve_raises(self, name, monkeypatch):
+        # Each integer root of the monic 2-division cubic moved by one: its
+        # candidate point is off the curve, and the count must not skip the
+        # certificate that rejects it.
+        real = weierstrass._monic_cubic_integer_roots
+        monkeypatch.setattr(
+            weierstrass, "_monic_cubic_integer_roots", lambda *c: [r + 1 for r in real(*c)]
+        )
+        for m in sorted(_box_models(name, 3), key=str):
+            with pytest.raises(CertificateError, match="not on") as full:
+                full_two_torsion(m)
+            with pytest.raises(CertificateError, match="not on") as count:
+                _two_torsion_count(m)
+            assert str(count.value) == str(full.value)
