@@ -397,22 +397,20 @@ def validate_params(name: str, *params: int) -> FamilyInstance:
     for pos, ok, message in fam.rules:
         if not (ok(*params) if pos is None else ok(params[pos])):
             raise ValidationError(message)
-    return _admit(fam, params)[0]
+    return _admit(fam, params)
 
 
-def _admit(fam: FamilyId, params: tuple) -> tuple[FamilyInstance, int]:
-    """(instance, delta_T at it) for int params that pass every rule of fam;
-    a singular curve raises ValidationError.  The sweep calls it on what
-    iter_param_tuples enumerates, which has already passed the rules, and
-    hands delta_T on to _scaled_delta."""
+def _admit(fam: FamilyId, params: tuple) -> FamilyInstance:
+    """The instance of int params that pass every rule of fam; a singular
+    curve raises ValidationError.  The sweep calls it on what
+    iter_param_tuples enumerates, which has already passed the rules."""
     instance = FamilyInstance(fam, params, fam.decompose(params[0]))
     # Once the rules hold, delta_T vanishes exactly where the family
     # discriminant does (for C3 the discriminant has one more factor, c >= 1
     # of a = c^3 d^2 e).
-    base = fam.delta(*instance.delta_args)
-    if base == 0:
+    if fam.delta(*instance.delta_args) == 0:
         raise ValidationError("parameters give a singular curve (discriminant zero)")
-    return instance, base
+    return instance
 
 
 def build_model(instance: FamilyInstance) -> WeierstrassModel:
@@ -447,19 +445,13 @@ def recover_uT(instance: FamilyInstance, mm: MinimalModelResult | None = None) -
     """
     if mm is None:
         mm = minimal_model(build_model(instance))
-    _recovered_key(instance, mm.scaling_u)
-    return mm.scaling_u
-
-
-def _recovered_key(instance: FamilyInstance, u: int):
-    """The delta_scales key of the recovered u; recover_uT's check."""
-    key = _u_key(instance, u)
-    if key is None:
+    u = mm.scaling_u
+    if _u_key(instance, u) is None:
         raise PaperContractViolation(
             f"recovered u = {u} for {instance} lies outside the allowed set "
             f"{tuple(instance.family.delta_scales)}"
         )
-    return key
+    return u
 
 
 def delta_eval(instance: FamilyInstance, u: int) -> int:
@@ -472,15 +464,8 @@ def delta_eval(instance: FamilyInstance, u: int) -> int:
     key = _u_key(instance, u)
     if key is None:
         raise ValidationError(f"u = {u} is not admissible for {fam.name}")
-    return _scaled_delta(instance, u, key, fam.delta(*instance.delta_args))
-
-
-def _scaled_delta(instance: FamilyInstance, u: int, key, base: int) -> int:
-    """delta_eval(instance, u) from the key of u and base, delta_T at the
-    instance."""
-    fam = instance.family
     scale = fam.delta_scales[key]
-    num = scale.numerator * base
+    num = scale.numerator * fam.delta(*instance.delta_args)
     value, rem = divmod(num, scale.denominator)
     if rem:
         raise PaperContractViolation(

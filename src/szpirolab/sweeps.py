@@ -6,11 +6,11 @@ findings; a sweep aggregates them.  A sweep groups the tuples that give
 the same family model (C2 (a, b, d) and (a, -b, d), C2xC2 (a, b, d) and
 (-a, -b, -d)) and runs one analysis per distinct model, with the ratio
 bound, sigma_m and the torsion data it decides; the checks that read the
-instance run once per instance, on the delta_T its admission computed.
-Results are tuple records (typing.NamedTuple).  Instances are enumerated
-deterministically and every finding is tagged with its input index, by
-which the chunks' findings are merged, so output never depends on
-grouping or on worker scheduling.
+instance run once per instance.  Results are tuple records
+(typing.NamedTuple).  Instances are enumerated deterministically and
+every finding is tagged with its input index, by which the chunks'
+findings are merged, so output never depends on grouping or on worker
+scheduling.
 """
 
 from __future__ import annotations
@@ -27,10 +27,10 @@ from szpirolab.families import (
     PaperContractViolation,
     ValidationError,
     _admit,
-    _recovered_key,
-    _scaled_delta,
     build_model,
+    delta_eval,
     family,
+    recover_uT,
 )
 from szpirolab.intarith import _valuation
 from szpirolab.reduction import analyze, sigma_m
@@ -103,10 +103,8 @@ def check_instance(instance: FamilyInstance, checks=ALL_CHECKS) -> InstanceRepor
     An unknown check name raises ValidationError.
     """
     _reject_unknown_checks(checks)
-    fam = instance.family
-    model_data = _model_data(build_model(instance), fam, checks)
-    base = fam.delta(*instance.delta_args)
-    return _instance_report(instance, base, checks, model_data)
+    model_data = _model_data(build_model(instance), instance.family, checks)
+    return _instance_report(instance, checks, model_data)
 
 
 def _model_data(model, fam, checks):
@@ -126,26 +124,26 @@ def _model_data(model, fam, checks):
     return ca, ratio_ok, sigma, order, two
 
 
-def _instance_report(instance, base, checks, model_data) -> InstanceReport:
-    """check_instance on an instance with delta_T = base whose family model
-    gave model_data; every finding names the instance."""
+def _instance_report(instance, checks, model_data) -> InstanceReport:
+    """check_instance on an instance whose family model gave model_data;
+    every finding names the instance."""
     findings: list[str] = []
     fam = instance.family
     ca, ratio_ok, sigma, order, two = model_data
-    N, height = ca.conductor, ca.height
-    u = ca.mm.scaling_u
+    mm, N, height = ca.mm, ca.conductor, ca.height
 
     # delta stays None where delta_{T,u} is not needed or has no value; in
     # the latter case a finding already reports the instance
     delta = None
     try:
-        key = _recovered_key(instance, u)
+        u = recover_uT(instance, mm)
     except PaperContractViolation as exc:
         findings.append(str(exc))
+        u = mm.scaling_u
     else:
         if "bounds" in checks or "height" in checks:
             try:
-                delta = abs(_scaled_delta(instance, u, key, base))
+                delta = abs(delta_eval(instance, u))
             except PaperContractViolation as exc:
                 findings.append(f"{instance}: {exc}")
     bound = delta if "bounds" in checks and delta is not None else 0
@@ -254,12 +252,12 @@ def _check_chunk(fam, checks, groups):
         model_data = None
         for index, params in members:
             try:
-                inst, base = _admit(fam, params)
+                inst = _admit(fam, params)
             except ValidationError:
                 continue
             if model_data is None:
                 model_data = _model_data(WeierstrassModel(*coeffs), fam, checks)
-            rep = _instance_report(inst, base, checks, model_data)
+            rep = _instance_report(inst, checks, model_data)
             checked += 1
             findings.extend((index, f) for f in rep.findings)
             max_sigma = max(max_sigma, rep.sigma_m)

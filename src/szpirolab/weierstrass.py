@@ -108,7 +108,7 @@ def j_invariant(m: WeierstrassModel) -> Fraction:
     return Fraction(inv.c4**3) / Fraction(inv.delta)
 
 
-class Isomorphism(namedtuple("Isomorphism", "u r s t", defaults=(0, 0, 0))):
+class Isomorphism(namedtuple("Isomorphism", "u r s t")):
     """Change of variables x = u^2 x' + r, y = u^3 y' + u^2 s x' + t."""
 
     __slots__ = ()

@@ -1,7 +1,9 @@
 """The per-curve result records are immutable tuple records: no attribute
 can be set, they compare and hash by value, _replace gives an updated
 copy, and their str and repr texts stay as printed in findings and
-certificates.  Isomorphism keeps its u != 0 check on every path that
+certificates.  Being tuples, they also equal (and hash as) any tuple, or
+record of another class, with the same values, and they index, iterate and
+order like tuples.  Isomorphism keeps its u != 0 check on every path that
 builds one."""
 
 import pickle
@@ -82,6 +84,15 @@ class TestRecordSemantics:
         changed = rec._replace(**{rec._fields[-1]: object()})
         assert changed != rec
 
+    def test_equals_a_plain_tuple_of_its_values(self, name):
+        # tuple equality: a record is not distinct from a plain tuple, or
+        # from a record of another class, holding the same values
+        rec = RECORDS[name]
+        plain = tuple(rec)
+        assert type(plain) is tuple
+        assert rec == plain and hash(rec) == hash(plain)
+        assert {plain: name}[rec] == name
+
     def test_replace_returns_updated_copy(self, name):
         rec = RECORDS[name]
         before = tuple(rec)
@@ -123,6 +134,14 @@ class TestTexts:
         assert not RECORDS["InstanceReport"].ok and RECORDS["SweepSummary"].ok
         assert not RECORDS["ConsistencyReport"].ok
         assert RECORDS["ConvergenceScan"].sieve_hits == len(RECORDS["ConvergenceScan"].records)
+
+
+def test_records_of_different_classes_with_equal_values_are_equal():
+    model = WeierstrassModel(1, 2, 3, 4, 5)
+    local = type(RECORDS["LocalReductionData"])(1, 2, 3, 4, 5)
+    assert model == (1, 2, 3, 4, 5) == local and hash(model) == hash(local)
+    assert AffinePoint(0, 0) == (0, 0)
+    assert sorted([AffinePoint(1, 0), AffinePoint(0, 5)]) == [(0, 5), (1, 0)]
 
 
 class TestIsomorphism:

@@ -113,8 +113,7 @@ class TestRulesCheckedOnce:
 
         def through_validate_params(fam, params):
             validated.append(params)
-            inst = validate_params(fam.name, *params)
-            return inst, fam.delta(*inst.delta_args)
+            return validate_params(fam.name, *params)
 
         monkeypatch.setattr(sweeps, "_admit", through_validate_params)
         assert summaries() == admitted
@@ -237,7 +236,7 @@ class TestFindingTexts:
     @pytest.mark.parametrize("delta, ok", [(28, True), (29, False)])
     def test_height_bound(self, delta, ok, monkeypatch):
         # 28^3 = 21952 < 23104 < 29^3 = 24389
-        monkeypatch.setattr(sweeps, "_scaled_delta", lambda instance, u, key, base: delta)
+        monkeypatch.setattr(sweeps, "delta_eval", lambda instance, u: delta)
         rep = check_instance(self.inst, checks=("height",))
         assert rep.findings == (
             () if ok else ("C5(1, 1): |delta|^l >= u^-12 max(|alpha^3|, beta^2)",)
