@@ -9,12 +9,13 @@ appear only in reported ratio values.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+import os
+import pickle
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import itemgetter
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from szpirolab.families import (
     FAMILIES,
@@ -38,6 +39,7 @@ __all__ = [
     "PhiScanResult",
     "PhiSpec",
     "PhiValue",
+    "WorkerError",
     "all_phi_specs",
     "exceeds",
     "homogeneity_check",
@@ -298,45 +300,139 @@ def phi_eval(spec: PhiSpec, x) -> PhiValue:
     return _PhiKernel(spec, x.denominator).value(x.numerator)
 
 
-# A phi grid goes to the pool only from this many points.  phi --T all
-# (28 branches) at jobs=2 on a 2-core x86 VM with the forward-difference
-# kernel, serial vs pooled wall time, the range of three runs' medians of
-# 7 fresh-interpreter pairs each: 1,281 points 0.13-0.19 vs 0.14-0.20 s, 2,561
-# points 0.28-0.36 vs 0.24-0.39 s, 5,121 points 0.59-0.71 vs 0.36-0.45 s,
-# 10,241 points 1.25-1.43 vs 0.75-0.79 s.  Pooling paid from 1,281 points
-# in the run where both processes got a core (pooled CPU above wall) and
-# only from 5,121 in the two where they did not.  The break-even moves
-# with the machine, so the threshold stays above every one measured.
+# A phi grid goes to the pool only from this many points per branch.
+# Serial vs pooled wall time with fan_out's forked workers (the pool
+# forced), on a 2-core x86 VM where two CPU-bound processes overlapped (a
+# two-process burn took 0.40 to 0.71 of its serial time), the medians of
+# 7 fresh-interpreter pairs in each of two rounds: phi --T all (28
+# branches) at 1,281 points 0.10-0.19 vs 0.07-0.11 s, 2,561 points
+# 0.19-0.38 vs 0.13-0.19 s, 5,121 points 0.44-0.75 vs 0.28-0.40 s; one
+# branch (C2xC4, u = 2) at 4,097 points 7-8 vs 8-9 ms, and one (C12,
+# u = 1) at 40,961 points 0.25 vs 0.17-0.19 s.  All 28 branches pay from
+# 1,281 points, and one branch does not at 4,097: the work is points
+# times branches.  The threshold stays until a change of its own moves it.
 _PHI_POOL_MIN = 4096
 
 
+# A pooled call has at most this many parts, so that the tokens of parts
+# 1 onward, one byte each, go into an empty pipe in one write of at most
+# 255 bytes, below the 512 bytes of PIPE_BUF that POSIX guarantees, and
+# that write never blocks.
+_MAX_PARTS = 256
+
+
+class WorkerError(RuntimeError):
+    """A worker process of fan_out ended without returning its parts, or
+    raised an error that cannot be carried back to the caller."""
+
+
+def _claimed(fn, shared, parts, tokens: int):
+    """(index, fn(*shared, part)) for each part this process claims, by
+    reading one token, the index as a byte, at a time from the pipe tokens
+    until it is empty."""
+    while token := os.read(tokens, 1):
+        (i,) = token
+        yield i, fn(*shared, parts[i])
+
+
+def _carried(exc: BaseException) -> BaseException:
+    """exc if it survives a pickle round trip, else a WorkerError that
+    names its class and text."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return WorkerError(f"a worker part raised {type(exc).__name__}: {exc}")
+    return exc
+
+
+def _work(fn, shared, parts, tokens: int, out: int, unused) -> NoReturn:
+    """The body of a forked worker: closes the descriptors in unused,
+    computes the parts it claims, and writes ([(index, result), ...], None),
+    or ([], error) if a part raised, pickled once, to the pipe out.  It
+    leaves with os._exit, whatever happens, so it never returns into the
+    caller's code."""
+    status = 1
+    try:
+        for fd in unused:
+            os.close(fd)
+        try:
+            payload = pickle.dumps((list(_claimed(fn, shared, parts, tokens)), None))
+        except BaseException as exc:
+            payload = pickle.dumps(([], _carried(exc)))
+        with open(out, "wb") as pipe:
+            pipe.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
+
+
 def fan_out(fn, items, jobs: int, chunks: int, *shared) -> list:
-    """[fn(*shared, part) for each of `chunks` consecutive parts of items],
-    computed by `jobs` processes, the caller included, and returned in part
-    order.
+    """[fn(*shared, part) for each of up to `chunks` consecutive parts of
+    items], computed by up to `jobs` processes, the caller included, and
+    returned in part order.
 
     jobs == 1, or no items, makes one in-process call on all of items.
-    Otherwise every part is submitted to a pool of jobs - 1 workers, and
-    the caller runs parts itself from the back for as long as it can still
-    cancel their submission.  The pool is shut down before the call
-    returns; on an exception its pending parts are cancelled first.
-    Callers decide from their input size whether a pool pays and pass
-    jobs = 1 if not.
+    Otherwise items is cut into at most min(chunks, _MAX_PARTS) parts, and
+    the caller forks min(jobs, parts) - 1 workers, which inherit the parts,
+    so nothing is pickled on the way in.  The index of every part but the
+    first goes into one pipe as a one-byte token before the fork.  The
+    caller computes part 0, and then every process claims its next part by
+    reading a token, so no process waits at the end for more than the one
+    part that another still computes.  Each worker sends its results back
+    pickled, once, through a pipe of its own.  The caller's error, else
+    the first worker's, is raised after every worker is reaped; on the
+    caller's error the unclaimed tokens are drained, so the workers stop
+    after their current part.  Where os.fork does not exist, the caller
+    computes every part.  Callers decide from their input size whether
+    workers pay and pass jobs = 1 if not.
     """
     if jobs == 1 or not items:
         return [fn(*shared, items)]
-    step = -(-len(items) // chunks)
+    step = -(-len(items) // min(chunks, _MAX_PARTS))
     parts = [items[i : i + step] for i in range(0, len(items), step)]
-    with ProcessPoolExecutor(max_workers=jobs - 1) as pool:
-        futures = [pool.submit(fn, *shared, part) for part in parts]
-        try:
-            tail = []
-            while futures and futures[-1].cancel():
-                futures.pop()
-                tail.append(fn(*shared, parts[len(futures)]))
-            return [f.result() for f in futures] + tail[::-1]
-        finally:
-            pool.shutdown(cancel_futures=True)
+    if not hasattr(os, "fork"):
+        return [fn(*shared, part) for part in parts]
+    results = [None] * len(parts)
+    tokens, feed = os.pipe()
+    os.write(feed, bytes(range(1, len(parts))))
+    os.close(feed)
+    workers = []  # (pid, the read end of its result pipe)
+    try:
+        for _ in range(min(jobs, len(parts)) - 1):
+            back, out = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(back)
+                os.close(out)
+                raise
+            if pid == 0:
+                _work(fn, shared, parts, tokens, out, [back, *(p.fileno() for _, p in workers)])
+            os.close(out)
+            workers.append((pid, open(back, "rb")))
+        results[0] = fn(*shared, parts[0])
+        for i, result in _claimed(fn, shared, parts, tokens):
+            results[i] = result
+        payloads = [pipe.read() for _, pipe in workers]
+    finally:
+        while os.read(tokens, _MAX_PARTS):
+            pass
+        os.close(tokens)
+        for _, pipe in workers:
+            pipe.close()
+        statuses = [os.waitpid(pid, 0)[1] for pid, _ in workers]
+    for payload, status in zip(payloads, statuses):
+        if not payload:
+            raise WorkerError(
+                "a worker process ended with exit status "
+                f"{os.waitstatus_to_exitcode(status)} before it returned its parts"
+            )
+        done, error = pickle.loads(payload)
+        if error is not None:
+            raise error
+        for i, result in done:
+            results[i] = result
+    return results
 
 
 class PhiScanResult(NamedTuple):

@@ -129,8 +129,8 @@ def _family_params(args) -> list[int]:
 
 def _check_jobs(args) -> None:
     """Rejects a --jobs (or SZPIROLAB_JOBS, its default) above the CPU count:
-    every job beyond the first is a worker process, and a pool starts them
-    all at once."""
+    every job beyond the first is a worker process, and a pooled call forks
+    them all at once."""
     cpus = os.cpu_count() or 1
     if args.jobs > cpus:
         raise families.ValidationError(f"worker count must be <= {cpus}, the number of CPUs")

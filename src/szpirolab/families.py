@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -261,8 +260,7 @@ _C2_RULES = (
 _C2xC2_RULES = (_COPRIME, _D_SQUAREFREE, (0, lambda a: a % 2 == 0, "a must be even"))
 
 
-@dataclass(frozen=True)
-class FamilyId:
+class FamilyId(NamedTuple):
     """Static data for one torsion family."""
 
     name: str
@@ -290,7 +288,7 @@ class FamilyId:
         return hash(self.name)
 
     def __reduce__(self):
-        # The rules are lambdas; a worker process looks the record up by name.
+        # The rules are lambdas; a pickled record is looked up by name.
         return family, (self.name,)
 
     def decompose(self, a: int):

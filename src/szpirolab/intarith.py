@@ -89,6 +89,10 @@ class FactorBudgetError(ArithmeticError):
         self.partial = partial
         self.cofactor = cofactor
 
+    def __reduce__(self):
+        # rebuilt from its fields, so a worker process can send it back
+        return type(self), (self.n, self.partial, self.cofactor)
+
 
 # The prime factorization of |n|: its (p, e) pairs, primes increasing.
 Factorization = tuple[tuple[int, int], ...]

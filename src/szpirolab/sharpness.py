@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -35,8 +34,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SharpFamilySpec:
+class SharpFamilySpec(NamedTuple):
     """Static data for one sharpness sequence F_T(n)."""
 
     name: str

@@ -222,29 +222,28 @@ class SweepSummary(NamedTuple):
 
 
 # A sweep goes to the pool only from this many distinct family models.
-# run_sweep at jobs=1 vs jobs=2 with the pool forced, on a 2-core x86 VM
-# where two CPU-bound processes overlapped (a two-process burn took 0.5 to
-# 0.75 of its serial time), the medians of 7 fresh-interpreter pairs in
-# each of two rounds: C2xC2 at 372 models 0.035-0.055 vs 0.046-0.059 s,
-# 630 models 0.074-0.096 vs 0.071-0.075 s, 1,008 models 0.117-0.158 vs
-# 0.105-0.119 s, 2,442 models 0.38 vs 0.25 s; C2 at 364 models 0.031-0.039
-# vs 0.046-0.047 s, 675 models 0.060-0.078 vs 0.066-0.085 s.  On the same
-# VM with no overlap (a burn of 0.586 s against 0.567 s serial), C2xC2 at
-# 1,008 models was slower pooled.  The break-even moves with the host and
-# the family, so the threshold stays between the sizes that were always
-# slower pooled and those that paid wherever the processes overlapped.
+# run_sweep at jobs=1 vs jobs=2 with the pool forced and fan_out's forked
+# workers, on a 2-core x86 VM where two CPU-bound processes overlapped (a
+# two-process burn took 0.40 to 0.71 of its serial time), the medians of
+# 7 fresh-interpreter pairs in each of two rounds: C2xC2 at 372 models
+# 0.031-0.051 vs 0.024-0.034 s, 630 models 0.056-0.085 vs 0.051-0.052 s,
+# 1,008 models 0.087-0.095 vs 0.064 s, 2,442 models 0.23-0.24 vs
+# 0.16-0.18 s; C2 at 364 models 0.022-0.023 vs 0.018-0.020 s, 675 models
+# 0.045-0.074 vs 0.035-0.051 s, 1,386 models 0.14-0.15 vs 0.07-0.10 s.
+# Pooling paid at every size measured, so the break-even is now below 364
+# models; the threshold stays until a change of its own moves it.
 _SWEEP_POOL_MIN = 512
 
 
 def _check_chunk(fam, checks, groups):
-    """Check the valid tuples of each group of the family fam (a FamilyId,
-    which a worker receives by name).  A group is (coefficients,
-    [(index, params), ...]): the tuples whose family model has those
-    coefficients, so _model_data runs once per group, on its first valid
-    instance.  index is the tuple's place in iter_param_tuples, which has
-    already applied the family's rules, so only the singular check is
-    left (families._admit).  Each finding is returned as (index, text),
-    and run_sweep merges the findings of all chunks in index order."""
+    """Check the valid tuples of each group of the family fam (a FamilyId).
+    A group is (coefficients, [(index, params), ...]): the tuples whose
+    family model has those coefficients, so _model_data runs once per
+    group, on its first valid instance.  index is the tuple's place in
+    iter_param_tuples, which has already applied the family's rules, so
+    only the singular check is left (families._admit).  Each finding is
+    returned as (index, text), and run_sweep merges the findings of all
+    chunks in index order."""
     checked = 0
     findings: list[tuple[int, str]] = []
     max_sigma, min_sigma = -math.inf, math.inf

@@ -1,12 +1,12 @@
 """Shared pytest wiring: collect acceptance verdicts for the run summary,
-record which process pools a test enters, and the test-only references
+record which worker processes a test forks, and the test-only references
 and patches that several test modules use."""
 
+import os
 from fractions import Fraction
 
 import pytest
 
-from szpirolab import bounds
 from szpirolab.weierstrass import Isomorphism, _norm
 
 ACCEPTANCE_VERDICTS: list[str] = []
@@ -24,18 +24,21 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 @pytest.fixture
-def pool_entries(monkeypatch):
-    """A list that gains one entry per process pool entered; every pool in
-    the library is started by bounds.fan_out (see test_source)."""
-    entries = []
+def forked_workers(monkeypatch):
+    """A list that gains the pid of each worker process forked; every
+    process the library starts is forked by bounds.fan_out (see
+    test_source)."""
+    pids = []
+    real = os.fork
 
-    class RecordingPool(bounds.ProcessPoolExecutor):
-        def __enter__(self):
-            entries.append(self)
-            return super().__enter__()
+    def recording_fork():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
 
-    monkeypatch.setattr(bounds, "ProcessPoolExecutor", RecordingPool)
-    return entries
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
 
 
 def edit_analysis(monkeypatch, module, edit):

@@ -1,10 +1,9 @@
 """Heights, ratios, and the phi machinery."""
 
-import dataclasses
 import math
-import multiprocessing
 import os
 import random
+import signal
 import time
 from fractions import Fraction
 
@@ -36,6 +35,7 @@ from szpirolab.families import (
     recover_uT,
     validate_params,
 )
+from szpirolab.intarith import FactorBudgetError
 from szpirolab.poly import Poly, X, evaluate
 from szpirolab.reduction import analyze, height_of_minimal, minimal_model
 from szpirolab.sharpness import SHARP_FAMILIES, build_FT
@@ -220,18 +220,18 @@ class TestPhi:
             float(fine.argmin) + (3 + math.sqrt(5)) / 8
         ) < 0.01
 
-    def test_parallel_scan_matches_serial(self, pool_entries):
+    def test_parallel_scan_matches_serial(self, forked_workers):
         spec = phi_spec("C6", 2)
         serial = phi_scan(spec, 256, 10, jobs=1)
-        assert pool_entries == []
+        assert forked_workers == []
         parallel = phi_scan(spec, 256, 10, jobs=2)
-        assert len(pool_entries) == 1
+        assert len(forked_workers) == 1
         assert serial.points == 5121
         assert serial == parallel
         # a criterion 5 sized grid stays in process: one pool start costs
         # more than it saves
         small = phi_scan(spec, 128, 10, jobs=2)
-        assert len(pool_entries) == 1
+        assert len(forked_workers) == 1
         assert small.points == 2561
         assert small == phi_scan(spec, 128, 10, jobs=1)
 
@@ -316,19 +316,19 @@ class TestIntegerPhiEval:
     def test_hand_built_spec(self):
         # prefactor, exponent and delta scale are read from the spec and its
         # family
-        rescaled = dataclasses.replace(FAMILIES["C5"], delta_scales={1: Fraction(3, 5)})
+        rescaled = FAMILIES["C5"]._replace(delta_scales={1: Fraction(3, 5)})
         branches = ((FAMILIES["C5"], 1), (rescaled, 1), (FAMILIES["C2"], 4), (FAMILIES["C4"], "2c"))
         exps = ((Fraction(3, 7), Fraction(7, 2)), (Fraction(-2), Fraction(2, 1)))
         for fam, key in branches:
             for pre, exp in exps:
-                spec = PhiSpec(dataclasses.replace(fam, l=exp), key, pre)
+                spec = PhiSpec(fam._replace(l=exp), key, pre)
                 for x in (0, Fraction(-5, 3), Fraction(7, 16), 40):
                     self._assert_same(spec, x)
 
     def test_non_integral_coefficient_raises(self, monkeypatch):
         bounds._phi_polys.cache_clear()
         c5 = FAMILIES["C5"]
-        halved = dataclasses.replace(c5, delta=lambda *a: Fraction(1, 2) * c5.delta(*a))
+        halved = c5._replace(delta=lambda *a: Fraction(1, 2) * c5.delta(*a))
         monkeypatch.setitem(FAMILIES, "C5", halved)
         try:
             with pytest.raises(CertificateError, match="non-integral"):
@@ -383,7 +383,7 @@ class TestPhiScanKernel:
         self._assert_same(spec, 2, 3)
         self._assert_same(spec, 16, 4)
         # the same prefactor with a fractional exponent: float argmin keys
-        c5_7_2 = dataclasses.replace(c5, l=Fraction(7, 2))
+        c5_7_2 = c5._replace(l=Fraction(7, 2))
         self._assert_same(PhiSpec(c5_7_2, 1, spec.prefactor), 16, 4)
 
     def test_flipped_sign_at_one_grid_point_is_reported(self, monkeypatch):
@@ -438,11 +438,11 @@ class TestPhiScanKernel:
         kern = bounds._PhiKernel(spec, 1)
         assert bounds._scan_chunk(kern, range(10**7, 10**7 + 4)) == ([], [], (math.inf, 10**7))
         # a larger exponent makes phi negative there: -inf, not NaN
-        steep = PhiSpec(dataclasses.replace(spec.family, l=Fraction(29, 5)), 1, spec.prefactor)
+        steep = PhiSpec(spec.family._replace(l=Fraction(29, 5)), 1, spec.prefactor)
         val = phi_eval(steep, 10**7)
         assert val.sign == -1 and val.approx == -math.inf
 
-    def test_one_kernel_per_scan(self, monkeypatch, pool_entries):
+    def test_one_kernel_per_scan(self, monkeypatch, forked_workers):
         # the argmin's PhiValue comes from the kernel that scanned the grid
         built = []
         real = bounds._PhiKernel.__init__
@@ -454,9 +454,9 @@ class TestPhiScanKernel:
         monkeypatch.setattr(bounds._PhiKernel, "__init__", counted)
         spec = phi_spec("C6", 2)
         phi_scan(spec, 64, 3)
-        assert built == [64] and pool_entries == []
+        assert built == [64] and forked_workers == []
         assert phi_scan(spec, 256, 10, jobs=2).points == 5121
-        assert len(pool_entries) == 1
+        assert len(forked_workers) == 1
         assert built == [64, 256]
 
 
@@ -638,7 +638,7 @@ class TestGapSign:
 
 def _logged_part(log, part):
     """A fan_out part: appends its index and process id to log, and
-    returns the index.  The sleep lets the pool take parts while the
+    returns the index.  The sleep lets the workers claim parts while the
     caller works."""
     (index,) = part
     with open(log, "a") as out:
@@ -656,12 +656,51 @@ def _raising_part(caller, raise_in_caller, part):
     return part[0]
 
 
+def _in_workers(caller, fail, part):
+    """fail(index) in every part that a process other than caller computes;
+    the caller's parts return their index."""
+    time.sleep(0.01)
+    if os.getpid() != caller:
+        fail(part[0])
+    return part[0]
+
+
+def _raise(error):
+    raise error
+
+
+class _Unpicklable(Exception):
+    """An error that a worker cannot pickle: it holds a lambda."""
+
+    def __init__(self, text):
+        super().__init__(text)
+        self.hook = lambda: None
+
+
+def _no_child_left():
+    # every forked worker has been reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestFanOut:
-    """bounds.fan_out with jobs >= 2: jobs - 1 workers and the caller share
-    the parts; one pool per call, reaped before the call returns."""
+    """bounds.fan_out with jobs >= 2: jobs - 1 forked workers and the caller
+    share the parts; every worker is reaped before the call returns."""
+
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        # a fan_out that hangs fails its test and not the whole run
+        def expired(signum, frame):
+            raise TimeoutError("fan_out did not return within 60 s")
+
+        before = signal.signal(signal.SIGALRM, expired)
+        signal.alarm(60)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, before)
 
     @pytest.mark.parametrize("jobs", [2, 3])
-    def test_every_part_once_in_order(self, jobs, tmp_path, pool_entries):
+    def test_every_part_once_in_order(self, jobs, tmp_path, forked_workers):
         log = tmp_path / "parts.log"
         parts = 6 * jobs
         assert bounds.fan_out(_logged_part, list(range(parts)), jobs, parts, log) == list(
@@ -669,34 +708,79 @@ class TestFanOut:
         )
         runs = [line.split() for line in log.read_text().splitlines()]
         assert sorted(int(index) for index, _ in runs) == list(range(parts))
-        # the caller computes too, and the last part is its first
-        assert (str(parts - 1), str(os.getpid())) in [tuple(run) for run in runs]
-        assert len(pool_entries) == 1
-        assert multiprocessing.active_children() == []
+        # the caller computes at least one part, and the workers compute the rest
+        pids = {int(pid) for _, pid in runs}
+        assert os.getpid() in pids and pids <= {os.getpid(), *forked_workers}
+        assert len(forked_workers) == jobs - 1
+        _no_child_left()
 
     @pytest.mark.parametrize("jobs", [2, 3])
     @pytest.mark.parametrize("in_caller", [True, False], ids=["caller", "worker"])
-    def test_exception_in_a_part_propagates(self, jobs, in_caller, pool_entries):
+    def test_exception_in_a_part_propagates(self, jobs, in_caller, forked_workers):
         with pytest.raises(ArithmeticError, match="caller" if in_caller else "worker"):
             bounds.fan_out(
                 _raising_part, list(range(8)), jobs, 8, os.getpid(), in_caller
             )
-        assert len(pool_entries) == 1
-        assert multiprocessing.active_children() == []
+        assert len(forked_workers) == jobs - 1
+        _no_child_left()
 
-    def test_one_process_makes_one_call(self, pool_entries):
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_worker_that_dies_is_reported(self, jobs, forked_workers):
+        with pytest.raises(bounds.WorkerError, match="exit status 3"):
+            bounds.fan_out(
+                _in_workers, list(range(8)), jobs, 8, os.getpid(), lambda i: os._exit(3)
+            )
+        assert len(forked_workers) == jobs - 1
+        _no_child_left()
+
+    def test_unpicklable_worker_error_is_reported(self, forked_workers):
+        with pytest.raises(bounds.WorkerError, match="_Unpicklable: part [1-7] in worker"):
+            bounds.fan_out(
+                _in_workers, list(range(8)), 2, 8, os.getpid(),
+                lambda i: _raise(_Unpicklable(f"part {i} in worker")),
+            )
+        assert len(forked_workers) == 1
+        _no_child_left()
+
+    def test_budget_error_in_a_worker_keeps_its_fields(self, forked_workers):
+        with pytest.raises(FactorBudgetError) as exc:
+            bounds.fan_out(
+                _in_workers, list(range(8)), 2, 8, os.getpid(),
+                lambda i: _raise(FactorBudgetError(i, ((2, 1),), 91)),
+            )
+        assert 1 <= exc.value.n < 8
+        assert (exc.value.partial, exc.value.cofactor) == (((2, 1),), 91)
+        _no_child_left()
+
+    @pytest.mark.parametrize("items, forks", [(10, 9), (100_000, bounds._MAX_PARTS - 1)])
+    def test_at_most_one_worker_per_part_but_the_callers(self, items, forks, monkeypatch):
+        # A recording fork that starts no process: every part is left to
+        # the caller, and each recorded worker reads as one that returned
+        # nothing.
+        forked = []
+        monkeypatch.setattr(os, "fork", lambda: forked.append(None) or -len(forked))
+        monkeypatch.setattr(os, "waitpid", lambda pid, options: (pid, 0))
+        with pytest.raises(bounds.WorkerError, match="exit status 0"):
+            bounds.fan_out(len, list(range(items)), 5000, 8 * 5000)
+        assert len(forked) == forks
+
+    def test_without_fork_the_caller_computes_every_part(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        assert bounds.fan_out(sum, list(range(10)), 2, 4) == [3, 12, 21, 9]
+
+    def test_one_process_makes_one_call(self, forked_workers):
         calls = []
         assert bounds.fan_out(calls.append, [1, 2, 3], 1, 8) == [None]
-        assert calls == [[1, 2, 3]] and pool_entries == []
+        assert calls == [[1, 2, 3]] and forked_workers == []
 
-    def test_phi_scans_all_branches_in_one_pool(self, pool_entries):
+    def test_phi_scans_all_branches_in_one_pool(self, forked_workers):
         specs = all_phi_specs()
         serial = [phi_scan(spec, 256, 8, jobs=1) for spec in specs]
-        assert pool_entries == [] and serial[0].points == 4097
+        assert forked_workers == [] and serial[0].points == 4097
         assert phi_scans(specs, 256, 8, jobs=2) == serial
-        assert len(pool_entries) == 1
+        assert len(forked_workers) == 1
         assert phi_scans(specs[:3], 256, 8, jobs=3) == serial[:3]
-        assert len(pool_entries) == 2
+        assert len(forked_workers) == 3
         assert phi_scans([], 256, 8, jobs=2) == []
 
 
@@ -849,7 +933,7 @@ class TestHomogeneity:
     def test_non_integral_scale_raises(self):
         # explicit, so the check holds under python -O as well
         inst = validate_params("C5", 2, 3)
-        bad = inst._replace(family=dataclasses.replace(inst.family, m=13))
+        bad = inst._replace(family=inst.family._replace(m=13))
         with pytest.raises(CertificateError, match="integer multiple"):
             homogeneity_check(bad)
 

@@ -131,15 +131,15 @@ class TestFamily:
         assert obj["instances"] > 0
         assert obj["min_sigma_m"] > 3
 
-    def test_verify_deterministic(self, capsys, pool_entries):
+    def test_verify_deterministic(self, capsys, forked_workers):
         serial = run_cli(
             ["family", "verify", "--T", "C2", "--max", "6", "--jobs", "1"], capsys
         )
-        assert pool_entries == []
+        assert forked_workers == []
         pooled = run_cli(
             ["family", "verify", "--T", "C2", "--max", "6", "--jobs", "2"], capsys
         )
-        assert len(pool_entries) == 1
+        assert len(forked_workers) == 1
         assert serial == pooled
 
     def test_verify_c2xc6_reports_defect(self, capsys):
@@ -185,23 +185,23 @@ class TestPhi:
         code, out, err = run_cli(["phi", "--T", "C5", "--u", u], capsys)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
-    def test_small_grids_enter_no_pool(self, capsys, pool_entries):
+    def test_small_grids_enter_no_pool(self, capsys, forked_workers):
         code, out, _ = run_cli(
             ["phi", "--T", "all", "--den", "16", "--range", "10", "--jobs", "2"],
             capsys,
         )
         assert code == 0
         assert len(json_lines(out)) == 28
-        assert pool_entries == []
+        assert forked_workers == []
 
-    def test_large_grids_share_one_pool(self, capsys, pool_entries):
+    def test_large_grids_share_one_pool(self, capsys, forked_workers):
         # 4,097 points per branch: all 28 branches go to one pool, and the
         # output is the serial one
         argv = ["phi", "--T", "all", "--den", "256", "--range", "8"]
         serial = run_cli([*argv, "--jobs", "1"], capsys)
-        assert pool_entries == []
+        assert forked_workers == []
         pooled = run_cli([*argv, "--jobs", "2"], capsys)
-        assert len(pool_entries) == 1
+        assert len(forked_workers) == 1
         assert pooled == serial
         assert [obj["points"] for obj in json_lines(serial[1])] == [4097] * 28
 
@@ -226,30 +226,16 @@ class TestPhi:
 
 @pytest.fixture
 def no_process_pool(monkeypatch):
-    """Replaces the library's pool with one that records its construction
-    and starts no process; a submit fails the test."""
-    from szpirolab import bounds
+    """Replaces os.fork with one that records its call and starts no
+    process; a fork fails the test."""
+    forks = []
 
-    built = []
+    def no_fork():
+        forks.append(None)
+        raise AssertionError("a worker process would start")
 
-    class NoProcessPool:
-        def __init__(self, max_workers=None):
-            built.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, *args, **kwargs):
-            raise AssertionError("a worker process would start")
-
-        def shutdown(self, *args, **kwargs):
-            pass
-
-    monkeypatch.setattr(bounds, "ProcessPoolExecutor", NoProcessPool)
-    return built
+    monkeypatch.setattr(os, "fork", no_fork)
+    return forks
 
 
 _JOBS_COMMANDS = (
@@ -490,6 +476,18 @@ def test_error_exit_pinned(argv, expected, capsys):
     assert run_cli(argv, capsys) == expected
 
 
+def _src_env() -> dict:
+    """The environment for a fresh interpreter that imports this
+    checkout's src/, with no SZPIROLAB_JOBS."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    env.pop("SZPIROLAB_JOBS", None)
+    return env
+
+
 class TestOptimizedParity:
     """No result may rest on an assert: python -O strips them, so the same
     commands must print the same output and exit with the same codes."""
@@ -500,12 +498,7 @@ class TestOptimizedParity:
     )
 
     def test_same_output_under_python_O(self):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-        )
-        env.pop("SZPIROLAB_JOBS", None)
+        env = _src_env()
         for argv in self.COMMANDS:
             plain, optimized = (
                 subprocess.run(
@@ -518,3 +511,14 @@ class TestOptimizedParity:
             assert (optimized.stdout, optimized.returncode) == (
                 plain.stdout, plain.returncode,
             ), argv
+
+
+def test_import_loads_no_pool_or_introspection_modules():
+    # Every CLI call pays for what importing the package loads: no process
+    # pool machinery (fan_out forks its own workers) and no dataclasses.
+    unwanted = ["concurrent.futures", "multiprocessing", "logging", "dataclasses", "inspect"]
+    code = f"import sys, szpirolab.cli; print([m for m in {unwanted!r} if m in sys.modules])"
+    run = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_src_env(), timeout=60
+    )
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")

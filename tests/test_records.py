@@ -4,7 +4,8 @@ copy, and their str and repr texts stay as printed in findings and
 certificates.  Being tuples, they also equal (and hash as) any tuple, or
 record of another class, with the same values, and they index, iterate and
 order like tuples.  Isomorphism keeps its u != 0 check on every path that
-builds one."""
+builds one.  The static table rows, FamilyId and SharpFamilySpec, are tuple
+records too; a FamilyId hashes and pickles by its name."""
 
 import pickle
 from fractions import Fraction
@@ -12,9 +13,9 @@ from fractions import Fraction
 import pytest
 
 from szpirolab.bounds import leading_dominance, phi_eval, phi_scan, phi_spec
-from szpirolab.families import FamilyInstance, ValidationError, validate_params
+from szpirolab.families import FAMILIES, FamilyInstance, ValidationError, validate_params
 from szpirolab.reduction import analyze, minimal_model
-from szpirolab.sharpness import convergence_scan, verify_sharp_consistency
+from szpirolab.sharpness import SHARP_FAMILIES, convergence_scan, verify_sharp_consistency
 from szpirolab.sweeps import check_instance, run_sweep
 from szpirolab.weierstrass import (
     AffinePoint,
@@ -105,6 +106,43 @@ class TestRecordSemantics:
         assert tuple(rec) == before
         with pytest.raises(ValueError):
             rec._replace(no_such_field=1)
+
+
+TABLES = {"FamilyId": FAMILIES["C2"], "SharpFamilySpec": SHARP_FAMILIES["C2xC8"]}
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+class TestTableRows:
+    def test_is_an_immutable_tuple_record(self, name):
+        row = TABLES[name]
+        assert type(row).__name__ == name and isinstance(row, tuple)
+        assert tuple(getattr(row, f) for f in row._fields) == tuple(row)
+        with pytest.raises(AttributeError):
+            setattr(row, "name", "C5")
+        with pytest.raises(AttributeError):
+            row.extra = 1
+
+    def test_replace_returns_updated_copy(self, name):
+        row = TABLES[name]
+        before = tuple(row)
+        new = row._replace(l=Fraction(7, 2))
+        assert type(new) is type(row) and new.l == Fraction(7, 2) and new != row
+        assert new._replace(l=row.l) == row and tuple(row) == before
+
+    def test_copy_compares_and_hashes_equal(self, name):
+        row = TABLES[name]
+        copy = type(row)(*row)
+        assert copy is not row and copy == row and hash(copy) == hash(row)
+        assert pickle.loads(pickle.dumps(row)) == row
+
+
+def test_family_hashes_by_name():
+    # delta_scales is a dict, so the name alone identifies a family, and a
+    # pickled row is the registry's (see test_families)
+    fam = FAMILIES["C2"]
+    changed = fam._replace(l=Fraction(2))
+    assert hash(fam) == hash(changed) == hash("C2")
+    assert pickle.loads(pickle.dumps(changed)) is fam
 
 
 class TestTexts:

@@ -1,6 +1,5 @@
 """Sweep engine: enumeration, per-instance reports, argument checks."""
 
-import dataclasses
 import inspect
 import itertools
 import json
@@ -158,7 +157,7 @@ class TestCheckInstance:
     def test_u_outside_set_reported_not_raised(self, monkeypatch):
         # With u = 1 barred, delta_{C5,u} has no branch for the recovered u;
         # the height check must step aside and leave the u-set finding.
-        fam = dataclasses.replace(FAMILIES["C5"], delta_scales={2: Fraction(1)})
+        fam = FAMILIES["C5"]._replace(delta_scales={2: Fraction(1)})
         monkeypatch.setitem(FAMILIES, "C5", fam)
         inst = validate_params("C5", 1, 1)
         rep = check_instance(inst)
@@ -182,7 +181,7 @@ class TestCheckInstance:
     def test_nonintegral_delta_reported_not_raised(self, monkeypatch):
         # With delta_{C5,1} scaled by 1/7 the bound polynomial is not
         # integral; the height check must step aside and leave the finding.
-        fam = dataclasses.replace(FAMILIES["C5"], delta_scales={1: Fraction(1, 7)})
+        fam = FAMILIES["C5"]._replace(delta_scales={1: Fraction(1, 7)})
         monkeypatch.setitem(FAMILIES, "C5", fam)
         inst = validate_params("C5", 1, 1)
         rep = check_instance(inst)
@@ -252,13 +251,13 @@ class TestFindingTexts:
 
 
 class TestRunSweep:
-    def test_counts_and_order_stable_across_jobs(self, pool_entries):
+    def test_counts_and_order_stable_across_jobs(self, forked_workers):
         # box 22 gives 599 candidate tuples, enough for the pool
         assert len(list(iter_param_tuples("C2xC6", 22))) == 599
         one = run_sweep("C2xC6", 22, jobs=1)
-        assert pool_entries == []
+        assert forked_workers == []
         two = run_sweep("C2xC6", 22, jobs=2)
-        assert len(pool_entries) == 1
+        assert len(forked_workers) == 1
         assert one == two
         assert one.checked > 0 and len(one.findings) == 278
 
@@ -272,7 +271,7 @@ class TestRunSweep:
         ],
     )
     def test_pool_threshold_counts_models(
-        self, name, bound, models, pooled, pool_entries
+        self, name, bound, models, pooled, forked_workers
     ):
         # the pool pays by the analyses it shares out: distinct models, not
         # tuples (C2xC2 at box 9 has 888 tuples)
@@ -281,7 +280,7 @@ class TestRunSweep:
         assert len(groups) == models
         assert (models >= sweeps._SWEEP_POOL_MIN) == pooled
         run_sweep(name, bound, jobs=2)
-        assert len(pool_entries) == pooled
+        assert len(forked_workers) == pooled
 
     def test_c30_override(self):
         from szpirolab.intarith import is_cubefree
@@ -521,9 +520,9 @@ class TestOneAnalysisPerModel:
     @pytest.mark.parametrize(
         "name, bound", [("C2", 8), ("C2xC2", 10)], ids=["C2", "C2xC2"]
     )
-    def test_pooled_matches_instance_loop(self, name, bound, pool_entries):
+    def test_pooled_matches_instance_loop(self, name, bound, forked_workers):
         summary = run_sweep(name, bound, jobs=2)
-        assert len(pool_entries) == 1
+        assert len(forked_workers) == 1
         assert _summary(summary) == _instance_loop(name, bound)
 
     @pytest.mark.parametrize(
@@ -539,7 +538,7 @@ class TestOneAnalysisPerModel:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_shared_model_data_findings_name_each_instance(
-        self, jobs, monkeypatch, pool_entries
+        self, jobs, monkeypatch, forked_workers
     ):
         # A wrong order of (0, 0) is model data, shared by the twins
         # (a, b, d) and (-a, -b, -d), which lie in different blocks of a; the
@@ -554,7 +553,7 @@ class TestOneAnalysisPerModel:
             valid.append(params)
         assert {(-a, -b, -d) for a, b, d in valid} == set(valid)
         summary = run_sweep("C2xC2", 10, jobs=jobs)
-        assert len(pool_entries) == (jobs > 1)
+        assert len(forked_workers) == (jobs > 1)
         assert summary.findings == tuple(
             f"C2xC2{params}: (0,0) has order 3, expected 2" for params in valid
         )
