@@ -2,7 +2,8 @@
 sharpness scans.
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed (the
-counterexample or mismatch is printed), 2 usage or validation error.
+counterexample or mismatch is printed), 2 usage or validation error, 3 a
+host failure (a worker process ended without returning its results).
 Big integers are serialized as decimal strings; output ordering is fixed
 by input order so runs are reproducible byte for byte.
 """
@@ -26,6 +27,7 @@ from szpirolab.weierstrass import (
     j_invariant,
 )
 
+HOST_FAILURE = 3
 USAGE_ERROR = 2
 CHECK_FAILED = 1
 
@@ -347,6 +349,9 @@ def main(argv=None) -> int:
     except (SingularModelError, families.ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CHECK_FAILED if isinstance(exc, SingularModelError) else USAGE_ERROR
+    except bounds.WorkerError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return HOST_FAILURE
 
 
 if __name__ == "__main__":

@@ -6,12 +6,13 @@ primes (one gcd with the block's product skips a block that divides
 nothing).  A cofactor past it gets up to _RHO_ATTEMPTS attempts: the first
 starts with a short Brent-cycle Pollard rho pass (which moves to the next
 constant when it meets every prime in one step, and reduces its product
-of differences once every two steps), and each runs one elliptic-curve
-(ECM) curve with fixed parameters until a factor is found; ECM's stage 2
-takes giant steps of _ECM_D.  Miller-Rabin runs the shortest prefix of
-its witnesses that is proven for n, and past the proven range a strong
-Lucas test as well (Baillie-PSW).  So repeated runs (and parallel
-workers) always agree.
+of differences once every two steps) and then stage 1 of Pollard's p-1
+method to _PM1_B1 (one pow of 2 by ECM's prime-power product), and each
+runs one elliptic-curve (ECM) curve with fixed parameters until a factor
+is found; ECM's stage 2 takes giant steps of _ECM_D.  Miller-Rabin runs
+the shortest prefix of its witnesses that is proven for n, and past the
+proven range a strong Lucas test as well (Baillie-PSW).  So repeated runs
+(and parallel workers) always agree.
 
 The squarefree test decides what one gcd with the product of the trial
 primes proves, without trial division: a square of a prime up to
@@ -59,10 +60,13 @@ _MR_PSEUDOPRIMES = (
 
 _TRIAL_BOUND = 10_000
 _TRIAL_BLOCK = 32
-# The factoring budget of one cofactor: its attempts (a rho pass, then one
-# ECM curve each), and the cap on rho iterations and on the ECM bounds.
+# The factoring budget of one cofactor: its attempts (a rho pass and p-1,
+# then one ECM curve each), and the cap on rho iterations and on the p-1
+# and ECM bounds.
 _RHO_ATTEMPTS = 24
 _RHO_MAX_ITER = 1 << 22
+# Pollard p-1's stage-1 bound: one pow with an exponent of about 7,200 bits.
+_PM1_B1 = 5_000
 # ECM stage-1 bounds, each used for one third of the attempts.
 _ECM_B1 = (500, 2_000, 11_000)
 # ECM's stage-2 giant step: 72 baby points from 157 odd multiples balance
@@ -346,6 +350,14 @@ def _stage2_plan(b1: int, b2: int) -> tuple[int, list[int], range]:
     return D, babies, range(max(1, b1 // D), (b2 + D // 2) // D + 1)
 
 
+def _pm1(n: int, b1: int) -> int:
+    """Stage 1 of Pollard's p-1 method on odd composite n: gcd(2^k - 1, n)
+    for k the product of the prime powers up to b1 (Pollard 1974).  A
+    prime p of n divides it when the order of 2 mod p divides k, so when
+    p - 1 is b1-powersmooth; 1 or n is no split."""
+    return math.gcd(pow(2, _stage1_multiplier(b1), n) - 1, n)
+
+
 def _ecm(n: int, sigma: int, b1: int, b2: int) -> int:
     """One ECM curve on odd composite n; returns a divisor, proper on success.
 
@@ -419,11 +431,16 @@ def _factor_hard(n: int, out: dict[int, int], stuck: list[int]) -> None:
             out[p] = out.get(p, 0) + e * k
         return
     # Attempt 1 starts with a short rho pass, which splits most cofactors
-    # whose least prime has up to about 28 bits; every attempt that has no
-    # factor yet runs one ECM curve, with sigma = attempt + 5.
+    # whose least prime has up to about 28 bits, and then p-1's stage 1;
+    # every attempt that has no factor yet runs one ECM curve, with
+    # sigma = attempt + 5.
     for attempt in range(1, _RHO_ATTEMPTS + 1):
-        d = _brent_rho(n, 1, min(1 << 14, _RHO_MAX_ITER)) if attempt == 1 else n
-        if d == n:
+        d = n
+        if attempt == 1:
+            d = _brent_rho(n, 1, min(1 << 14, _RHO_MAX_ITER))
+            if d == n:
+                d = _pm1(n, min(_PM1_B1, _RHO_MAX_ITER))
+        if not 1 < d < n:
             b1 = _ECM_B1[(attempt - 1) * len(_ECM_B1) // _RHO_ATTEMPTS]
             b2 = min(100 * b1, _RHO_MAX_ITER)
             d = _ecm(n, attempt + 5, min(b1, b2), b2)
@@ -492,7 +509,7 @@ def factorize(n: int) -> Factorization:
     """Complete factorization of |n|, n != 0.
 
     Raises FactorBudgetError (with partial data) if a cofactor survives
-    trial division, the perfect-power check, rho and the ECM curves.
+    trial division, the perfect-power check, rho, p-1 and the ECM curves.
     """
     if n == 0:
         # A bare ValueError until perfbench/test_perfbench.py, which counts

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from szpirolab import bounds, reduction, sharpness
+from szpirolab import bounds, reduction, sharpness, sweeps
 from szpirolab.cli import main
 from szpirolab.intarith import Factorization, FactorBudgetError
 
@@ -424,6 +424,25 @@ def test_factor_budget_exit_1_prints_partial(capsys, monkeypatch):
         "",
         "error: factoring budget exceeded for 864: unfactored cofactor 1 "
         "(partial: ((2, 5), (3, 3)))\n",
+    )
+
+
+def test_dead_worker_exit_3(capsys, monkeypatch):
+    # A worker that dies is a host failure: one error line and exit 3, not a
+    # traceback and not a refuted claim.
+    caller, check_chunk = os.getpid(), sweeps._check_chunk
+
+    def dies_in_a_worker(*args):
+        if os.getpid() != caller:
+            os._exit(9)
+        return check_chunk(*args)
+
+    monkeypatch.setattr(sweeps, "_check_chunk", dies_in_a_worker)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert run_cli(["family", "verify", "--T", "C2", "--max", "8", "--jobs", "2"], capsys) == (
+        3,
+        "",
+        "error: a worker process ended with exit status 9 before it returned its parts\n",
     )
 
 

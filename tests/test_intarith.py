@@ -3,6 +3,7 @@
 import importlib.util
 import math
 import random
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -271,16 +272,21 @@ def _screen_cases():
     return cases
 
 
-def _full_size_sharp_tail_factor_values():
-    """The factor values of f_T(n) that the full-size sharp_tail benchmark
-    workload hands to _f_is_squarefree: every sampled n and consistency n
-    of each sharpness family."""
+def _perfbench_workloads():
+    """The benchmark's workloads module, perfbench/workloads.py."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
     )
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    size = workloads.SIZES["sharp_tail"]
+    return workloads
+
+
+def _full_size_sharp_tail_factor_values():
+    """The factor values of f_T(n) that the full-size sharp_tail benchmark
+    workload hands to _f_is_squarefree: every sampled n and consistency n
+    of each sharpness family."""
+    size = _perfbench_workloads().SIZES["sharp_tail"]
     consistency = [s * n for n in range(2, size["consistency"] + 1) for s in (1, -1)]
     for fam in sharpness.SHARP_FAMILIES.values():
         for n in list(sharpness._sample_values(2, size["n_max"], size["samples"])) + consistency:
@@ -538,10 +544,12 @@ class TestFactoringMethods:
 
     def test_ecm_alone_splits_the_pinned_input(self, monkeypatch):
         monkeypatch.setattr(intarith, "_brent_rho", lambda n, c, max_iter: n)
+        monkeypatch.setattr(intarith, "_pm1", lambda n, b1: n)
         assert _split(*PINNED)
 
     def test_rho_alone_splits_small_cofactors(self, monkeypatch):
         monkeypatch.setattr(intarith, "_ecm", lambda n, sigma, b1, b2: n)
+        monkeypatch.setattr(intarith, "_pm1", lambda n, b1: n)
         for p, q in SMALL_COFACTORS:
             assert _split(p, q), (p, q)
 
@@ -593,6 +601,189 @@ class TestFactoringMethods:
         with pytest.raises(FactorBudgetError) as exc:
             intarith._factorize_uncached(p * q)
         assert exc.value.cofactor == p * q
+
+
+# Primes p whose p - 1 is 5,000-powersmooth: 2 * 661 * 863 * 1699 * 2503
+# and 2 * 523 * 4013 * 4133 * 4517.
+PM1_SMOOTH = (4851728380943, 78363953836079)
+# A safe prime: (q - 1) / 2 is prime, so the order of 2 mod q is not
+# 5,000-smooth.
+SAFE_PRIME = 754418222639987
+
+
+def _recorded(monkeypatch, name):
+    """Wraps intarith.<name> so each call's arguments are appended to the
+    returned list."""
+    calls, real = [], getattr(intarith, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(intarith, name, wrapper)
+    return calls
+
+
+class TestPm1:
+    """Stage 1 of Pollard's p-1, between the rho pass and the ECM curves."""
+
+    def test_premises(self):
+        for p in PM1_SMOOTH:
+            assert is_probable_prime(p)
+            assert all(r**e <= intarith._PM1_B1 for r, e in factorize(p - 1)), p
+        r = (SAFE_PRIME - 1) // 2
+        assert is_probable_prime(SAFE_PRIME) and is_probable_prime(r) and r > intarith._PM1_B1
+        for n in (PM1_SMOOTH[0] * SAFE_PRIME, math.prod(PM1_SMOOTH)):
+            assert intarith._brent_rho(n, 1, 1 << 14) == n  # rho's pass misses both
+
+    def test_splits_the_prime_with_smooth_p_minus_1(self, monkeypatch):
+        p, q = PM1_SMOOTH[0], SAFE_PRIME
+        assert intarith._pm1(p * q, intarith._PM1_B1) == p
+        ecm = _recorded(monkeypatch, "_ecm")
+        assert _split(p, q) and ecm == []
+
+    def test_both_smooth_gives_n_and_ecm_goes_on(self, monkeypatch):
+        p, q = PM1_SMOOTH
+        assert intarith._pm1(p * q, intarith._PM1_B1) == p * q
+        pm1, ecm = _recorded(monkeypatch, "_pm1"), _recorded(monkeypatch, "_ecm")
+        assert _split(p, q)
+        assert pm1 == [(p * q, intarith._PM1_B1)]
+        assert ecm and ecm[0] == (p * q, 6, 500, 50_000)
+
+    def test_runs_only_where_rho_misses(self, monkeypatch):
+        pm1 = _recorded(monkeypatch, "_pm1")
+        for p, q in SMALL_COFACTORS:
+            assert _split(p, q), (p, q)
+        assert pm1 == []
+
+    def test_not_run_at_zero_attempts(self, monkeypatch):
+        monkeypatch.setattr(intarith, "_RHO_ATTEMPTS", 0)
+        pm1 = _recorded(monkeypatch, "_pm1")
+        n = PM1_SMOOTH[0] * SAFE_PRIME
+        with pytest.raises(FactorBudgetError) as exc:
+            intarith._factorize_uncached(n)
+        assert exc.value.cofactor == n and pm1 == []
+
+    def test_iteration_cap_caps_its_bound(self, monkeypatch):
+        monkeypatch.setattr(intarith, "_RHO_MAX_ITER", 4)
+        pm1 = _recorded(monkeypatch, "_pm1")
+        n = PM1_SMOOTH[0] * SAFE_PRIME
+        with pytest.raises(FactorBudgetError) as exc:
+            intarith._factorize_uncached(n)
+        assert exc.value.cofactor == n and pm1 == [(n, 4)]
+
+
+def parent_factor_hard(n: int, out: dict[int, int]) -> None:
+    """_factor_hard before the p-1 step, kept as its oracle: the rho pass,
+    then one ECM curve per attempt.  A cofactor that resists the budget
+    fails the test."""
+    if is_probable_prime(n):
+        out[n] = out.get(n, 0) + 1
+        return
+    power = intarith._perfect_power(n)
+    if power is not None:
+        root, k = power
+        sub: dict[int, int] = {}
+        parent_factor_hard(root, sub)
+        for p, e in sub.items():
+            out[p] = out.get(p, 0) + e * k
+        return
+    for attempt in range(1, intarith._RHO_ATTEMPTS + 1):
+        d = intarith._brent_rho(n, 1, 1 << 14) if attempt == 1 else n
+        if d == n:
+            b1s = intarith._ECM_B1
+            b1 = b1s[(attempt - 1) * len(b1s) // intarith._RHO_ATTEMPTS]
+            d = intarith._ecm(n, attempt + 5, b1, 100 * b1)
+        if 1 < d < n:
+            break
+    else:
+        raise AssertionError(f"{n} resisted the parent's budget")
+    parent_factor_hard(d, out)
+    parent_factor_hard(n // d, out)
+
+
+# The cofactors of the full-size sharp_tail workload that rho's short pass
+# does not split (58 to 90 bits, least prime 28 to 40 bits), and the three
+# of them that p-1 splits, by their least prime.
+RHO_RESISTANT = (
+    (158851873, 997652611),
+    (317097019, 24266415937),
+    (5177599729, 36649730374937),
+    (2194402741, 8844209365312019),
+    (11466170953, 4433785495156487),
+    PINNED,
+)
+PM1_SPLITS = (317097019, 5177599729, 11466170953)
+
+
+def _full_size_sharp_tail_hard_cofactors(monkeypatch) -> set[int]:
+    """The distinct cofactors that factorize hands to _factor_hard in one
+    run of the full-size sharp_tail workload from cold caches."""
+    workloads = _perfbench_workloads()
+    for cached, uncached in (("_factorize_default", intarith._factorize_uncached),
+                             ("_is_squarefree_default", intarith._is_squarefree_uncached)):
+        monkeypatch.setattr(intarith, cached, lru_cache(maxsize=None)(uncached))
+    cofactors, nested, hard = set(), [], intarith._factor_hard
+
+    def outermost(n, out, stuck):
+        if not nested:
+            cofactors.add(n)
+        nested.append(n)
+        try:
+            hard(n, out, stuck)
+        finally:
+            nested.pop()
+
+    monkeypatch.setattr(intarith, "_factor_hard", outermost)
+    units, _ = workloads.run_workload(workloads.make_inputs("sharp_tail", 1), 1)
+    assert all("sha256" in entry for entry in units.values())
+    monkeypatch.undo()
+    return cofactors
+
+
+class TestHardCofactorOracle:
+    """factorize against the attempt loop it had before p-1."""
+
+    def test_full_size_sharp_tail_cofactors(self, monkeypatch):
+        cofactors = _full_size_sharp_tail_hard_cofactors(monkeypatch)
+        assert len(cofactors) == 258
+        for n in cofactors:
+            expected: dict[int, int] = {}
+            parent_factor_hard(n, expected)
+            assert factorize(n) == tuple(sorted(expected.items())), n
+        # Every cofactor on which rho's pass misses a split is pinned.
+        missed = set()
+
+        def walk(n):
+            if is_probable_prime(n):
+                return
+            power = intarith._perfect_power(n)
+            if power is not None:
+                return walk(power[0])
+            d = intarith._brent_rho(n, 1, 1 << 14)
+            if d == n:
+                missed.add(n)
+            else:
+                walk(d)
+                walk(n // d)
+
+        for n in cofactors:
+            walk(n)
+        assert missed == {p * q for p, q in RHO_RESISTANT}
+
+    @pytest.mark.parametrize(
+        "p, q", RHO_RESISTANT, ids=[f"{(p * q).bit_length()}bit" for p, q in RHO_RESISTANT]
+    )
+    def test_rho_resistant_cofactors(self, p, q, monkeypatch):
+        sympy = pytest.importorskip("sympy")
+        n = p * q
+        assert sympy.factorint(n) == {p: 1, q: 1}
+        assert intarith._brent_rho(n, 1, 1 << 14) == n
+        assert intarith._pm1(n, intarith._PM1_B1) == (p if p in PM1_SPLITS else 1)
+        # p-1's split ends the first attempt; its 1 falls through to ECM.
+        ecm = _recorded(monkeypatch, "_ecm")
+        assert intarith._factorize_uncached(n) == ((p, 1), (q, 1))
+        assert ecm[:1] == ([] if p in PM1_SPLITS else [(n, 6, 500, 50_000)])
 
 
 class TestSympyOracle:
