@@ -52,7 +52,6 @@ from szpirolab.bounds import (
     PHI_FAMILIES,
     PhiSpec,
     exceeds,
-    homogeneity_check,
     phi_eval,
     phi_scan,
     szpiro_ratio,
@@ -63,7 +62,6 @@ from szpirolab.sharpness import (
     SharpnessRecord,
     build_FT,
     convergence_scan,
-    degree_limit_check,
     verify_sharp_consistency,
 )
 from szpirolab.sweeps import (

@@ -42,7 +42,6 @@ __all__ = [
     "WorkerError",
     "all_phi_specs",
     "exceeds",
-    "homogeneity_check",
     "leading_dominance",
     "phi_eval",
     "phi_scan",
@@ -68,8 +67,8 @@ def exceeds(model: WeierstrassModel, bound: Fraction) -> bool:
 
 # ---------------------------------------------------------------------------
 # Substitution patterns: how one variable x stands in for a whole parameter
-# tuple, matching the single-variable reductions used by the homogeneity
-# identities.  The library pushes only the indeterminate X through them.
+# tuple in the phi reduction.  The library pushes only the indeterminate X
+# through them.
 
 
 def _pattern(fam: FamilyId, x) -> FamilyInstance:
@@ -509,6 +508,8 @@ def phi_scans(
     per branch, and every branch's chunks go to one fan_out call.  Chunks
     are merged in index order, so the outcome never depends on scheduling.
     """
+    if type(denominator) is not int:
+        raise ValidationError(f"denominator must be an integer, not {denominator!r}")
     if denominator < 1:
         raise ValidationError("denominator must be >= 1")
     if jobs < 1:
@@ -540,50 +541,6 @@ def phi_scan(
 ) -> PhiScanResult:
     """phi_scans of the one branch spec."""
     return phi_scans([spec], denominator, x_range, jobs)[0]
-
-
-# ---------------------------------------------------------------------------
-# Homogeneity identities: the invariants and the bound polynomial scale by
-# fixed powers of the leading parameters under (params) -> (1, ..., x).
-
-
-def _homogeneity_data(instance: FamilyInstance):
-    """(x, alpha scale, beta scale, delta scale) for the instance.  x and the
-    base are products of parameter powers (FamilyId.x_exps, base_exps); the
-    delta base is the decomposition's product if there is one, else the base."""
-    fam, params = instance.family, instance.params
-    x, base = (
-        math.prod(Fraction(p) ** e for p, e in zip(params, exps))
-        for exps in (fam.x_exps, fam.base_exps)
-    )
-    dbase = Fraction(math.prod(instance.decomposition or (base,)))
-    m, l = fam.m, fam.l
-    m_over_l = Fraction(m) / l
-    if m_over_l.denominator != 1:
-        raise CertificateError(
-            f"{fam.name}: weight m = {m} is not an integer multiple of l = {l}, "
-            "so delta has no integral homogeneity scale"
-        )
-    return x, base ** (m // 3), base ** (m // 2), dbase ** int(m_over_l)
-
-
-def homogeneity_check(instance: FamilyInstance) -> bool:
-    """Verify all three scaling identities exactly in rational arithmetic;
-    the pattern side is _phi_polys at x, as in the phi grid scans."""
-    if instance.family.name not in PHI_FAMILIES:
-        raise ValidationError(f"{instance.family.name} carries no homogeneity identities")
-    if instance.params[0] == 0:
-        raise ValidationError("leading parameter must be nonzero")
-    x, s_alpha, s_beta, s_delta = _homogeneity_data(instance)
-    alpha_sub, beta_sub, delta_sub = (
-        evaluate(poly.coeffs, x) for poly in _phi_polys(instance.family.name)
-    )
-    alpha, beta, delta_val = _forms_at(instance)
-    return (
-        Fraction(alpha) == s_alpha * alpha_sub
-        and Fraction(beta) == s_beta * beta_sub
-        and Fraction(delta_val) == s_delta * delta_sub
-    )
 
 
 def verify_height_bound(delta, height, exp: Fraction) -> bool:

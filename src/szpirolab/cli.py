@@ -130,9 +130,11 @@ def _family_params(args) -> list[int]:
 
 
 def _check_jobs(args) -> None:
-    """Rejects a --jobs (or SZPIROLAB_JOBS, its default) above the CPU count:
-    every job beyond the first is a worker process, and a pooled call forks
-    them all at once."""
+    """Resolves a --jobs left out to sweeps.default_jobs() and rejects one
+    above the CPU count: every job beyond the first is a worker process,
+    and a pooled call forks them all at once."""
+    if args.jobs is None:
+        args.jobs = sweeps.default_jobs()
     cpus = os.cpu_count() or 1
     if args.jobs > cpus:
         raise families.ValidationError(f"worker count must be <= {cpus}, the number of CPUs")
@@ -312,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="range for the cubefree one-parameter family")
     p_family.add_argument("--checks", default=",".join(sweeps.ALL_CHECKS),
                           help="comma list from: bounds, height, torsion")
-    p_family.add_argument("--jobs", type=int, default=sweeps.default_jobs())
+    p_family.add_argument("--jobs", type=int)
     p_family.set_defaults(func=cmd_family)
 
     p_phi = sub.add_parser("phi", help="grid scan of the bound-gap functions")
@@ -321,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_phi.add_argument("--u", default="all")
     p_phi.add_argument("--den", type=int, default=64)
     p_phi.add_argument("--range", type=_grid_range, default="20")
-    p_phi.add_argument("--jobs", type=int, default=sweeps.default_jobs())
+    p_phi.add_argument("--jobs", type=int)
     p_phi.set_defaults(func=cmd_phi)
 
     p_sharp = sub.add_parser("sharp", help="sharpness-sequence scans")

@@ -278,10 +278,9 @@ class FamilyId(NamedTuple):
     split: int | None = None
     # what validate_params checks and iter_param_tuples enumerates
     rules: tuple = _AB_RULES
-    # exponent of each parameter in the phi variable x and in the base of
-    # the homogeneity identities (phi families only): x = b/a, base a
+    # exponent of each parameter in the phi variable x (phi families
+    # only): x = b/a
     x_exps: tuple = (-1, 1)
-    base_exps: tuple = (1, 0)
 
     def __hash__(self):
         # delta_scales is a dict; the name alone identifies a family
@@ -317,7 +316,7 @@ FAMILIES: dict[str, FamilyId] = {
     for f in (
         _fam("C2", 3, 6, Fraction(3, 2), 2, False,
              {1: Fraction(256), 2: Fraction(4), 4: Fraction(1, 64)}, _m_C2, _d_C2,
-             rules=_C2_RULES, x_exps=(-2, 2, 1), base_exps=(1, 0, 0)),
+             rules=_C2_RULES, x_exps=(-2, 2, 1)),
         _fam("C3", 2, 12, 2, 3, False, {"c2d": Fraction(1)}, _m_C3, _d_C3, 3),
         _fam("C3_0", 1, None, 2, 3, False, {1: Fraction(1)}, _m_C3_0, _d_C3_0,
              rules=_C3_0_RULES),
@@ -335,8 +334,7 @@ FAMILIES: dict[str, FamilyId] = {
         _fam("C12", 2, 48, Fraction(24, 5), 12, False,
              {1: Fraction(1), 2: Fraction(1, 8)}, _m_C12, _d_C12),
         _fam("C2xC2", 3, 6, 2, 2, True, {1: Fraction(64), 2: Fraction(1)},
-             _m_C2xC2, _d_C2xC2, rules=_C2xC2_RULES, x_exps=(-1, 1, 0),
-             base_exps=(1, 0, 1)),
+             _m_C2xC2, _d_C2xC2, rules=_C2xC2_RULES, x_exps=(-1, 1, 0)),
         _fam("C2xC4", 2, 12, 3, 4, True,
              {1: Fraction(8), 2: Fraction(1, 2), 4: Fraction(1, 32)},
              _m_C2xC4, _d_C2xC4),

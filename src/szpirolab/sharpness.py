@@ -28,7 +28,6 @@ __all__ = [
     "build_FT",
     "check_scan_args",
     "convergence_scan",
-    "degree_limit_check",
     "fit_intercept",
     "verify_sharp_consistency",
 ]
@@ -59,14 +58,6 @@ class SharpFamilySpec(NamedTuple):
 
     def f_factor_values(self, n: int) -> list[int]:
         return [evaluate(coeffs, n) for coeffs in self.f_factors]
-
-    @property
-    def height_degree(self) -> int:
-        return sum((len(c) - 1) * e for c, e in self.height_factors)
-
-    @property
-    def f_degree(self) -> int:
-        return sum(len(c) - 1 for c in self.f_factors)
 
 
 def _m_C1(a):
@@ -221,12 +212,6 @@ def build_FT(T: str, n: int) -> WeierstrassModel:
     if spec.f_value(n) == 0:
         raise ValidationError(f"F_{T}({n}) is degenerate (discriminant zero)")
     return WeierstrassModel(*spec.model(*(evaluate(c, n) for c in spec.args)))
-
-
-def degree_limit_check(T: str) -> bool:
-    """deg H / deg f must equal the sharp exponent l exactly."""
-    spec = sharp_family(T)
-    return Fraction(spec.height_degree, spec.f_degree) == spec.l
 
 
 class ConsistencyReport(NamedTuple):

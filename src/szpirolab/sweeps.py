@@ -59,13 +59,14 @@ ALL_CHECKS = ("bounds", "height", "torsion")
 
 
 def default_jobs() -> int:
+    """The worker count SZPIROLAB_JOBS sets, else the CPU count."""
     env = os.environ.get("SZPIROLAB_JOBS")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        return int(env)
+    except ValueError:
+        raise ValidationError(f"SZPIROLAB_JOBS must be an integer, not {env!r}") from None
 
 
 def _reject_unknown_checks(checks) -> None:

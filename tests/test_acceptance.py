@@ -20,7 +20,7 @@ import time
 
 import pytest
 
-from conftest import record_verdict
+from conftest import degree_limit_check, homogeneity_check, record_verdict
 from szpirolab import bounds, families, reduction, sharpness, sweeps
 from szpirolab.weierstrass import WeierstrassModel, compute_invariants
 
@@ -249,7 +249,7 @@ class TestCriterion4:
                     continue
                 if inst.params[0] == 0:
                     continue
-                assert bounds.homogeneity_check(inst), inst
+                assert homogeneity_check(inst), inst
                 done += 1
                 checked += 1
         _verdict(
@@ -379,7 +379,7 @@ class TestCriterion6:
 class TestCriterion7:
     def test_degree_limits(self):
         for T in sharpness.SHARP_FAMILIES:
-            assert sharpness.degree_limit_check(T), T
+            assert degree_limit_check(T), T
         _verdict(
             "7a (degree ratio equals the sharp exponent)",
             True,

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import _name_branch_homogeneity_data, homogeneity_check
 from szpirolab import bounds
 from szpirolab.bounds import (
     PHI_FAMILIES,
@@ -18,7 +19,6 @@ from szpirolab.bounds import (
     PhiValue,
     all_phi_specs,
     exceeds,
-    homogeneity_check,
     leading_dominance,
     phi_eval,
     phi_scan,
@@ -206,6 +206,23 @@ class TestPhi:
             with pytest.raises(ValueError, match="worker count must be >= 1"):
                 phi_scan(spec, 16, 1, jobs=jobs)
         assert phi_scan(spec, 16, 0).points == 1
+
+    @pytest.mark.parametrize("den", [16.0, Fraction(16)], ids=repr)
+    @pytest.mark.parametrize("branch", [("C5", 1), ("C4", "c")], ids=["l=3", "l=12/5"])
+    def test_non_int_denominator_rejected_before_any_kernel(self, branch, den, monkeypatch):
+        built = []
+        real = bounds._PhiKernel
+
+        def recorded(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(bounds, "_PhiKernel", recorded)
+        with pytest.raises(ValidationError, match=r"^denominator must be an integer, not "):
+            phi_scan(phi_spec(*branch), den, 10)
+        assert built == []
+        assert phi_scan(phi_spec(*branch), 16, 1).points == 33
+        assert len(built) == 1
 
     def test_c2xc4_minimum_shrinks_with_refinement(self):
         spec = phi_spec("C2xC4", 2)
@@ -812,8 +829,8 @@ class TestPattern:
                 assert got == _table_forms(name, x), (name, x)
 
     def test_library_builds_patterns_only_with_the_indeterminate(self, monkeypatch):
-        # the grid scan, the argmin, tail dominance and the homogeneity
-        # identities all read the one polynomial set of _phi_polys
+        # the grid scan, the argmin, tail dominance and the test-side
+        # homogeneity oracle all read the one polynomial set of _phi_polys
         args = []
         real = bounds._pattern
 
@@ -840,34 +857,6 @@ class TestPattern:
         assert all(isinstance(x, Poly) for x in args), args
 
 
-def _name_branch_homogeneity_data(instance):
-    """Test-only reference: the former name-branch reduction of an instance
-    to (x, alpha scale, beta scale, delta scale)."""
-    name = instance.family.name
-    m = instance.family.m
-    l = instance.family.l
-    if name == "C2":
-        a, b, d = instance.params
-        x = Fraction(b * b * d, a * a)
-        base = dbase = Fraction(a)
-    elif name == "C2xC2":
-        a, b, d = instance.params
-        x = Fraction(b, a)
-        base = dbase = Fraction(a * d)
-    else:
-        a, b = instance.params
-        x = Fraction(b, a)
-        base = Fraction(a)
-        dbase = Fraction(math.prod(instance.decomposition or (a,)))
-    m_over_l = Fraction(m) / l
-    if m_over_l.denominator != 1:
-        raise CertificateError(
-            f"{name}: weight m = {m} is not an integer multiple of l = {l}, "
-            "so delta has no integral homogeneity scale"
-        )
-    return x, base ** (m // 3), base ** (m // 2), dbase ** int(m_over_l)
-
-
 class TestHomogeneity:
     def test_matches_name_branch_reference_on_box_6(self):
         checked = 0
@@ -879,8 +868,6 @@ class TestHomogeneity:
                     continue
                 if params[0] == 0:  # C2 only: no a > 0 rule
                     continue
-                got = bounds._homogeneity_data(inst)
-                assert got == _name_branch_homogeneity_data(inst), inst
                 assert homogeneity_check(inst), inst
                 checked += 1
         assert len(PHI_FAMILIES) == 14
@@ -890,12 +877,12 @@ class TestHomogeneity:
     @pytest.mark.parametrize("name", PHI_FAMILIES)
     def test_pattern_round_trip(self, name, x):
         pattern = bounds._pattern(FAMILIES[name], x)
-        assert bounds._homogeneity_data(pattern) == (x, 1, 1, 1)
+        assert _name_branch_homogeneity_data(pattern) == (x, 1, 1, 1)
 
     @pytest.mark.parametrize("name", PHI_FAMILIES)
     def test_exponents_have_one_entry_per_parameter(self, name):
         fam = FAMILIES[name]
-        assert len(fam.x_exps) == len(fam.base_exps) == fam.arity
+        assert len(fam.x_exps) == fam.arity
         assert list(fam.x_exps).count(1) == 1
 
     def test_spec_examples(self):

@@ -283,6 +283,33 @@ class TestJobsUpperBound:
         assert run_cli(argv, capsys) == (2, "", "error: worker count must be >= 1\n")
         assert no_process_pool == []
 
+    @pytest.mark.parametrize("argv", _JOBS_COMMANDS, ids=["phi", "family"])
+    def test_environment_not_an_integer_exit_2(self, argv, capsys, monkeypatch, no_process_pool):
+        monkeypatch.setenv("SZPIROLAB_JOBS", "junk")
+        assert run_cli(argv, capsys) == (
+            2, "", "error: SZPIROLAB_JOBS must be an integer, not 'junk'\n"
+        )
+        # an explicit --jobs does not read the environment
+        code, out, err = run_cli([*argv, "--jobs", "1"], capsys)
+        assert (code, err) == (0, "") and out
+        assert no_process_pool == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["curve", "ratio", "--model", "0,-1,-1,0,0"],
+            ["family", "build", "--T", "C5", "--a", "1", "--b", "1"],
+            ["sharp", "--T", "C2", "--nmax", "200", "--nmin", "100"],
+        ],
+        ids=["curve", "family build", "sharp"],
+    )
+    def test_other_commands_ignore_the_environment(self, argv, capsys, monkeypatch):
+        monkeypatch.delenv("SZPIROLAB_JOBS", raising=False)
+        clean = run_cli(argv, capsys)
+        monkeypatch.setenv("SZPIROLAB_JOBS", "junk")
+        assert run_cli(argv, capsys) == clean
+        assert clean[0] == 0 and clean[1] and clean[2] == ""
+
     def test_unknown_cpu_count_allows_one_job(self, capsys, monkeypatch, no_process_pool):
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         argv = list(_JOBS_COMMANDS[0])

@@ -123,9 +123,6 @@ REJECTED_ARGUMENTS = {
     "phi_spec u": (lambda: phi_spec("C5", 2), "u = 2 is not admissible for C5"),
     "phi_spec branch": (lambda: phi_spec("C3_0", 1), "C3_0 has no phi branch"),
     "phi_spec family": (lambda: phi_spec("C11", 1), "unknown family 'C11'"),
-    "homogeneity_check family": (
-        lambda: bounds.homogeneity_check(validate_params("C3_0", 2)),
-        "C3_0 carries no homogeneity identities"),
     "convergence_scan n_max": (lambda: sharpness.convergence_scan("C2", 5),
                                "n_max must be >= 10"),
     "convergence_scan samples": (lambda: sharpness.convergence_scan("C2", 100, samples=1),
@@ -142,8 +139,6 @@ REJECTED_ARGUMENTS = {
         "unknown sharpness family 'C11'"),
     "verify_sharp_consistency n": (lambda: sharpness.verify_sharp_consistency("C2", 1),
                                    r"\|n\| > 1"),
-    "degree_limit_check family": (lambda: sharpness.degree_limit_check("C3_0"),
-                                  "unknown sharpness family 'C3_0'"),
     "fit_intercept points": (lambda: sharpness.fit_intercept([(1.0, 2.0)]),
                              "at least two points"),
     "run_sweep bound": (lambda: sweeps.run_sweep("C5", 0),

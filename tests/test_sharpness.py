@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import edit_analysis
+from conftest import degree_limit_check, edit_analysis, sharp_degrees
 from szpirolab import intarith, sharpness, weierstrass
 from szpirolab.families import FAMILIES, ValidationError
 from szpirolab.poly import Poly
@@ -16,7 +16,6 @@ from szpirolab.sharpness import (
     _f_is_squarefree,
     build_FT,
     convergence_scan,
-    degree_limit_check,
     fit_intercept,
     verify_sharp_consistency,
 )
@@ -110,10 +109,8 @@ class TestTableValues:
             assert degree_limit_check(T), T
 
     def test_degree_ratios(self):
-        spec = SHARP_FAMILIES["C4"]
-        assert Fraction(spec.height_degree, spec.f_degree) == Fraction(12, 5)
-        spec = SHARP_FAMILIES["C12"]
-        assert Fraction(spec.height_degree, spec.f_degree) == Fraction(48, 10)
+        assert Fraction(*sharp_degrees(SHARP_FAMILIES["C4"])) == Fraction(12, 5)
+        assert Fraction(*sharp_degrees(SHARP_FAMILIES["C12"])) == Fraction(48, 10)
 
 
 class TestConsistency:

@@ -161,9 +161,8 @@ def test_no_comparison_with_c1(path):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_no_comparison_with_family_name(path):
     # A family's parameter rules are FamilyId.rules, which validate_params
-    # and the sweep box both read, and its phi reduction is FamilyId.x_exps
-    # and base_exps, which bounds._pattern and _homogeneity_data both read;
-    # no module branches on the name.
+    # and the sweep box both read, and its phi reduction is FamilyId.x_exps,
+    # which bounds._pattern reads; no module branches on the name.
     lines = _compared_with(path, set(FAMILIES))
     assert lines == [], f"{path.name}: comparison with a family name on line(s) {lines}"
 

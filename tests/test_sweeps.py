@@ -4,6 +4,7 @@ import inspect
 import itertools
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -411,7 +412,19 @@ class TestDefaultJobs:
         monkeypatch.setenv("SZPIROLAB_JOBS", "7")
         assert default_jobs() == 7
         monkeypatch.setenv("SZPIROLAB_JOBS", "junk")
-        assert default_jobs() >= 1
+        with pytest.raises(ValidationError, match="^SZPIROLAB_JOBS must be an integer, not 'junk'$"):
+            default_jobs()
+
+    @pytest.mark.parametrize("env", [None, ""])
+    def test_unset_or_empty_gives_the_cpu_count(self, env, monkeypatch):
+        if env is None:
+            monkeypatch.delenv("SZPIROLAB_JOBS", raising=False)
+        else:
+            monkeypatch.setenv("SZPIROLAB_JOBS", env)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert default_jobs() == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert default_jobs() == 1
 
 
 def _count_calls(monkeypatch, module, name):
