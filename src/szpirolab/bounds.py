@@ -26,6 +26,7 @@ from szpirolab.families import (
     family,
     u_value,
 )
+from szpirolab.intarith import _require_int
 from szpirolab.poly import Poly, X, evaluate
 from szpirolab.reduction import analyze, sigma_m
 from szpirolab.weierstrass import (
@@ -365,6 +366,14 @@ def _work(fn, shared, parts, tokens: int, out: int, unused) -> NoReturn:
         os._exit(status)
 
 
+def _check_jobs(jobs) -> None:
+    """The rule on the worker count of run_sweep and phi_scans, applied
+    before either enumerates or builds anything."""
+    _require_int("worker count", jobs)
+    if jobs < 1:
+        raise ValidationError("worker count must be >= 1")
+
+
 def fan_out(fn, items, jobs: int, chunks: int, *shared) -> list:
     """[fn(*shared, part) for each of up to `chunks` consecutive parts of
     items], computed by up to `jobs` processes, the caller included, and
@@ -508,12 +517,10 @@ def phi_scans(
     per branch, and every branch's chunks go to one fan_out call.  Chunks
     are merged in index order, so the outcome never depends on scheduling.
     """
-    if type(denominator) is not int:
-        raise ValidationError(f"denominator must be an integer, not {denominator!r}")
+    _require_int("denominator", denominator)
     if denominator < 1:
         raise ValidationError("denominator must be >= 1")
-    if jobs < 1:
-        raise ValidationError("worker count must be >= 1")
+    _check_jobs(jobs)
     x_range = Fraction(x_range)
     if x_range < 0:
         raise ValidationError("x_range must be >= 0")

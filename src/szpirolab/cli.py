@@ -3,7 +3,8 @@ sharpness scans.
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed (the
 counterexample or mismatch is printed), 2 usage or validation error, 3 a
-host failure (a worker process ended without returning its results).
+host failure (a worker process ended without returning its results, or
+the reader of stdout closed it).
 Big integers are serialized as decimal strings; output ordering is fixed
 by input order so runs are reproducible byte for byte.
 """
@@ -130,11 +131,8 @@ def _family_params(args) -> list[int]:
 
 
 def _check_jobs(args) -> None:
-    """Resolves a --jobs left out to sweeps.default_jobs() and rejects one
-    above the CPU count: every job beyond the first is a worker process,
-    and a pooled call forks them all at once."""
-    if args.jobs is None:
-        args.jobs = sweeps.default_jobs()
+    """Rejects a --jobs above the CPU count: every job beyond the first is
+    a worker process, and a pooled call forks them all at once."""
     cpus = os.cpu_count() or 1
     if args.jobs > cpus:
         raise families.ValidationError(f"worker count must be <= {cpus}, the number of CPUs")
@@ -314,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="range for the cubefree one-parameter family")
     p_family.add_argument("--checks", default=",".join(sweeps.ALL_CHECKS),
                           help="comma list from: bounds, height, torsion")
-    p_family.add_argument("--jobs", type=int)
+    p_family.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p_family.set_defaults(func=cmd_family)
 
     p_phi = sub.add_parser("phi", help="grid scan of the bound-gap functions")
@@ -323,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_phi.add_argument("--u", default="all")
     p_phi.add_argument("--den", type=int, default=64)
     p_phi.add_argument("--range", type=_grid_range, default="20")
-    p_phi.add_argument("--jobs", type=int)
+    p_phi.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p_phi.set_defaults(func=cmd_phi)
 
     p_sharp = sub.add_parser("sharp", help="sharpness-sequence scans")
@@ -344,7 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except FactorBudgetError as exc:
         print(f"error: {exc} (partial: {exc.partial})", file=sys.stderr)
         return CHECK_FAILED
@@ -352,6 +352,12 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return CHECK_FAILED if isinstance(exc, SingularModelError) else USAGE_ERROR
     except bounds.WorkerError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return HOST_FAILURE
+    except BrokenPipeError as exc:
+        # the reader closed stdout: what is still buffered goes to devnull,
+        # so the interpreter's last flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return HOST_FAILURE
 

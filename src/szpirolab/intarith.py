@@ -78,6 +78,12 @@ class ValidationError(ValueError):
     """Rejected input; the message names the rule."""
 
 
+def _require_int(name: str, value) -> None:
+    """Rejects a count or bound that is not an int; a bool is not one."""
+    if type(value) is not int:
+        raise ValidationError(f"{name} must be an integer, not {value!r}")
+
+
 class FactorBudgetError(ArithmeticError):
     """A cofactor resisted the factoring budget.
 

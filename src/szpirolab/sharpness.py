@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from szpirolab.bounds import verify_height_bound
 from szpirolab.families import FAMILIES, ValidationError
-from szpirolab.intarith import FactorBudgetError, is_squarefree, radical
+from szpirolab.intarith import FactorBudgetError, _require_int, is_squarefree, radical
 from szpirolab.poly import evaluate
 from szpirolab.reduction import analyze, height_of_minimal, minimal_model, sigma_m
 from szpirolab.weierstrass import WeierstrassModel
@@ -362,6 +362,10 @@ def _sample_values(n_min: int, n_max: int, samples: int | None) -> range | list[
 def check_scan_args(n_min: int, n_max: int, samples: int | None) -> None:
     """The convergence_scan rules on the range and samples; a front end
     calls it before it writes anything."""
+    _require_int("n_min", n_min)
+    _require_int("n_max", n_max)
+    if samples is not None:
+        _require_int("samples", samples)
     if n_max < 10:
         raise ValidationError("n_max must be >= 10")
     if n_min < 2:

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from operator import itemgetter
 from typing import NamedTuple
 
-from szpirolab.bounds import fan_out, verify_height_bound
+from szpirolab.bounds import _check_jobs, fan_out, verify_height_bound
 from szpirolab.families import (
     FamilyInstance,
     PaperContractViolation,
@@ -32,7 +31,7 @@ from szpirolab.families import (
     family,
     recover_uT,
 )
-from szpirolab.intarith import _valuation
+from szpirolab.intarith import _require_int, _valuation
 from szpirolab.reduction import analyze, sigma_m
 from szpirolab.weierstrass import (
     AffinePoint,
@@ -46,7 +45,6 @@ __all__ = [
     "InstanceReport",
     "SweepSummary",
     "check_instance",
-    "default_jobs",
     "iter_param_tuples",
     "run_sweep",
 ]
@@ -56,17 +54,6 @@ _ORIGIN = AffinePoint(0, 0)
 _FP_CAPS = {2: 8, 3: 5}
 
 ALL_CHECKS = ("bounds", "height", "torsion")
-
-
-def default_jobs() -> int:
-    """The worker count SZPIROLAB_JOBS sets, else the CPU count."""
-    env = os.environ.get("SZPIROLAB_JOBS")
-    if not env:
-        return os.cpu_count() or 1
-    try:
-        return int(env)
-    except ValueError:
-        raise ValidationError(f"SZPIROLAB_JOBS must be an integer, not {env!r}") from None
 
 
 def _reject_unknown_checks(checks) -> None:
@@ -278,13 +265,15 @@ def run_sweep(
     the model's analysis and torsion data are computed once per group.
     c30_bound overrides the box for the cubefree one-parameter family when
     sweeping "all" with a deeper range there.  An unknown family, a bound
-    or worker count below 1 and an unknown check name raise
-    ValidationError before any instance is checked.
+    or worker count that is not an int or is below 1 and an unknown check
+    name raise ValidationError before any instance is checked.
     """
+    _require_int("bound", bound)
+    if c30_bound is not None:
+        _require_int("c30_bound", c30_bound)
     if bound < 1 or (c30_bound is not None and c30_bound < 1):
         raise ValidationError("parameter bounds must be positive")
-    if jobs < 1:
-        raise ValidationError("worker count must be >= 1")
+    _check_jobs(jobs)
     _reject_unknown_checks(checks)
     fam = family(name)
     bound_used = c30_bound if fam.arity == 1 and c30_bound is not None else bound

@@ -13,6 +13,7 @@ README).
 """
 
 import math
+import os
 import random
 import re
 import sys
@@ -26,7 +27,7 @@ from szpirolab.weierstrass import WeierstrassModel, compute_invariants
 
 SWEEP_BOUND = 30
 C30_BOUND = 100
-JOBS = sweeps.default_jobs()
+JOBS = os.cpu_count() or 1
 
 FAMILY_NAMES = list(families.FAMILIES)
 

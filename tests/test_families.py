@@ -118,6 +118,10 @@ REJECTED_ARGUMENTS = {
                      "denominator must be >= 1"),
     "phi_scan jobs": (lambda: bounds.phi_scan(phi_spec("C5", 1), 8, 1, jobs=0),
                       "worker count must be >= 1"),
+    "phi_scan jobs float": (lambda: bounds.phi_scan(phi_spec("C5", 1), 8, 1, jobs=2.0),
+                            r"^worker count must be an integer, not 2\.0$"),
+    "phi_scan jobs bool": (lambda: bounds.phi_scan(phi_spec("C5", 1), 8, 1, jobs=True),
+                           "^worker count must be an integer, not True$"),
     "phi_scan x_range": (lambda: bounds.phi_scan(phi_spec("C5", 1), 8, -1),
                          "x_range must be >= 0"),
     "phi_spec u": (lambda: phi_spec("C5", 2), "u = 2 is not admissible for C5"),
@@ -129,6 +133,13 @@ REJECTED_ARGUMENTS = {
                                  "samples must be >= 2"),
     "convergence_scan n_min": (lambda: sharpness.convergence_scan("C2", 100, n_min=200),
                                "n_min must be <= n_max"),
+    "convergence_scan n_max float": (lambda: sharpness.convergence_scan("C5", 100.5),
+                                     r"^n_max must be an integer, not 100\.5$"),
+    "convergence_scan n_min float": (lambda: sharpness.convergence_scan("C5", 100, n_min=2.0),
+                                     r"^n_min must be an integer, not 2\.0$"),
+    "convergence_scan samples float": (
+        lambda: sharpness.convergence_scan("C5", 100, samples=5.0),
+        r"^samples must be an integer, not 5\.0$"),
     "convergence_scan family": (lambda: sharpness.convergence_scan("C11", 100),
                                 "unknown sharpness family 'C11'"),
     "build_FT family": (lambda: sharpness.build_FT("C11", 2),
@@ -147,6 +158,14 @@ REJECTED_ARGUMENTS = {
                             "parameter bounds must be positive"),
     "run_sweep jobs": (lambda: sweeps.run_sweep("C5", 3, jobs=0),
                        "worker count must be >= 1"),
+    "run_sweep jobs float": (lambda: sweeps.run_sweep("C2", 8, jobs=2.0),
+                             r"^worker count must be an integer, not 2\.0$"),
+    "run_sweep jobs bool": (lambda: sweeps.run_sweep("C2", 8, jobs=True),
+                            "^worker count must be an integer, not True$"),
+    "run_sweep bound float": (lambda: sweeps.run_sweep("C5", 6.5),
+                              r"^bound must be an integer, not 6\.5$"),
+    "run_sweep c30_bound float": (lambda: sweeps.run_sweep("C3_0", 5, c30_bound=20.0),
+                                  r"^c30_bound must be an integer, not 20\.0$"),
     "run_sweep checks": (lambda: sweeps.run_sweep("C5", 3, checks=("foo",)),
                          r"unknown checks: \['foo'\]"),
     "run_sweep family": (lambda: sweeps.run_sweep("C11", 3), "unknown family 'C11'"),

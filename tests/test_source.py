@@ -62,6 +62,27 @@ def test_process_pool_only_in_bounds(path):
     assert lines == [], f"{path.name}: os.fork or a pool module on line(s) {lines}"
 
 
+_ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_environment_reads(path):
+    # Every setting is an argument: output and worker counts never depend
+    # on an environment variable.
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr in _ENVIRONMENT_READERS)
+        or (isinstance(node, ast.Name) and node.id in _ENVIRONMENT_READERS)
+        or (
+            isinstance(node, ast.ImportFrom)
+            and any(alias.name in _ENVIRONMENT_READERS for alias in node.names)
+        )
+    ]
+    assert lines == [], f"{path.name}: environment read on line(s) {lines}"
+
+
 def test_cli_exit_code_2_decided_in_main():
     # Input errors raise; main alone turns them into a message and exit 2.
     path = next(p for p in SOURCES if p.name == "cli.py")

@@ -4,7 +4,6 @@ import inspect
 import itertools
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -27,7 +26,6 @@ from szpirolab.reduction import analyze
 from szpirolab.sweeps import (
     ALL_CHECKS,
     check_instance,
-    default_jobs,
     iter_param_tuples,
     run_sweep,
 )
@@ -405,26 +403,6 @@ class TestSweepArguments:
     def test_cli_usage_error_before_output(self, argv, message, capsys):
         code, out, err = _verify_cli(argv, capsys)
         assert (code, out, err) == (2, "", f"error: {message}\n")
-
-
-class TestDefaultJobs:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("SZPIROLAB_JOBS", "7")
-        assert default_jobs() == 7
-        monkeypatch.setenv("SZPIROLAB_JOBS", "junk")
-        with pytest.raises(ValidationError, match="^SZPIROLAB_JOBS must be an integer, not 'junk'$"):
-            default_jobs()
-
-    @pytest.mark.parametrize("env", [None, ""])
-    def test_unset_or_empty_gives_the_cpu_count(self, env, monkeypatch):
-        if env is None:
-            monkeypatch.delenv("SZPIROLAB_JOBS", raising=False)
-        else:
-            monkeypatch.setenv("SZPIROLAB_JOBS", env)
-        monkeypatch.setattr(os, "cpu_count", lambda: 5)
-        assert default_jobs() == 5
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert default_jobs() == 1
 
 
 def _count_calls(monkeypatch, module, name):
