@@ -201,11 +201,21 @@ class _PhiKernel:
     gap = big_num^q * del_den^p - del_num^p * big_den^q, and when q == 1,
     phi = gap / (big_den * del_den^p).  When q > 1 only the sign of gap
     is needed, and sign() decides it.
+
+    The grid scan reads the branch's constants folded into fold_a, fold_b
+    and fold_d, which hold for a positive prefactor (phi_scans checks it).
+    For q == 1, gap(*combine(a, b, d)) is
+    max(|a|^3 fold_a, b^2 fold_b) - |d|^p fold_d, with
+    fold_a = pre_num pad_a del_den^p, fold_b = pre_num pad_b del_den^p and
+    fold_d = |scale_num|^p big_den.  For q > 1, combine(a, b, d) is
+    (max(|a|^3 fold_a, b^2 fold_b), |d| fold_d), with fold_a = pre_num pad_a,
+    fold_b = pre_num pad_b and fold_d = |scale_num|.
     """
 
     __slots__ = (
         "den", "alpha", "beta", "dbase", "pad_a", "pad_b", "pre_num", "scale_num",
         "p", "q", "big_den", "del_den", "big_den_q", "del_den_p",
+        "fold_a", "fold_b", "fold_d",
     )
 
     def __init__(self, spec: PhiSpec, den: int):
@@ -225,6 +235,11 @@ class _PhiKernel:
         self.del_den = scale.denominator * den**dd
         self.big_den_q = self.big_den**self.q
         self.del_den_p = self.del_den**self.p
+        pre, self.fold_d = self.pre_num, abs(self.scale_num)
+        if self.q == 1:
+            pre *= self.del_den_p
+            self.fold_d = self.fold_d**self.p * self.big_den
+        self.fold_a, self.fold_b = pre * self.pad_a, pre * self.pad_b
 
     def terms(self, k: int) -> tuple[int, int]:
         """(big_num, del_num) at x = k/den."""
@@ -289,6 +304,17 @@ class _PhiKernel:
         return PhiValue(Fraction(k, self.den), sign, self.approx(big_num, del_num), exact)
 
 
+def _rational(name: str, value) -> Fraction:
+    """value as a Fraction; one that Fraction cannot take, a float inf or
+    nan included, or a bool, raises ValidationError naming the argument."""
+    if not isinstance(value, bool):
+        try:
+            return Fraction(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValidationError(f"{name} must be a rational number, not {value!r}")
+
+
 def phi_eval(spec: PhiSpec, x) -> PhiValue:
     """Exact sign (and float size) of phi at the rational x.
 
@@ -296,7 +322,7 @@ def phi_eval(spec: PhiSpec, x) -> PhiValue:
     decided by comparing q-th powers of integers: a one-point grid of
     the kernel phi_scan runs, built at the denominator of x.
     """
-    x = Fraction(x)
+    x = _rational("x", x)
     return _PhiKernel(spec, x.denominator).value(x.numerator)
 
 
@@ -310,7 +336,9 @@ def phi_eval(spec: PhiSpec, x) -> PhiValue:
 # branch (C2xC4, u = 2) at 4,097 points 7-8 vs 8-9 ms, and one (C12,
 # u = 1) at 40,961 points 0.25 vs 0.17-0.19 s.  All 28 branches pay from
 # 1,281 points, and one branch does not at 4,097: the work is points
-# times branches.  The threshold stays until a change of its own moves it.
+# times branches.  These timings predate the folded constants of
+# _PhiKernel, which make an in-process point cheaper.  The threshold stays
+# until a change of its own moves it.
 _PHI_POOL_MIN = 4096
 
 
@@ -457,28 +485,43 @@ def _scan_chunk(kern: _PhiKernel, ks: range):
     indices ks, a step-1 range.
 
     alpha, beta and delta_T move from k to k + 1 by their forward
-    differences, deg integer additions each, with no Horner evaluation.
+    differences, deg integer additions each, with no Horner evaluation,
+    and the branch's constants come folded (kern.fold_a, fold_b, fold_d).
     When l is an integer the key is the gap, since its denominator is the
-    same at every k.  Otherwise the key is the float approx, and kern.sign
+    same at every k: max(|a|^3 fold_a, b^2 fold_b) - |d|^p fold_d.  Otherwise
+    the key is the float approx of (big_num, del_num), and kern.sign
     decides the sign."""
     violations = []
     zeros = []
-    best = None
+    best_key = best_k = None
+    fold_a, fold_b, fold_d, p = kern.fold_a, kern.fold_b, kern.fold_d, kern.p
     stepped = (_stepped(coeffs, ks.start) for coeffs in (kern.alpha, kern.beta, kern.dbase))
-    for k, a, b, d in zip(ks, *stepped):
-        big_num, del_num = kern.combine(a, b, d)
-        if kern.q == 1:
-            sign = key = kern.gap(big_num, del_num)
-        else:
-            sign = kern.sign(big_num, del_num)
-            key = kern.approx(big_num, del_num)
-        if sign < 0:
-            violations.append(k)
-        elif sign == 0:
-            zeros.append(k)
-        if best is None or key < best[0]:
-            best = (key, k)
-    return violations, zeros, best
+    points = zip(ks, *stepped)
+    if kern.q == 1:
+        for k, a, b, d in points:
+            key = max(abs(a) ** 3 * fold_a, b * b * fold_b) - abs(d) ** p * fold_d
+            if key <= 0:
+                if key:
+                    violations.append(k)
+                else:
+                    zeros.append(k)
+            if best_k is None or key < best_key:
+                best_key, best_k = key, k
+    else:
+        sign, approx = kern.sign, kern.approx
+        for k, a, b, d in points:
+            big_num = max(abs(a) ** 3 * fold_a, b * b * fold_b)
+            del_num = abs(d) * fold_d
+            s = sign(big_num, del_num)
+            if s <= 0:
+                if s:
+                    violations.append(k)
+                else:
+                    zeros.append(k)
+            key = approx(big_num, del_num)
+            if best_k is None or key < best_key:
+                best_key, best_k = key, k
+    return violations, zeros, (best_key, best_k)
 
 
 def _scan_tasks(tasks):
@@ -511,7 +554,8 @@ def phi_scans(
     for each branch in specs.
 
     One _PhiKernel per branch, built at the grid's denominator, decides
-    every point in integers and builds a PhiValue for the argmin alone.
+    every point in integers and builds a PhiValue for the argmin alone; a
+    branch whose prefactor is not positive raises ValidationError.
     With jobs > 1, grids of at least _PHI_POOL_MIN points are split into
     index chunks, about 8 per process over all branches and at least one
     per branch, and every branch's chunks go to one fan_out call.  Chunks
@@ -521,12 +565,17 @@ def phi_scans(
     if denominator < 1:
         raise ValidationError("denominator must be >= 1")
     _check_jobs(jobs)
-    x_range = Fraction(x_range)
+    x_range = _rational("x_range", x_range)
     if x_range < 0:
         raise ValidationError("x_range must be >= 0")
     k_max = int(x_range * denominator)
     ks = range(-k_max, k_max + 1)
-    kerns = [_PhiKernel(spec, denominator) for spec in specs]
+    kerns = []
+    for spec in specs:
+        # the kernel's folded constants assume it
+        if spec.prefactor <= 0:
+            raise ValidationError(f"{spec.label}: prefactor must be > 0, not {spec.prefactor}")
+        kerns.append(_PhiKernel(spec, denominator))
     workers = jobs if len(ks) >= _PHI_POOL_MIN else 1
     per_branch = 1 if workers == 1 else -(-8 * workers // max(len(kerns), 1))
     step = -(-len(ks) // per_branch)

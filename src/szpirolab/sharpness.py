@@ -208,6 +208,7 @@ def build_FT(T: str, n: int) -> WeierstrassModel:
     disc(F_T(n)) and f(n) have the same radical as polynomials in n, so the
     model is singular exactly where f(n) = 0.
     """
+    _require_int("n", n)
     spec = sharp_family(T)
     if spec.f_value(n) == 0:
         raise ValidationError(f"F_{T}({n}) is degenerate (discriminant zero)")
@@ -233,6 +234,7 @@ def verify_sharp_consistency(T: str, n: int) -> ConsistencyReport:
     the curve is semistable everywhere; and N = |f(n)| when f(n) is
     squarefree.  Each failure becomes a named finding.
     """
+    _require_int("n", n)
     if abs(n) <= 1:
         raise ValidationError("consistency checks require |n| > 1")
     spec = sharp_family(T)

@@ -182,8 +182,9 @@ def iter_param_tuples(name: str, bound: int):
     range once, whole-tuple rules filter the product.  validate_params
     reads the same rules and rejects what is left only as singular, the
     one check the sweep still makes (families._admit).  An unknown family
-    raises ValidationError."""
+    raises ValidationError, and so does a bound that is not an int."""
     fam = family(name)
+    _require_int("bound", bound)
     axes = [range(-bound, bound + 1)] * fam.arity
     whole = []
     for pos, ok, _ in fam.rules:

@@ -1,5 +1,6 @@
 """Heights, ratios, and the phi machinery."""
 
+import itertools
 import math
 import os
 import random
@@ -224,6 +225,14 @@ class TestPhi:
         assert phi_scan(phi_spec(*branch), 16, 1).points == 33
         assert len(built) == 1
 
+    @pytest.mark.parametrize("pre", [Fraction(0), Fraction(-2), Fraction(-1, 4096)], ids=str)
+    @pytest.mark.parametrize("l", [Fraction(3), Fraction(7, 2)], ids=["l=3", "l=7/2"])
+    def test_non_positive_prefactor_rejected(self, l, pre):
+        # the grid kernel folds the prefactor into fold_a and fold_b
+        bad = PhiSpec(FAMILIES["C5"]._replace(l=l), 1, pre)
+        with pytest.raises(ValidationError, match=rf"^phi\[C5, u=1\]: prefactor must be > 0, not {pre}$"):
+            phi_scans([phi_spec("C6", 1), bad], 16, 1)
+
     def test_c2xc4_minimum_shrinks_with_refinement(self):
         spec = phi_spec("C2xC4", 2)
         coarse = phi_scan(spec, 64, 2)
@@ -404,19 +413,28 @@ class TestPhiScanKernel:
         self._assert_same(PhiSpec(c5_7_2, 1, spec.prefactor), 16, 4)
 
     def test_flipped_sign_at_one_grid_point_is_reported(self, monkeypatch):
+        # l = 3: the scan reads delta_T from _stepped, and delta_T(0) = 0
+        # raised to 2 there makes phi(0) = 1 - 2^3 < 0 at x = 0 alone
         spec = phi_spec("C5", 1)
         good = phi_scan(spec, 8, 3)
         assert good.violations == () and good.min_exact > 0
-        real = bounds._PhiKernel.gap
+        assert good.argmin != 0
+        dbase = bounds._PhiKernel(spec, 8).dbase
+        real = bounds._stepped
 
-        def flipped_at_zero(kern, big_num, del_num):
-            gap = real(kern, big_num, del_num)
-            return -gap if (big_num, del_num) == kern.terms(0) else gap
+        def raised_at_zero(coeffs, k):
+            values = real(coeffs, k)
+            if coeffs != dbase:
+                return values
+            return (d + 2 * 8**3 if i == 0 else d for i, d in zip(itertools.count(k), values))
 
-        monkeypatch.setattr(bounds._PhiKernel, "gap", flipped_at_zero)
+        monkeypatch.setattr(bounds, "_stepped", raised_at_zero)
         bad = phi_scan(spec, 8, 3)
         assert bad.violations == (0,)
-        assert (bad.argmin, bad.min_exact) == (0, -1)
+        assert bad.zeros == ()
+        # the argmin's value comes from the point path, which reads the
+        # unperturbed polynomial
+        assert (bad.argmin, bad.min_exact) == (0, phi_eval(spec, 0).exact)
         assert bad != good
 
     @pytest.mark.parametrize("name", ["C2", "C12"])
@@ -513,6 +531,20 @@ class TestSteppedScan:
             for ks in _CHUNKS:
                 got = bounds._scan_chunk(kern, ks)
                 assert got == _reference_chunk(kern, ks), (spec.label, den, ks)
+
+    @pytest.mark.parametrize("den", [1, 16])
+    @pytest.mark.parametrize("l", [Fraction(3), Fraction(7, 2)], ids=["l=3", "l=7/2"])
+    def test_chunks_match_on_hand_built_c5_with_violations_and_zeros(self, l, den):
+        # the prefactor of TestPhiScanKernel's hand-built spec: phi[C5]
+        # vanishes at x = +-1 and goes negative at 3/2
+        spec = PhiSpec(FAMILIES["C5"]._replace(l=l), 1, Fraction(1331, 23104))
+        kern = bounds._PhiKernel(spec, den)
+        flagged = []
+        for ks in _CHUNKS:
+            got = bounds._scan_chunk(kern, ks)
+            assert got == _reference_chunk(kern, ks), (l, den, ks)
+            flagged += got[0] + got[1]
+        assert flagged
 
     @pytest.mark.parametrize("den", [1, 16])
     def test_stepped_values_are_horner_values(self, den):

@@ -124,6 +124,22 @@ REJECTED_ARGUMENTS = {
                            "^worker count must be an integer, not True$"),
     "phi_scan x_range": (lambda: bounds.phi_scan(phi_spec("C5", 1), 8, -1),
                          "x_range must be >= 0"),
+    "phi_scan x_range text": (lambda: bounds.phi_scan(phi_spec("C5", 1), 8, "abc"),
+                              "^x_range must be a rational number, not 'abc'$"),
+    "phi_scan x_range inf": (lambda: bounds.phi_scan(phi_spec("C5", 1), 8, float("inf")),
+                             "^x_range must be a rational number, not inf$"),
+    "phi_scan x_range nan": (lambda: bounds.phi_scan(phi_spec("C5", 1), 8, float("nan")),
+                             "^x_range must be a rational number, not nan$"),
+    "phi_scan x_range bool": (lambda: bounds.phi_scan(phi_spec("C5", 1), 8, True),
+                              "^x_range must be a rational number, not True$"),
+    "phi_eval x text": (lambda: bounds.phi_eval(phi_spec("C5", 1), "abc"),
+                        "^x must be a rational number, not 'abc'$"),
+    "phi_eval x inf": (lambda: bounds.phi_eval(phi_spec("C5", 1), float("-inf")),
+                       "^x must be a rational number, not -inf$"),
+    "phi_eval x nan": (lambda: bounds.phi_eval(phi_spec("C5", 1), float("nan")),
+                       "^x must be a rational number, not nan$"),
+    "phi_eval x bool": (lambda: bounds.phi_eval(phi_spec("C5", 1), False),
+                        "^x must be a rational number, not False$"),
     "phi_spec u": (lambda: phi_spec("C5", 2), "u = 2 is not admissible for C5"),
     "phi_spec branch": (lambda: phi_spec("C3_0", 1), "C3_0 has no phi branch"),
     "phi_spec family": (lambda: phi_spec("C11", 1), "unknown family 'C11'"),
@@ -145,11 +161,16 @@ REJECTED_ARGUMENTS = {
     "build_FT family": (lambda: sharpness.build_FT("C11", 2),
                         "unknown sharpness family 'C11'"),
     "build_FT degenerate": (lambda: sharpness.build_FT("C2", 0), "degenerate"),
+    "build_FT n float": (lambda: sharpness.build_FT("C2", 2.5),
+                         r"^n must be an integer, not 2\.5$"),
     "verify_sharp_consistency family": (
         lambda: sharpness.verify_sharp_consistency("C11", 2),
         "unknown sharpness family 'C11'"),
     "verify_sharp_consistency n": (lambda: sharpness.verify_sharp_consistency("C2", 1),
                                    r"\|n\| > 1"),
+    "verify_sharp_consistency n float": (
+        lambda: sharpness.verify_sharp_consistency("C2", 2.5),
+        r"^n must be an integer, not 2\.5$"),
     "fit_intercept points": (lambda: sharpness.fit_intercept([(1.0, 2.0)]),
                              "at least two points"),
     "run_sweep bound": (lambda: sweeps.run_sweep("C5", 0),
@@ -173,6 +194,8 @@ REJECTED_ARGUMENTS = {
                               r"unknown checks: \['foo'\]"),
     "iter_param_tuples family": (lambda: list(sweeps.iter_param_tuples("C11", 1)),
                                  "unknown family 'C11'"),
+    "iter_param_tuples bound float": (lambda: list(sweeps.iter_param_tuples("C5", 2.5)),
+                                      r"^bound must be an integer, not 2\.5$"),
     "delta_eval u": (lambda: delta_eval(_c5(1, 1), 2), "u = 2 is not admissible for C5"),
     "decompose a": (lambda: FAMILIES["C3"].decompose(-4), "requires a > 0"),
     "point_order point": (lambda: point_order(WeierstrassModel(0, -1, -1, 0, 0),
