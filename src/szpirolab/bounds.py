@@ -105,14 +105,23 @@ class PhiSpec(NamedTuple):
         return f"phi[{self.family.name}, u={self.u_key}]"
 
 
+def _check_branch(spec: PhiSpec) -> None:
+    """The rule on a phi branch, for phi_spec (with prefactor None) and every
+    spec given to _PhiKernel or leading_dominance: the family has one, u_key
+    is a key of its delta_scales, and the prefactor is positive."""
+    fam = spec.family
+    if fam.m is None:
+        raise ValidationError(f"{fam.name} has no phi branch; its bound is checked directly")
+    if spec.u_key not in fam.delta_scales:
+        raise ValidationError(f"u = {spec.u_key} is not admissible for {fam.name}")
+    if spec.prefactor is not None and spec.prefactor <= 0:
+        raise ValidationError(f"{spec.label}: prefactor must be > 0, not {spec.prefactor}")
+
+
 def phi_spec(name: str, u_key) -> PhiSpec:
     fam = family(name)  # an unknown name raises ValidationError
-    if name not in PHI_FAMILIES:
-        raise ValidationError(f"{name} has no phi branch; its bound is checked directly")
-    if u_key not in fam.delta_scales:
-        raise ValidationError(f"u = {u_key} is not admissible for {name}")
-    pre = Fraction(1, u_value(u_key, fam.decompose(1)) ** 12)
-    return PhiSpec(fam, u_key, pre)
+    _check_branch(PhiSpec(fam, u_key, None))
+    return PhiSpec(fam, u_key, Fraction(1, u_value(u_key, fam.decompose(1)) ** 12))
 
 
 def all_phi_specs() -> list[PhiSpec]:
@@ -194,31 +203,27 @@ class _PhiKernel:
     """phi of one branch on the grid {k/den : k an integer}, in integers.
 
     Coefficient i of alpha, beta and delta_T is multiplied by den^(deg - i)
-    once, so that at x = k/den, with e = max(3 deg alpha, 2 deg beta),
+    once, so that their values a, b and d at x = k/den are integers.  With
+    e = max(3 deg alpha, 2 deg beta), prefactor r/s and delta scale t/v,
     big = prefactor * max(|alpha|^3, beta^2) = big_num / big_den and
-    |delta_u| = del_num / del_den, where big_den and del_den are the same at
-    every k.  With l = p/q, phi has the sign of the integer
-    gap = big_num^q * del_den^p - del_num^p * big_den^q, and when q == 1,
-    phi = gap / (big_den * del_den^p).  When q > 1 only the sign of gap
-    is needed, and sign() decides it.
+    |delta_u| = del_num / del_den, with big_den = s den^e and
+    del_den = v den^(deg delta_T) the same at every k.  With l = p/q, phi
+    has the sign of gap = big_num^q * del_den^p - del_num^p * big_den^q.
 
-    The grid scan reads the branch's constants folded into fold_a, fold_b
-    and fold_d, which hold for a positive prefactor (phi_scans checks it).
-    For q == 1, gap(*combine(a, b, d)) is
-    max(|a|^3 fold_a, b^2 fold_b) - |d|^p fold_d, with
-    fold_a = pre_num pad_a del_den^p, fold_b = pre_num pad_b del_den^p and
-    fold_d = |scale_num|^p big_den.  For q > 1, combine(a, b, d) is
-    (max(|a|^3 fold_a, b^2 fold_b), |d| fold_d), with fold_a = pre_num pad_a,
-    fold_b = pre_num pad_b and fold_d = |scale_num|.
+    The constants are folded once into fold_a, fold_b and fold_d, which
+    needs r > 0 (_check_branch).  For q > 1, big_num = max(|a|^3 fold_a,
+    b^2 fold_b) and del_num = |d| fold_d, and sign() decides the sign of
+    gap.  For q == 1, gap itself is max(|a|^3 fold_a, b^2 fold_b) -
+    |d|^p fold_d, and phi = gap / (big_den * del_den^p).
     """
 
     __slots__ = (
-        "den", "alpha", "beta", "dbase", "pad_a", "pad_b", "pre_num", "scale_num",
-        "p", "q", "big_den", "del_den", "big_den_q", "del_den_p",
-        "fold_a", "fold_b", "fold_d",
+        "den", "alpha", "beta", "dbase", "p", "q", "big_den", "del_den", "big_den_q",
+        "del_den_p", "fold_a", "fold_b", "fold_d",
     )
 
     def __init__(self, spec: PhiSpec, den: int):
+        _check_branch(spec)
         polys = _phi_polys(spec.family.name)
         self.den = den
         self.alpha, self.beta, self.dbase = (
@@ -227,30 +232,17 @@ class _PhiKernel:
         )
         da, db, dd = (poly.degree for poly in polys)
         e = max(3 * da, 2 * db)
-        self.pad_a, self.pad_b = den ** (e - 3 * da), den ** (e - 2 * db)
         scale = spec.family.delta_scales[spec.u_key]
-        self.pre_num, self.scale_num = spec.prefactor.numerator, scale.numerator
         self.p, self.q = spec.family.l.numerator, spec.family.l.denominator
         self.big_den = spec.prefactor.denominator * den**e
         self.del_den = scale.denominator * den**dd
         self.big_den_q = self.big_den**self.q
         self.del_den_p = self.del_den**self.p
-        pre, self.fold_d = self.pre_num, abs(self.scale_num)
+        pre, self.fold_d = spec.prefactor.numerator, abs(scale.numerator)
         if self.q == 1:
             pre *= self.del_den_p
             self.fold_d = self.fold_d**self.p * self.big_den
-        self.fold_a, self.fold_b = pre * self.pad_a, pre * self.pad_b
-
-    def terms(self, k: int) -> tuple[int, int]:
-        """(big_num, del_num) at x = k/den."""
-        return self.combine(
-            evaluate(self.alpha, k), evaluate(self.beta, k), evaluate(self.dbase, k)
-        )
-
-    def combine(self, a: int, b: int, d: int) -> tuple[int, int]:
-        """(big_num, del_num) from the homogenized alpha, beta and delta_T."""
-        m = max(abs(a) ** 3 * self.pad_a, b * b * self.pad_b)
-        return self.pre_num * m, abs(self.scale_num * d)
+        self.fold_a, self.fold_b = pre * den ** (e - 3 * da), pre * den ** (e - 2 * db)
 
     def gap(self, big_num: int, del_num: int) -> int:
         return big_num**self.q * self.del_den_p - del_num**self.p * self.big_den_q
@@ -297,11 +289,16 @@ class _PhiKernel:
             return sign * math.inf if sign else 0.0
 
     def value(self, k: int) -> PhiValue:
-        big_num, del_num = self.terms(k)
-        gap = self.gap(big_num, del_num)
-        exact = Fraction(gap, self.big_den * self.del_den_p) if self.q == 1 else None
-        sign = (gap > 0) - (gap < 0)
-        return PhiValue(Fraction(k, self.den), sign, self.approx(big_num, del_num), exact)
+        """phi at x = k/den: a, b and d by Horner, then _scan_chunk's terms."""
+        a, b, d = (evaluate(coeffs, k) for coeffs in (self.alpha, self.beta, self.dbase))
+        x = Fraction(k, self.den)
+        big = max(abs(a) ** 3 * self.fold_a, b * b * self.fold_b)  # big_num when q > 1
+        if self.q == 1:
+            gap, gap_den = big - abs(d) ** self.p * self.fold_d, self.big_den * self.del_den_p
+            exact = Fraction(gap, gap_den)
+            return PhiValue(x, (gap > 0) - (gap < 0), _to_float(gap, gap_den), exact)
+        del_num = abs(d) * self.fold_d
+        return PhiValue(x, self.sign(big, del_num), self.approx(big, del_num), None)
 
 
 def _rational(name: str, value) -> Fraction:
@@ -320,7 +317,8 @@ def phi_eval(spec: PhiSpec, x) -> PhiValue:
 
     phi(x) = prefactor * max(|alpha(x)|^3, beta(x)^2) - |delta_u(x)|^l,
     decided by comparing q-th powers of integers: a one-point grid of
-    the kernel phi_scan runs, built at the denominator of x.
+    the kernel phi_scan runs, built at the denominator of x.  When l is an
+    integer, approx is the exact value correctly rounded.
     """
     x = _rational("x", x)
     return _PhiKernel(spec, x.denominator).value(x.numerator)
@@ -533,14 +531,13 @@ def _scan_result(kern: _PhiKernel, points: int, chunks) -> PhiScanResult:
     """One branch's PhiScanResult from its chunks' results in index order."""
     _, k = min((chunk[2] for chunk in chunks), key=itemgetter(0))
     best = kern.value(k)
-    exact = best.exact
     return PhiScanResult(
         points,
         tuple(Fraction(k, kern.den) for chunk in chunks for k in chunk[0]),
         tuple(Fraction(k, kern.den) for chunk in chunks for k in chunk[1]),
-        best.approx if exact is None else _to_float(*exact.as_integer_ratio()),
+        best.approx,
         best.x,
-        exact,
+        best.exact,
     )
 
 
@@ -555,7 +552,7 @@ def phi_scans(
 
     One _PhiKernel per branch, built at the grid's denominator, decides
     every point in integers and builds a PhiValue for the argmin alone; a
-    branch whose prefactor is not positive raises ValidationError.
+    spec that breaks the branch rule (_check_branch) raises ValidationError.
     With jobs > 1, grids of at least _PHI_POOL_MIN points are split into
     index chunks, about 8 per process over all branches and at least one
     per branch, and every branch's chunks go to one fan_out call.  Chunks
@@ -570,12 +567,7 @@ def phi_scans(
         raise ValidationError("x_range must be >= 0")
     k_max = int(x_range * denominator)
     ks = range(-k_max, k_max + 1)
-    kerns = []
-    for spec in specs:
-        # the kernel's folded constants assume it
-        if spec.prefactor <= 0:
-            raise ValidationError(f"{spec.label}: prefactor must be > 0, not {spec.prefactor}")
-        kerns.append(_PhiKernel(spec, denominator))
+    kerns = [_PhiKernel(spec, denominator) for spec in specs]
     workers = jobs if len(ks) >= _PHI_POOL_MIN else 1
     per_branch = 1 if workers == 1 else -(-8 * workers // max(len(kerns), 1))
     step = -(-len(ks) // per_branch)
@@ -630,6 +622,7 @@ def leading_dominance(spec: PhiSpec) -> DominanceReport:
     comparison.  Grid range plus this check is the documented
     nonnegativity verification scheme.
     """
+    _check_branch(spec)
     alpha, beta, dbase = _phi_polys(spec.family.name)
     deg_max = max(3 * alpha.degree, 2 * beta.degree)
     leads = []

@@ -61,10 +61,8 @@ _MR_PSEUDOPRIMES = (
 _TRIAL_BOUND = 10_000
 _TRIAL_BLOCK = 32
 # The factoring budget of one cofactor: its attempts (a rho pass and p-1,
-# then one ECM curve each), and the cap on rho iterations and on the p-1
-# and ECM bounds.
+# then one ECM curve each).
 _RHO_ATTEMPTS = 24
-_RHO_MAX_ITER = 1 << 22
 # Pollard p-1's stage-1 bound: one pow with an exponent of about 7,200 bits.
 _PM1_B1 = 5_000
 # ECM stage-1 bounds, each used for one third of the attempts.
@@ -443,13 +441,12 @@ def _factor_hard(n: int, out: dict[int, int], stuck: list[int]) -> None:
     for attempt in range(1, _RHO_ATTEMPTS + 1):
         d = n
         if attempt == 1:
-            d = _brent_rho(n, 1, min(1 << 14, _RHO_MAX_ITER))
+            d = _brent_rho(n, 1, 1 << 14)
             if d == n:
-                d = _pm1(n, min(_PM1_B1, _RHO_MAX_ITER))
+                d = _pm1(n, _PM1_B1)
         if not 1 < d < n:
             b1 = _ECM_B1[(attempt - 1) * len(_ECM_B1) // _RHO_ATTEMPTS]
-            b2 = min(100 * b1, _RHO_MAX_ITER)
-            d = _ecm(n, attempt + 5, min(b1, b2), b2)
+            d = _ecm(n, attempt + 5, b1, 100 * b1)
         if 1 < d < n:
             break
     else:

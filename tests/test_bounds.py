@@ -226,12 +226,20 @@ class TestPhi:
         assert len(built) == 1
 
     @pytest.mark.parametrize("pre", [Fraction(0), Fraction(-2), Fraction(-1, 4096)], ids=str)
-    @pytest.mark.parametrize("l", [Fraction(3), Fraction(7, 2)], ids=["l=3", "l=7/2"])
+    @pytest.mark.parametrize(
+        "l", [Fraction(3), Fraction(7, 2), Fraction(2)], ids=["l=3", "l=7/2", "l=2"]
+    )
     def test_non_positive_prefactor_rejected(self, l, pre):
-        # the grid kernel folds the prefactor into fold_a and fold_b
+        # the kernel folds the prefactor into fold_a and fold_b, and every
+        # entry point checks a branch by the same rule
         bad = PhiSpec(FAMILIES["C5"]._replace(l=l), 1, pre)
-        with pytest.raises(ValidationError, match=rf"^phi\[C5, u=1\]: prefactor must be > 0, not {pre}$"):
+        message = rf"^phi\[C5, u=1\]: prefactor must be > 0, not {pre}$"
+        with pytest.raises(ValidationError, match=message):
             phi_scans([phi_spec("C6", 1), bad], 16, 1)
+        with pytest.raises(ValidationError, match=message):
+            phi_eval(bad, Fraction(1, 3))
+        with pytest.raises(ValidationError, match=message):
+            leading_dominance(bad)
 
     def test_c2xc4_minimum_shrinks_with_refinement(self):
         spec = phi_spec("C2xC4", 2)
@@ -299,9 +307,11 @@ def _fraction_phi_eval(spec, x):
     lhs_pow = big**q
     rhs_pow = abs(delta_u) ** p
     sign = (lhs_pow > rhs_pow) - (lhs_pow < rhs_pow)
-    exact = big - rhs_pow if q == 1 else None
+    if q == 1:
+        exact = big - rhs_pow
+        return PhiValue(x, sign, _safe_float(exact), exact)
     approx = _safe_float(big) - _float_power(abs(delta_u), p, q)
-    return PhiValue(x, sign, approx, exact)
+    return PhiValue(x, sign, approx, None)
 
 
 _ORACLE_POINTS = (
@@ -339,12 +349,22 @@ class TestIntegerPhiEval:
             for x in _ORACLE_POINTS:
                 self._assert_same(spec, x)
 
+    def test_integer_l_approx_is_the_exact_value_rounded(self):
+        checked = 0
+        for spec in all_phi_specs():
+            for x in _ORACLE_POINTS:
+                val = phi_eval(spec, x)
+                if val.exact is not None:
+                    assert val.approx == float(val.exact), (spec.label, x)
+                    checked += 1
+        assert checked == 15 * len(_ORACLE_POINTS)
+
     def test_hand_built_spec(self):
         # prefactor, exponent and delta scale are read from the spec and its
         # family
         rescaled = FAMILIES["C5"]._replace(delta_scales={1: Fraction(3, 5)})
         branches = ((FAMILIES["C5"], 1), (rescaled, 1), (FAMILIES["C2"], 4), (FAMILIES["C4"], "2c"))
-        exps = ((Fraction(3, 7), Fraction(7, 2)), (Fraction(-2), Fraction(2, 1)))
+        exps = ((Fraction(3, 7), Fraction(7, 2)), (Fraction(2), Fraction(2, 1)))
         for fam, key in branches:
             for pre, exp in exps:
                 spec = PhiSpec(fam._replace(l=exp), key, pre)
@@ -452,7 +472,7 @@ class TestPhiScanKernel:
 
         def flipped_at_zero(kern, big_num, del_num):
             sign = real(kern, big_num, del_num)
-            if not flipped and (big_num, del_num) == kern.terms(0):
+            if not flipped and (big_num, del_num) == _reference_terms(spec, kern.den, 0):
                 flipped.append(sign)
                 return -sign
             return sign
@@ -495,12 +515,30 @@ class TestPhiScanKernel:
         assert built == [64, 256]
 
 
-def _reference_chunk(kern, ks):
-    """Test-only reference for bounds._scan_chunk: kern.terms (Horner) and
+def _reference_terms(spec, den, k):
+    """Test-only: (big_num, del_num) of the _PhiKernel docstring at x = k/den,
+    unfolded and built from the spec and bounds._phi_polys alone: alpha,
+    beta and delta_T homogenized at den and evaluated by Horner, then
+    pre_num * max(|a|^3 pad_a, b^2 pad_b) and |scale_num * d|."""
+    polys = bounds._phi_polys(spec.family.name)
+    a, b, d = (
+        evaluate([c * den ** (poly.degree - i) for i, c in enumerate(poly.coeffs)], k)
+        for poly in polys
+    )
+    da, db = polys[0].degree, polys[1].degree
+    e = max(3 * da, 2 * db)
+    pad_a, pad_b = den ** (e - 3 * da), den ** (e - 2 * db)
+    pre_num = spec.prefactor.numerator
+    scale_num = spec.family.delta_scales[spec.u_key].numerator
+    return pre_num * max(abs(a) ** 3 * pad_a, b * b * pad_b), abs(scale_num * d)
+
+
+def _reference_chunk(spec, kern, ks):
+    """Test-only reference for bounds._scan_chunk: _reference_terms and
     kern.gap at every k, with the key of _scan_chunk."""
     violations, zeros, best = [], [], None
     for k in ks:
-        big_num, del_num = kern.terms(k)
+        big_num, del_num = _reference_terms(spec, kern.den, k)
         gap = kern.gap(big_num, del_num)
         if gap < 0:
             violations.append(k)
@@ -530,7 +568,7 @@ class TestSteppedScan:
             kern = bounds._PhiKernel(spec, den)
             for ks in _CHUNKS:
                 got = bounds._scan_chunk(kern, ks)
-                assert got == _reference_chunk(kern, ks), (spec.label, den, ks)
+                assert got == _reference_chunk(spec, kern, ks), (spec.label, den, ks)
 
     @pytest.mark.parametrize("den", [1, 16])
     @pytest.mark.parametrize("l", [Fraction(3), Fraction(7, 2)], ids=["l=3", "l=7/2"])
@@ -542,7 +580,7 @@ class TestSteppedScan:
         flagged = []
         for ks in _CHUNKS:
             got = bounds._scan_chunk(kern, ks)
-            assert got == _reference_chunk(kern, ks), (l, den, ks)
+            assert got == _reference_chunk(spec, kern, ks), (l, den, ks)
             flagged += got[0] + got[1]
         assert flagged
 
@@ -675,7 +713,7 @@ class TestGapSign:
             kern = _CountingKernel(spec, 16)
             kern.exact_gaps = 0
             for k in range(-160, 161):
-                big_num, del_num = kern.terms(k)
+                big_num, del_num = _reference_terms(spec, 16, k)
                 gap = bounds._PhiKernel.gap(kern, big_num, del_num)
                 assert kern.sign(big_num, del_num) == (gap > 0) - (gap < 0), (spec.label, k)
                 points += 1

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from szpirolab import bounds, families, intarith, reduction, sharpness, sweeps
-from szpirolab.bounds import phi_spec
+from szpirolab.bounds import PhiSpec, phi_spec
 from szpirolab.families import (
     FAMILIES,
     PaperContractViolation,
@@ -112,6 +112,10 @@ def _c5(*params):
     return validate_params("C5", *params)
 
 
+_C5_U7 = PhiSpec(FAMILIES["C5"], 7, Fraction(1))
+_C3_0_SPEC = PhiSpec(FAMILIES["C3_0"], 1, Fraction(1))
+_NO_BRANCH = "^C3_0 has no phi branch; its bound is checked directly$"
+
 # (call, the message it must raise); each names one argument rule
 REJECTED_ARGUMENTS = {
     "phi_scan den": (lambda: bounds.phi_scan(phi_spec("C5", 1), 0, 1),
@@ -142,6 +146,14 @@ REJECTED_ARGUMENTS = {
                         "^x must be a rational number, not False$"),
     "phi_spec u": (lambda: phi_spec("C5", 2), "u = 2 is not admissible for C5"),
     "phi_spec branch": (lambda: phi_spec("C3_0", 1), "C3_0 has no phi branch"),
+    # hand-built specs meet the branch rule of phi_spec at every entry point
+    "phi_eval u": (lambda: bounds.phi_eval(_C5_U7, 0), "^u = 7 is not admissible for C5$"),
+    "phi_scan u": (lambda: bounds.phi_scan(_C5_U7, 8, 1), "^u = 7 is not admissible for C5$"),
+    "leading_dominance u": (lambda: bounds.leading_dominance(_C5_U7),
+                            "^u = 7 is not admissible for C5$"),
+    "phi_eval branch": (lambda: bounds.phi_eval(_C3_0_SPEC, 0), _NO_BRANCH),
+    "phi_scan branch": (lambda: bounds.phi_scan(_C3_0_SPEC, 8, 1), _NO_BRANCH),
+    "leading_dominance branch": (lambda: bounds.leading_dominance(_C3_0_SPEC), _NO_BRANCH),
     "phi_spec family": (lambda: phi_spec("C11", 1), "unknown family 'C11'"),
     "convergence_scan n_max": (lambda: sharpness.convergence_scan("C2", 5),
                                "n_max must be >= 10"),

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import szpirolab
+from szpirolab import bounds
 from szpirolab.families import FAMILIES
 
 SOURCES = sorted(Path(szpirolab.__file__).parent.glob("*.py"))
@@ -319,6 +320,27 @@ def test_cmd_phi_takes_branches_from_bounds():
         or (isinstance(node, ast.Name) and node.id == "delta_scales")
     ]
     assert names == [], f"cli.py: cmd_phi names delta_scales on line(s) {names}"
+
+
+@pytest.mark.parametrize(
+    "text", ["has no phi branch", "is not admissible for", "prefactor must be > 0"]
+)
+def test_phi_branch_rule_raised_at_one_site(text):
+    # phi_spec, _PhiKernel (so phi_eval and phi_scans) and leading_dominance
+    # call bounds._check_branch, so no entry point keeps a rule of its own
+    sites = [
+        (func.name, node.lineno)
+        for func in _functions(_source("bounds.py"))
+        for node in ast.walk(func)
+        if isinstance(node, ast.Raise) and node.exc is not None and text in ast.unparse(node.exc)
+    ]
+    assert [name for name, _ in sites] == ["_check_branch"], sites
+
+
+def test_phi_kernel_keeps_one_set_of_constants():
+    # the point path reads the folded constants that the grid scan reads
+    unfolded = ("terms", "combine", "pre_num", "scale_num", "pad_a", "pad_b")
+    assert [name for name in unfolded if hasattr(bounds._PhiKernel, name)] == []
 
 
 def test_multiplicative_label_built_once():
