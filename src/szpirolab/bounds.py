@@ -108,14 +108,20 @@ class PhiSpec(NamedTuple):
 def _check_branch(spec: PhiSpec) -> None:
     """The rule on a phi branch, for phi_spec (with prefactor None) and every
     spec given to _PhiKernel or leading_dominance: the family has one, u_key
-    is a key of its delta_scales, and the prefactor is positive."""
+    is a key of its delta_scales, and the prefactor is a positive int or
+    Fraction (a bool is not taken as 0 or 1)."""
     fam = spec.family
     if fam.m is None:
         raise ValidationError(f"{fam.name} has no phi branch; its bound is checked directly")
     if spec.u_key not in fam.delta_scales:
         raise ValidationError(f"u = {spec.u_key} is not admissible for {fam.name}")
-    if spec.prefactor is not None and spec.prefactor <= 0:
-        raise ValidationError(f"{spec.label}: prefactor must be > 0, not {spec.prefactor}")
+    pre = spec.prefactor
+    if pre is None:
+        return
+    if type(pre) not in (int, Fraction):
+        raise ValidationError(f"{spec.label}: prefactor must be an int or a Fraction, not {pre!r}")
+    if pre <= 0:
+        raise ValidationError(f"{spec.label}: prefactor must be > 0, not {pre}")
 
 
 def phi_spec(name: str, u_key) -> PhiSpec:

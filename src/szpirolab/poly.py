@@ -94,14 +94,25 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
+        """self^k by right-to-left binary powering, which starts from self
+        and stops at the top bit of k.  For k >= 1 that takes
+        k.bit_length() - 1 squarings and popcount(k) - 1 other products,
+        so k.bit_length() + popcount(k) - 2 polynomial products in all;
+        k = 0 gives Poly([1]) and k = 1 gives self, with no product."""
         if k < 0:
             raise ValidationError("negative polynomial power")
-        result = Poly([1])
+        if k == 0:
+            return Poly([1])
         base = self
+        while not k & 1:
+            base = base * base
+            k >>= 1
+        result = base
+        k >>= 1
         while k:
+            base = base * base
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
         return result
 

@@ -926,6 +926,28 @@ class TestPattern:
         assert len(args) == 14
         assert all(isinstance(x, Poly) for x in args), args
 
+    def test_build_coefficient_products(self, monkeypatch):
+        # the work of the once-per-family build, pinned as a count: every
+        # coefficient product of a polynomial-by-polynomial multiply, for
+        # the 14 phi families (41,664 when powers squared past their top bit)
+        products = []
+        real = Poly.__mul__
+
+        def counted(self, other):
+            if isinstance(other, Poly):
+                products.append(len(self.coeffs) * len(other.coeffs))
+            return real(self, other)
+
+        monkeypatch.setattr(Poly, "__mul__", counted)
+        bounds._phi_polys.cache_clear()
+        try:
+            for name in PHI_FAMILIES:
+                bounds._phi_polys(name)
+        finally:
+            bounds._phi_polys.cache_clear()
+        assert len(PHI_FAMILIES) == 14
+        assert sum(products) == 22_717
+
 
 class TestHomogeneity:
     def test_matches_name_branch_reference_on_box_6(self):

@@ -115,6 +115,9 @@ def _c5(*params):
 _C5_U7 = PhiSpec(FAMILIES["C5"], 7, Fraction(1))
 _C3_0_SPEC = PhiSpec(FAMILIES["C3_0"], 1, Fraction(1))
 _NO_BRANCH = "^C3_0 has no phi branch; its bound is checked directly$"
+_C5_HALF = PhiSpec(FAMILIES["C5"], 1, 0.5)
+_C5_TRUE = PhiSpec(FAMILIES["C5"], 1, True)
+_NOT_RATIONAL = r"^phi\[C5, u=1\]: prefactor must be an int or a Fraction, not "
 
 # (call, the message it must raise); each names one argument rule
 REJECTED_ARGUMENTS = {
@@ -154,6 +157,17 @@ REJECTED_ARGUMENTS = {
     "phi_eval branch": (lambda: bounds.phi_eval(_C3_0_SPEC, 0), _NO_BRANCH),
     "phi_scan branch": (lambda: bounds.phi_scan(_C3_0_SPEC, 8, 1), _NO_BRANCH),
     "leading_dominance branch": (lambda: bounds.leading_dominance(_C3_0_SPEC), _NO_BRANCH),
+    # a float prefactor has no numerator, and a bool one is not the integer 1
+    "phi_eval prefactor float": (lambda: bounds.phi_eval(_C5_HALF, 0), _NOT_RATIONAL + r"0\.5$"),
+    "phi_scan prefactor float": (lambda: bounds.phi_scan(_C5_HALF, 8, 1),
+                                 _NOT_RATIONAL + r"0\.5$"),
+    "leading_dominance prefactor float": (lambda: bounds.leading_dominance(_C5_HALF),
+                                          _NOT_RATIONAL + r"0\.5$"),
+    "phi_eval prefactor bool": (lambda: bounds.phi_eval(_C5_TRUE, 0), _NOT_RATIONAL + "True$"),
+    "phi_scan prefactor bool": (lambda: bounds.phi_scan(_C5_TRUE, 8, 1),
+                                _NOT_RATIONAL + "True$"),
+    "leading_dominance prefactor bool": (lambda: bounds.leading_dominance(_C5_TRUE),
+                                         _NOT_RATIONAL + "True$"),
     "phi_spec family": (lambda: phi_spec("C11", 1), "unknown family 'C11'"),
     "convergence_scan n_max": (lambda: sharpness.convergence_scan("C2", 5),
                                "n_max must be >= 10"),
