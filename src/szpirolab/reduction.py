@@ -9,7 +9,9 @@ f_p = v_p(delta_min) - (components - 1).
 
 analyze() is the one pass per curve that callers share: the minimal
 model, the factorization of delta_min, the local data at every bad prime,
-the conductor and the naive height.
+the conductor and the naive height.  It is the model's part,
+minimal_model, composed with the curve's part, _curve_analysis, which
+reads only the certified minimal model.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from szpirolab.weierstrass import (
     WeierstrassModel,
     _translate,
     compute_invariants,
-    transform,
 )
 
 __all__ = [
@@ -163,8 +164,13 @@ def minimal_model(m: WeierstrassModel) -> MinimalModelResult:
         raise CertificateError(
             f"delta = {delta} is not u^12 * delta_min = {u}^12 * {minv.delta}"
         )
+    # transform(m, iso) == minimal, in integers: each a_i of the translated
+    # m is u^i times the minimal a_i
     iso = _isomorphism_to(m, minimal, u)
-    if transform(m, iso) != minimal:
+    a1, a2, a3, a4, a6 = minimal
+    u2 = u * u
+    scaled = (u * a1, u2 * a2, u2 * u * a3, u2 * u2 * a4, u2**3 * a6)
+    if _translate(m, iso.r, iso.s, iso.t) != scaled:
         raise CertificateError(f"{iso} does not map {m} onto {minimal}")
     return MinimalModelResult(minimal, u, iso, minv)
 
@@ -369,20 +375,27 @@ class CurveAnalysis(NamedTuple):
 
 
 def analyze(m: WeierstrassModel) -> CurveAnalysis:
-    """Minimal model, bad primes, local data, conductor and height of m.
+    """Minimal model, bad primes, local data, conductor and height of m:
+    the model's part, minimal_model(m), and then the curve's part,
+    _curve_analysis, on its result."""
+    return _curve_analysis(minimal_model(m))
+
+
+def _curve_analysis(mm: MinimalModelResult) -> CurveAnalysis:
+    """The analysis of the curve whose certified minimal model is mm.
 
     Tate's algorithm runs at each prime of delta_min on the minimal model,
     handed the valuation from this factorization and the invariants
-    minimal_model certified.  No elliptic curve over Q has conductor 1, so
-    computing it raises CertificateError.
+    minimal_model certified.  Everything but mm itself depends only on
+    mm.minimal, so models of one curve can share it.  No elliptic curve
+    over Q has conductor 1, so computing it raises CertificateError.
     """
-    mm = minimal_model(m)
     fac = factorize(mm.delta_min)
     coeffs = mm.minimal.coefficients()
     local = tuple(_local_data(coeffs, p, e, mm.invariants) for p, e in fac)
     N = math.prod(d.p**d.fp for d in local)
     if N == 1:
-        raise CertificateError(f"conductor 1 computed for {m}")
+        raise CertificateError(f"conductor 1 computed for {mm.minimal}")
     return CurveAnalysis(mm, fac, local, N, height_of_minimal(mm))
 
 

@@ -4,8 +4,10 @@ One pass per instance runs the whole pipeline (minimal model, conductor,
 bound polynomial, height inequality, torsion certification) and returns
 findings; a sweep aggregates them.  A sweep groups the tuples that give
 the same family model (C2 (a, b, d) and (a, -b, d), C2xC2 (a, b, d) and
-(-a, -b, -d)) and runs one analysis per distinct model, with the ratio
-bound, sigma_m and the torsion data it decides; the checks that read the
+(-a, -b, -d)) and certifies one minimal model and one order of (0, 0)
+per distinct model.  Models with one minimal model are one curve, and
+the curve's analysis, with the ratio bound, sigma_m and the 2-torsion
+count it decides, runs once per curve; the checks that read the
 instance run once per instance.  Results are tuple records
 (typing.NamedTuple).  Instances are enumerated deterministically and
 every finding is tagged with its input index, by which the chunks'
@@ -32,7 +34,7 @@ from szpirolab.families import (
     recover_uT,
 )
 from szpirolab.intarith import _require_int, _valuation
-from szpirolab.reduction import analyze, sigma_m
+from szpirolab.reduction import _curve_analysis, minimal_model, sigma_m
 from szpirolab.weierstrass import (
     AffinePoint,
     WeierstrassModel,
@@ -91,34 +93,47 @@ def check_instance(instance: FamilyInstance, checks=ALL_CHECKS) -> InstanceRepor
     An unknown check name raises ValidationError.
     """
     _reject_unknown_checks(checks)
-    model_data = _model_data(build_model(instance), instance.family, checks)
+    model_data = _model_data(build_model(instance), instance.family, checks, {})
     return _instance_report(instance, checks, model_data)
 
 
-def _model_data(model, fam, checks):
-    """What the checks read of the family model alone, so instances with
-    one model can share it: analyze(model), whether its height exceeds
-    N^l for the family's l (the ratio bound), sigma_m and, under "torsion",
-    the order of (0, 0) and the count of rational 2-torsion points (None
-    where the family does not demand full 2-torsion)."""
-    ca = analyze(model)
-    ratio_ok = verify_height_bound(ca.conductor, ca.height, fam.l)
-    sigma = sigma_m(ca.height, ca.conductor)
+def _model_data(model, fam, checks, curves):
+    """What the checks read of the family model, so instances with one
+    model can share it: (mm, curve, order), with mm = minimal_model(model),
+    its curve's data and, under "torsion", the order of (0, 0) on model
+    (else None).
+
+    The curve's data depends only on mm.minimal, the key under which
+    curves (a dict) keeps it for the models that follow: _curve_analysis(mm),
+    whether the height exceeds N^l for the family's l (the ratio bound),
+    sigma_m and, under "torsion", the count of rational 2-torsion points
+    on mm.minimal (None where the family does not demand full 2-torsion).
+    A model joins a curve only through its own certified isomorphism onto
+    mm.minimal."""
+    mm = minimal_model(model)
+    curve = curves.get(mm.minimal)
+    if curve is None:
+        ca = _curve_analysis(mm)
+        ratio_ok = verify_height_bound(ca.conductor, ca.height, fam.l)
+        sigma = sigma_m(ca.height, ca.conductor)
+        two = None
+        if "torsion" in checks and fam.has_full_two_torsion:
+            two = _two_torsion_count(mm.minimal)
+        curve = curves[mm.minimal] = ca, ratio_ok, sigma, two
     if "torsion" not in checks:
-        return ca, ratio_ok, sigma, None, None
-    # analyze has already shown delta != 0
-    order = point_order(model, _ORIGIN, nonsingular=True)
-    two = _two_torsion_count(model) if fam.has_full_two_torsion else None
-    return ca, ratio_ok, sigma, order, two
+        return mm, curve, None
+    # minimal_model has already shown delta != 0
+    return mm, curve, point_order(model, _ORIGIN, nonsingular=True)
 
 
 def _instance_report(instance, checks, model_data) -> InstanceReport:
     """check_instance on an instance whose family model gave model_data;
-    every finding names the instance."""
+    every finding names the instance.  The u of the instance comes from
+    the model's own mm, everything else from its curve's data."""
     findings: list[str] = []
     fam = instance.family
-    ca, ratio_ok, sigma, order, two = model_data
-    mm, N, height = ca.mm, ca.conductor, ca.height
+    mm, (ca, ratio_ok, sigma, two), order = model_data
+    N, height = ca.conductor, ca.height
 
     # delta stays None where delta_{T,u} is not needed or has no value; in
     # the latter case a finding already reports the instance
@@ -228,14 +243,16 @@ def _check_chunk(fam, checks, groups):
     """Check the valid tuples of each group of the family fam (a FamilyId).
     A group is (coefficients, [(index, params), ...]): the tuples whose
     family model has those coefficients, so _model_data runs once per
-    group, on its first valid instance.  index is the tuple's place in
-    iter_param_tuples, which has already applied the family's rules, so
-    only the singular check is left (families._admit).  Each finding is
-    returned as (index, text), and run_sweep merges the findings of all
-    chunks in index order."""
+    group, on its first valid instance, and the groups of one curve share
+    its data through one dict that lives for this call.  index is the
+    tuple's place in iter_param_tuples, which has already applied the
+    family's rules, so only the singular check is left (families._admit).
+    Each finding is returned as (index, text), and run_sweep merges the
+    findings of all chunks in index order."""
     checked = 0
     findings: list[tuple[int, str]] = []
     max_sigma, min_sigma = -math.inf, math.inf
+    curves: dict = {}  # minimal model -> the curve's data (see _model_data)
     for coeffs, members in groups:
         model_data = None
         for index, params in members:
@@ -244,7 +261,7 @@ def _check_chunk(fam, checks, groups):
             except ValidationError:
                 continue
             if model_data is None:
-                model_data = _model_data(WeierstrassModel(*coeffs), fam, checks)
+                model_data = _model_data(WeierstrassModel(*coeffs), fam, checks, curves)
             rep = _instance_report(inst, checks, model_data)
             checked += 1
             findings.extend((index, f) for f in rep.findings)
@@ -263,7 +280,10 @@ def run_sweep(
     """Verify every valid instance in the box; returns aggregate findings.
 
     Tuples that give the same family model are checked as one group, and
-    the model's analysis and torsion data are computed once per group.
+    the model's minimal model and order of (0, 0) are computed once per
+    group; groups whose models have one minimal model are one curve, whose
+    analysis, ratio bound, sigma_m and 2-torsion count are computed once
+    per part of the pool.
     c30_bound overrides the box for the cubefree one-parameter family when
     sweeping "all" with a deeper range there.  An unknown family, a bound
     or worker count that is not an int or is below 1 and an unknown check

@@ -283,13 +283,22 @@ def point_order(m: WeierstrassModel, point, *, nonsingular: bool = False) -> int
 
     The multiples are computed in integer projective coordinates on an
     integral model isomorphic to m, so a rational model or point enters
-    only through its common denominators.  nonsingular=True is for a
-    caller that has already shown delta != 0, and skips recomputing the
-    discriminant.
+    only through its common denominators; an integral m and a point with
+    int coordinates start from (x : y : 1) on m itself.  nonsingular=True
+    is for a caller that has already shown delta != 0, and skips
+    recomputing the discriminant.
     """
     if not nonsingular and compute_invariants(m).delta == 0:
         raise SingularModelError("point order undefined on a singular model")
-    a, _, P = _integral_projective(m, point)
+    if (
+        point is not INFINITY
+        and isinstance(point.x, int)
+        and isinstance(point.y, int)
+        and m.is_integral()
+    ):
+        a, P = m, (point.x, point.y, 1)
+    else:
+        a, _, P = _integral_projective(m, point)
     if not _projective_on_curve(a, P):
         raise ValidationError(f"point {point} is not on the curve")
     acc = P  # invariant: acc == k * P at the top of iteration k

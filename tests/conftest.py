@@ -4,11 +4,13 @@ oracles and patches that several test modules use."""
 
 import math
 import os
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from szpirolab import bounds, sharpness
+from szpirolab import bounds, reduction, sharpness
 from szpirolab.families import ValidationError
 from szpirolab.poly import evaluate
 from szpirolab.weierstrass import CertificateError, Isomorphism, _norm
@@ -45,10 +47,25 @@ def forked_workers(monkeypatch):
     return pids
 
 
-def edit_analysis(monkeypatch, module, edit):
-    """module.analyze returns edit(analysis) in place of the analysis."""
-    real = module.analyze
-    monkeypatch.setattr(module, "analyze", lambda model: edit(real(model)))
+def src_env() -> dict:
+    """The environment for a fresh interpreter that imports this
+    checkout's src/."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return env
+
+
+def edit_analysis(monkeypatch, edit):
+    """Every analysis comes back as edit(analysis): the curve's part,
+    reduction._curve_analysis, which analyze and the sweeps both call, is
+    patched in every szpirolab module that binds it."""
+    real = reduction._curve_analysis
+    for modname, mod in list(sys.modules.items()):
+        if modname.startswith("szpirolab") and vars(mod).get("_curve_analysis") is real:
+            monkeypatch.setattr(mod, "_curve_analysis", lambda mm: edit(real(mm)))
 
 
 def inverse(iso: Isomorphism) -> Isomorphism:

@@ -4,11 +4,11 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+from conftest import src_env
 from szpirolab import bounds, reduction, sharpness, sweeps
 from szpirolab.cli import main
 from szpirolab.intarith import Factorization, FactorBudgetError
@@ -476,17 +476,6 @@ def test_error_exit_pinned(argv, expected, capsys):
     assert run_cli(argv, capsys) == expected
 
 
-def _src_env() -> dict:
-    """The environment for a fresh interpreter that imports this
-    checkout's src/."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
-    return env
-
-
 class TestOptimizedParity:
     """No result may rest on an assert: python -O strips them, so the same
     commands must print the same output and exit with the same codes."""
@@ -497,7 +486,7 @@ class TestOptimizedParity:
     )
 
     def test_same_output_under_python_O(self):
-        env = _src_env()
+        env = src_env()
         for argv in self.COMMANDS:
             plain, optimized = (
                 subprocess.run(
@@ -524,7 +513,7 @@ def test_closed_stdout_is_a_host_failure(argv):
     # A reader that stops early (`| head`) closes the pipe; the child gets
     # a stdout whose read end is closed before it starts, so its first
     # write fails.  stdout is block-buffered, as it is by default on a pipe.
-    env = _src_env()
+    env = src_env()
     env.pop("PYTHONUNBUFFERED", None)
     read_end, write_end = os.pipe()
     os.close(read_end)
@@ -544,6 +533,6 @@ def test_import_loads_no_pool_or_introspection_modules():
     unwanted = ["concurrent.futures", "multiprocessing", "logging", "dataclasses", "inspect"]
     code = f"import sys, szpirolab.cli; print([m for m in {unwanted!r} if m in sys.modules])"
     run = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=_src_env(), timeout=60
+        [sys.executable, "-c", code], capture_output=True, text=True, env=src_env(), timeout=60
     )
     assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")

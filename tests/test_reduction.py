@@ -4,11 +4,13 @@ import contextlib
 import io
 import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from conftest import inverse
+from conftest import inverse, src_env
 from szpirolab import cli, reduction
 from szpirolab.bounds import exceeds, szpiro_ratio
 from szpirolab.families import (
@@ -445,6 +447,38 @@ class TestExplicitChecks:
         monkeypatch.setattr(reduction, "_isomorphism_to", shifted)
         with pytest.raises(CertificateError, match="does not map"):
             minimal_model(blow_up(CURVE_11A1, 2))
+
+    @pytest.mark.parametrize("shift", [{"t": 1}, {"s": 2}], ids=["t+1", "s+2"])
+    def test_shifted_isomorphism_fails_the_integer_check(self, shift, monkeypatch):
+        real = reduction._isomorphism_to
+
+        def shifted(m, minimal, u):
+            iso = real(m, minimal, u)
+            return iso._replace(**{k: getattr(iso, k) + d for k, d in shift.items()})
+
+        monkeypatch.setattr(reduction, "_isomorphism_to", shifted)
+        with pytest.raises(CertificateError, match="does not map"):
+            minimal_model(blow_up(CURVE_11A1, 2))
+
+    def test_shifted_isomorphism_fails_under_python_O(self):
+        code = (
+            "import sys\n"
+            "from szpirolab import reduction\n"
+            "from szpirolab.weierstrass import CertificateError, WeierstrassModel\n"
+            "real = reduction._isomorphism_to\n"
+            "for shift in ({'t': 1}, {'s': 2}):\n"
+            "    reduction._isomorphism_to = lambda m, mn, u: real(m, mn, u)._replace(\n"
+            "        **{k: getattr(real(m, mn, u), k) + d for k, d in shift.items()})\n"
+            "    try:\n"
+            "        reduction.minimal_model(WeierstrassModel(0, -4, 8, -160, -1280))\n"
+            "    except CertificateError as exc:\n"
+            "        print(sys.flags.optimize, 'does not map' in str(exc))\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True, text=True, env=src_env(), timeout=60,
+        )
+        assert (run.returncode, run.stdout, run.stderr) == (0, "1 True\n1 True\n", "")
 
     def test_broken_tate_translation(self, monkeypatch):
         # y^2 = (x - 1)^3 + 5: additive at 5 with the cusp at x = 1, so a

@@ -335,15 +335,13 @@ class TestFindingTexts:
             )
             return ca._replace(local=local)
 
-        edit_analysis(monkeypatch, sharpness, edit)
+        edit_analysis(monkeypatch, edit)
         assert verify_sharp_consistency("C2xC2", 3).findings == (
             "F_C2xC2(3) has additive reduction at [5]",
         )
 
     def test_conductor_not_f(self, monkeypatch):
-        edit_analysis(
-            monkeypatch, sharpness, lambda ca: ca._replace(conductor=2730)
-        )
+        edit_analysis(monkeypatch, lambda ca: ca._replace(conductor=2730))
         assert verify_sharp_consistency("C2xC2", 3).findings == (
             "conductor 2730 != |f(n)| = 1365 for squarefree f, F_C2xC2(3)",
         )

@@ -22,14 +22,19 @@ from szpirolab.families import (
     validate_params,
 )
 from szpirolab.intarith import Factorization, is_cubefree
-from szpirolab.reduction import analyze
+from szpirolab.reduction import analyze, minimal_model
 from szpirolab.sweeps import (
     ALL_CHECKS,
     check_instance,
     iter_param_tuples,
     run_sweep,
 )
-from szpirolab.weierstrass import CertificateError, SingularModelError, WeierstrassModel
+from szpirolab.weierstrass import (
+    CertificateError,
+    SingularModelError,
+    WeierstrassModel,
+    _two_torsion_count,
+)
 
 
 def _first_instance(name):
@@ -208,7 +213,7 @@ class TestFindingTexts:
     inst = validate_params("C5", 1, 1)
 
     def test_additive_prime_with_exponent_one(self, monkeypatch):
-        edit_analysis(monkeypatch, sweeps, _edit_local(semistable=False))
+        edit_analysis(monkeypatch, _edit_local(semistable=False))
         assert check_instance(self.inst).findings == (
             "C5(1, 1): additive prime 11 got exponent 1",
         )
@@ -216,16 +221,14 @@ class TestFindingTexts:
     @pytest.mark.parametrize("fp, ok", [(2, True), (3, False)])
     def test_exponent_above_cap(self, fp, ok, monkeypatch):
         # the cap at 11 is 2; without "bounds" no bound by delta is read
-        edit_analysis(monkeypatch, sweeps, _edit_local(fp=fp))
+        edit_analysis(monkeypatch, _edit_local(fp=fp))
         rep = check_instance(self.inst, checks=("torsion",))
         assert rep.findings == (() if ok else ("C5(1, 1): f_11 = 3 exceeds cap 2",))
 
     @pytest.mark.parametrize("height, ok", [(1331, False), (1332, True)])
     def test_ratio_bound(self, height, ok, monkeypatch):
         # height > N^3 = 1331 is strict
-        edit_analysis(
-            monkeypatch, sweeps, lambda ca: ca._replace(height=height)
-        )
+        edit_analysis(monkeypatch, lambda ca: ca._replace(height=height))
         rep = check_instance(self.inst, checks=("bounds", "torsion"))
         assert rep.findings == (
             () if ok else ("C5(1, 1): height^1 <= N^3 (ratio bound violated)",)
@@ -496,10 +499,24 @@ def _summary(s):
     return s.checked, list(s.findings), s.min_sigma, s.max_sigma
 
 
+def _valid_tuples(name, bound):
+    """The tuples of iter_param_tuples that validate_params accepts, in order."""
+    valid = []
+    for params in iter_param_tuples(name, bound):
+        try:
+            validate_params(name, *params)
+        except ValidationError:
+            continue
+        valid.append(params)
+    return valid
+
+
 class TestOneAnalysisPerModel:
-    """run_sweep analyzes each distinct family model once and merges the
+    """run_sweep certifies each distinct family model's minimal model once,
+    analyzes each distinct curve (minimal model) once, and merges the
     findings by input index: C2 (a, b, d) and (a, -b, d) give one model,
-    and so do C2xC2 (a, b, d) and (-a, -b, -d)."""
+    and so do C2xC2 (a, b, d) and (-a, -b, -d); C2xC2 (a, b, d) and
+    (a, a - b, -d) give two models of one curve."""
 
     @pytest.mark.parametrize("name", list(FAMILIES))
     def test_matches_instance_loop(self, name):
@@ -517,15 +534,26 @@ class TestOneAnalysisPerModel:
         assert _summary(summary) == _instance_loop(name, bound)
 
     @pytest.mark.parametrize(
-        "name, instances, models", [("C2", 2772, 1386), ("C2xC2", 720, 360)]
+        "name, instances, models, curves",
+        [
+            ("C2", 2772, 1386, 1386),
+            ("C2xC2", 720, 360, 234),
+            ("C5", 86, 86, 43),
+            ("C6", 85, 85, 83),
+            ("C2xC6", 83, 83, 71),
+        ],
     )
-    def test_one_analysis_per_distinct_model(
-        self, name, instances, models, monkeypatch
+    def test_one_analysis_per_curve(
+        self, name, instances, models, curves, monkeypatch
     ):
-        analyze_calls = _count_calls(monkeypatch, reduction, "analyze")
+        # minimal_model and point_order run once per distinct model, the
+        # curve's part once per distinct minimal model
+        mm_calls = _count_calls(monkeypatch, reduction, "minimal_model")
         order_calls = _count_calls(monkeypatch, weierstrass, "point_order")
+        curve_calls = _count_calls(monkeypatch, reduction, "_curve_analysis")
         assert run_sweep(name, 8, jobs=1).checked == instances
-        assert len(analyze_calls) == len(order_calls) == models
+        assert len(mm_calls) == len(set(mm_calls)) == len(order_calls) == models
+        assert len(curve_calls) == len({mm.minimal for mm in curve_calls}) == curves
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_shared_model_data_findings_name_each_instance(
@@ -535,13 +563,7 @@ class TestOneAnalysisPerModel:
         # (a, b, d) and (-a, -b, -d), which lie in different blocks of a; the
         # finding it gives must still name each instance, in input order.
         monkeypatch.setattr(sweeps, "point_order", lambda *args, **kwargs: 3)
-        valid = []
-        for params in iter_param_tuples("C2xC2", 10):
-            try:
-                validate_params("C2xC2", *params)
-            except ValidationError:
-                continue
-            valid.append(params)
+        valid = _valid_tuples("C2xC2", 10)
         assert {(-a, -b, -d) for a, b, d in valid} == set(valid)
         summary = run_sweep("C2xC2", 10, jobs=jobs)
         assert len(forked_workers) == (jobs > 1)
@@ -549,3 +571,34 @@ class TestOneAnalysisPerModel:
             f"C2xC2{params}: (0,0) has order 3, expected 2" for params in valid
         )
         assert len(summary.findings) == 1232
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_shared_curve_data_findings_name_each_instance(
+        self, jobs, monkeypatch, forked_workers
+    ):
+        # A ratio bound failure is curve data, shared by (a, b, d) and
+        # (a, a - b, -d), whose models differ but have one minimal model; the
+        # finding it gives must still name each instance, in input order.
+        valid = _valid_tuples("C2xC2", 10)
+        in_box = set(valid)
+        twins = [(p, q) for p in valid if (q := (p[0], p[0] - p[1], -p[2])) in in_box]
+        assert len(twins) == 868
+        for p, q in twins:
+            mp, mq = (build_model(validate_params("C2xC2", *t)) for t in (p, q))
+            assert mp != mq and minimal_model(mp).minimal == minimal_model(mq).minimal
+        edit_analysis(monkeypatch, lambda ca: ca._replace(height=1))
+        summary = run_sweep("C2xC2", 10, jobs=jobs, checks=("torsion",))
+        assert len(forked_workers) == (jobs > 1)
+        assert summary.findings == tuple(
+            f"C2xC2{params}: height^1 <= N^2 (ratio bound violated)" for params in valid
+        )
+
+    @pytest.mark.parametrize("name", ["C2xC2", "C2xC4", "C2xC6", "C2xC8"])
+    def test_two_torsion_count_on_the_minimal_model(self, name):
+        # The sweep counts 2-torsion once per curve, on its minimal model.
+        valid = _valid_tuples(name, 6)
+        assert valid
+        for params in valid:
+            model = build_model(validate_params(name, *params))
+            minimal = minimal_model(model).minimal
+            assert _two_torsion_count(minimal) == _two_torsion_count(model), params

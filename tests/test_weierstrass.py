@@ -631,6 +631,39 @@ class TestIntegerPointOrder:
         P = map_point(ORIGIN, iso)
         assert point_order(m, P) is fraction_order(m, P) is None
 
+    @pytest.mark.parametrize(
+        "m, point, order, fast",
+        [
+            (CURVE_11A1, AffinePoint(5, 5), 5, True),
+            (WeierstrassModel(0, 0, 1, -1, 0), AffinePoint(0, 0), None, True),
+            (CURVE_11A1, AffinePoint(Fraction(5), Fraction(5)), 5, False),
+            (WeierstrassModel(1, 0, 0, -4, -1),
+             AffinePoint(Fraction(-1, 4), Fraction(1, 8)), 2, False),
+        ],
+        ids=["int", "int-non-torsion", "integral-fraction", "non-integral"],
+    )
+    def test_integral_model_matches_add_points_multiples(
+        self, m, point, order, fast, monkeypatch
+    ):
+        # An int point on an integral model starts from (x : y : 1) and never
+        # reaches _integral_projective; the other points still do.
+        assert m.is_integral() and is_on_curve(m, point)
+        acc, reference = point, None
+        for k in range(1, weierstrass._ORDER_CAP + 1):
+            if acc is INFINITY:
+                reference = k
+                break
+            acc = add_points(m, acc, point)
+        assert reference == order
+        general = []
+        real = weierstrass._integral_projective
+        monkeypatch.setattr(
+            weierstrass, "_integral_projective",
+            lambda *args: general.append(args) or real(*args),
+        )
+        assert point_order(m, point) == order
+        assert general == ([] if fast else [(m, point)])
+
     def test_multiples_match_affine_group_law(self):
         five = AffinePoint(Fraction(5), Fraction(5))
         for m, point in ((C5_11, ORIGIN), (WeierstrassModel(0, 0, 1, -1, 0), ORIGIN),
